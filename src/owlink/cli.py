@@ -193,11 +193,14 @@ def cmd_train_kgc(s: Settings) -> None:
         reg_weight=s.get("reg-weight", 1e-3, float),
         num_negatives=s.get("negatives", 1, int),
         valid_every=s.get("valid-every", 1, int),
-        valid_max_triples=s.get("valid-max-triples", None, int),
     )
+    valid_max_triples = s.get("valid-max-triples", None, int)
     family = s.get("family", "complex")
+    validator = None
+    if graph.valid:
+        validator = evaluation.closed_world_validator(graph, valid_max_triples)
     model = models.train_kgc(graph, family, hp, seed=stage_seed(seed, "kgc"),
-                             log_path=str(out / "train_log.tsv"))
+                             validator=validator, log_path=str(out / "train_log.tsv"))
     models.save_checkpoint(str(out / "kgc.ckpt"), model)
     write_manifest(out, "train-kgc", s.resolved)
 

@@ -128,31 +128,21 @@ class RankingReport:
         return "  ".join(parts)
 
 
-def rank_target(scores: np.ndarray, target: int, exclude: set[int] | None = None) -> int:
+def rank_target(scores: np.ndarray, target: int, exclude: set[int] | None = None,
+                candidates: np.ndarray | None = None) -> int:
     """Pessimistic rank of the target among non-excluded candidates.
 
-    rank = 1 + #(better) + #(ties), counting only entities outside
-    ``exclude`` and distinct from the target.
+    rank = 1 + #(better) + #(ties), counting only entities inside the
+    boolean ``candidates`` mask (every entity when None), outside
+    ``exclude`` and distinct from the target. This is the one ranking rule:
+    evaluation, baselines and KGC validation all rank through it.
     """
     scores = np.asarray(scores)
     if not 0 <= target < len(scores):
         raise IndexError(f"target {target} out of range for {len(scores)} scores")
     if exclude and target in exclude:
         raise ValueError("target must not be excluded")
-    mask = np.ones(len(scores), dtype=bool)
-    if exclude:
-        mask[list(exclude)] = False
-    mask[target] = False
-    return 1 + int((scores[mask] >= scores[target]).sum())
-
-
-def _masked_rank(
-    scores: np.ndarray,
-    target: int,
-    candidate_mask: np.ndarray | None,
-    exclude: set[int],
-) -> int:
-    mask = np.ones(len(scores), dtype=bool) if candidate_mask is None else candidate_mask.copy()
+    mask = np.ones(len(scores), dtype=bool) if candidates is None else candidates.copy()
     if exclude:
         mask[list(exclude)] = False
     mask[target] = False
@@ -212,8 +202,8 @@ def _evaluate_core(
             true_set = filter_index.heads(r, t)
         exclude = {e for e in true_set if e != target and e < num_e}
 
-        result.raw_rank = _masked_rank(scores, target, candidate_mask, set())
-        result.filtered_rank = _masked_rank(scores, target, candidate_mask, exclude)
+        result.raw_rank = rank_target(scores, target, candidates=candidate_mask)
+        result.filtered_rank = rank_target(scores, target, exclude, candidate_mask)
     return report
 
 
@@ -257,6 +247,33 @@ def evaluate(
         return mapped
 
     return _evaluate_core(kgc_model, graph, config, triples, filter_index, query_embedding)
+
+
+def closed_world_validator(graph: KnowledgeGraph, max_triples: int | None = None):
+    """Filtered MRR over tail and head prediction of the first ``max_triples``
+    (all when None) of ``graph.valid``, as a ``model -> score`` callable for
+    ``models.train_kgc``. The train+valid filter index is built once, here."""
+    triples = graph.valid[:max_triples]
+    filter_index = build_filter_index(graph, ("train", "valid"))
+    configs = [EvalConfig(direction=d, filter_splits=("train", "valid")) for d in ("tail", "head")]
+
+    def validator(kgc_model: KgcModel) -> float:
+        if not triples:
+            return 0.0
+
+        def query_embedding(triple: Triple, query_id: int):
+            return kgc_model.embeddings.entity_embedding(query_id)
+
+        tails, heads = [
+            _evaluate_core(kgc_model, graph, config, triples, filter_index, query_embedding)
+            for config in configs
+        ]
+        total = 0.0  # one rank at a time, tail before head: the order fixes the last bits
+        for tail, head in zip(tails.results, heads.results):
+            total = total + 1.0 / tail.filtered_rank + 1.0 / head.filtered_rank
+        return total / (2 * len(triples))
+
+    return validator
 
 
 def random_head_baseline(

@@ -20,9 +20,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graph import EntityText, KnowledgeGraph
-from .models import ConfigError, KgcModel, score_all_heads, score_all_tails
+from .models import ConfigError, KgcModel, _flag, _positive_int, read_checkpoint, write_checkpoint
 from .optim import Adam
-from .text import NoTextError, WordEmbeddingStore, aggregate, entity_tokens, text_embedding
+from .text import WordEmbeddingStore, aggregate, entity_tokens, text_embedding
 
 KINDS = ("linear", "affine", "mlp")
 LOSS_MODES = ("squared", "euclidean")
@@ -370,93 +370,42 @@ def mapped_entity_embedding(
     return real
 
 
-def score_open_world(
-    kgc_model: KgcModel,
-    map_model: MapModel,
-    meta: EntityText,
-    r: int,
-    word_store: WordEmbeddingStore,
-    direction: str = "tail",
-) -> np.ndarray:
-    """Scores over all known entities for a triple with a text-only entity.
-
-    ``direction="tail"`` treats the text entity as the head and scores all
-    tails; ``direction="head"`` treats it as the tail and scores all heads.
-    Raises :class:`NoTextError` when the entity has no usable text.
-    """
-    if meta is None or meta.is_empty():
-        raise NoTextError("no text for open-world entity")
-    embedding = mapped_entity_embedding(kgc_model, map_model, meta, word_store)
-    if direction == "tail":
-        return score_all_tails(kgc_model, embedding, r)
-    if direction == "head":
-        return score_all_heads(kgc_model, r, embedding)
-    raise ValueError(f"unknown direction {direction!r}")
-
-
-# Checkpoint format: ASCII header lines terminated by "end", then
-# little-endian float32 parameter blocks, real branch first, in the
-# declared parameter order.
+# Checkpoint format: models' checkpoint header and float32 blocks, with the
+# parameter blocks real branch first, in the declared parameter order.
 
 def save_map(path: str, model: MapModel) -> None:
-    hidden = ",".join(str(h) for h in model.hidden_dims)
-    header = (
-        "map v1\n"
-        f"kind={model.kind}\n"
-        f"in_dim={model.in_dim}\n"
-        f"out_dim={model.out_dim}\n"
-        f"complex={int(model.is_complex)}\n"
-        f"hidden={hidden}\n"
-        "end\n"
-    )
-    with open(path, "wb") as fh:
-        fh.write(header.encode("ascii"))
-        for branch in (model.real, model.imag):
-            if branch is None:
-                continue
-            for name in model.param_names():
-                fh.write(np.ascontiguousarray(branch[name], dtype="<f4").tobytes())
+    fields = {
+        "kind": model.kind,
+        "in_dim": model.in_dim,
+        "out_dim": model.out_dim,
+        "complex": int(model.is_complex),
+        "hidden": ",".join(str(h) for h in model.hidden_dims),
+    }
+    branches = [b for b in (model.real, model.imag) if b is not None]
+    write_checkpoint(path, "map v1", fields,
+                     [branch[name] for branch in branches for name in model.param_names()])
+
+
+def _hidden_dims(value: str) -> tuple[int, ...]:
+    return tuple(_positive_int(h) for h in value.split(",") if h)
 
 
 def load_map(path: str) -> MapModel:
-    with open(path, "rb") as fh:
-        data = fh.read()
-    head_end = data.index(b"end\n") + len(b"end\n")
-    lines = data[:head_end].decode("ascii").splitlines()
-    if lines[0] != "map v1":
-        raise ValueError(f"{path}: not a map v1 checkpoint")
-    meta = dict(line.split("=", 1) for line in lines[1:-1])
-    in_dim, out_dim = int(meta["in_dim"]), int(meta["out_dim"])
-    hidden = tuple(int(h) for h in meta["hidden"].split(",") if h)
-    kind = meta["kind"]
-    is_complex = bool(int(meta["complex"]))
-
+    meta, blocks = read_checkpoint(path, "map v1", {
+        "kind": str, "in_dim": _positive_int, "out_dim": _positive_int,
+        "complex": _flag, "hidden": _hidden_dims,
+    })
+    kind, in_dim, out_dim, hidden = meta["kind"], meta["in_dim"], meta["out_dim"], meta["hidden"]
+    if kind not in KINDS:
+        raise ValueError(f"{path}: unknown transformation kind {kind!r}")
+    model = MapModel(kind, in_dim, out_dim, hidden)
+    names = model.param_names()
     widths = (in_dim,) + hidden + (out_dim,)
-    shapes: dict[str, tuple[int, ...]] = {}
-    if kind == "linear":
-        shapes["W"] = (out_dim, in_dim)
-    elif kind == "affine":
-        shapes["W"] = (out_dim, in_dim)
-        shapes["b"] = (out_dim,)
-    else:
-        for i in range(len(widths) - 1):
-            shapes[f"W{i + 1}"] = (widths[i + 1], widths[i])
-            shapes[f"b{i + 1}"] = (widths[i + 1],)
-
-    offset = head_end
-
-    def branch() -> dict[str, np.ndarray]:
-        nonlocal offset
-        params: dict[str, np.ndarray] = {}
-        for name, shape in shapes.items():
-            count = int(np.prod(shape))
-            raw = data[offset : offset + count * 4]
-            if len(raw) != count * 4:
-                raise ValueError(f"{path}: truncated checkpoint payload")
-            params[name] = np.frombuffer(raw, dtype="<f4").reshape(shape).astype(np.float64)
-            offset += count * 4
-        return params
-
-    real = branch()
-    imag = branch() if is_complex else None
-    return MapModel(kind, in_dim, out_dim, hidden, real, imag)
+    # (W, b) per layer in param_names() order; a linear map has no b
+    shapes = [shape for fan_in, fan_out in zip(widths, widths[1:])
+              for shape in ((fan_out, fan_in), (fan_out,))][:len(names)]
+    arrays = blocks(shapes * (2 if meta["complex"] else 1))
+    model.real = dict(zip(names, arrays))
+    if meta["complex"]:
+        model.imag = dict(zip(names, arrays[len(names):]))
+    return model

@@ -10,19 +10,21 @@ margin ranking loss for TransE (entity embeddings L2-normalized once per
 epoch), softplus logistic loss with L2 regularization for DistMult and
 ComplEx. All gradients are closed-form; Adam performs sparse row updates.
 
-Head (and tail) embeddings can be passed explicitly to the scoring
-functions instead of entity ids, which is what allows scoring entities
-that only exist as mapped text embeddings.
+Each family's formula is written once, in a broadcasting kernel that
+``score``, ``score_all_tails`` and ``score_all_heads`` share. Head (and
+tail) embeddings can be passed explicitly to these functions instead of
+entity ids, which is what allows scoring entities that only exist as
+mapped text embeddings. Ranking lives in ``evaluation.rank_target``;
+best-epoch selection during training goes through a ``validator``.
 """
 
 from __future__ import annotations
 
-import io
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import KnowledgeGraph, Triple, build_filter_index
+from .graph import KnowledgeGraph, Triple
 from .optim import Adam
 
 FAMILIES = ("transe", "distmult", "complex")
@@ -44,7 +46,6 @@ class KgcHyperparams:
     reg_weight: float = 1e-3
     num_negatives: int = 1
     valid_every: int = 1
-    valid_max_triples: int | None = None
 
     def validate(self) -> None:
         if self.dim <= 0:
@@ -139,15 +140,14 @@ def init_embeddings(
     return EmbeddingTable(ent_r, rel_r)
 
 
-def as_pair(embedding) -> tuple[np.ndarray, np.ndarray | None]:
-    """Normalize an explicit embedding argument to a (real, imag) pair."""
+def _query_pair(model: KgcModel, embedding) -> tuple[np.ndarray, np.ndarray | None]:
+    """An explicit embedding argument as a (real, imag) pair checked against
+    the model's family and dimension."""
     if isinstance(embedding, tuple):
         real, imag = embedding
-        return np.asarray(real), None if imag is None else np.asarray(imag)
-    return np.asarray(embedding), None
-
-
-def _check_pair(model: KgcModel, real: np.ndarray, imag: np.ndarray | None) -> None:
+        real, imag = np.asarray(real), None if imag is None else np.asarray(imag)
+    else:
+        real, imag = np.asarray(embedding), None
     d = model.embeddings.dim
     if real.shape != (d,):
         raise ValueError(f"embedding has shape {real.shape}, expected ({d},)")
@@ -158,61 +158,47 @@ def _check_pair(model: KgcModel, real: np.ndarray, imag: np.ndarray | None) -> N
             raise ValueError(f"imag embedding has shape {imag.shape}, expected ({d},)")
     elif imag is not None:
         raise ValueError(f"{model.family} model takes a real embedding, got a pair")
+    return real, imag
+
+
+def _score(model: KgcModel, head, r: int, tail) -> np.ndarray:
+    """The scoring kernel: one formula per family over the last axis.
+
+    ``head`` and ``tail`` are (real, imag-or-None) pairs whose arrays have
+    shape (d,) or (N, d) and broadcast against each other.
+    """
+    emb = model.embeddings
+    (hr, hi), (tr, ti) = head, tail
+    rr = emb.relation_real[r]
+    if model.family == "transe":
+        diff = hr + rr - tr
+        return -np.sqrt((diff * diff).sum(axis=-1))
+    if model.family == "distmult":
+        return (hr * tr * rr).sum(axis=-1)
+    ri = emb.relation_imag[r]
+    # Re(h * r * conj(t)) grouped as (h * conj(t)) * r so that the
+    # zero-imaginary case coincides bitwise with DistMult
+    return ((hr * tr + hi * ti) * rr - (hi * tr - hr * ti) * ri).sum(axis=-1)
+
+
+def _all_entities(model: KgcModel) -> tuple[np.ndarray, np.ndarray | None]:
+    return model.embeddings.entity_real, model.embeddings.entity_imag
 
 
 def score(model: KgcModel, h_embedding, r: int, t: int) -> float:
     """Score one triple with an explicit head embedding."""
-    hr, hi = as_pair(h_embedding)
-    _check_pair(model, hr, hi)
-    emb = model.embeddings
-    rr = emb.relation_real[r]
-    tr = emb.entity_real[t]
-    if model.family == "transe":
-        diff = hr + rr - tr
-        return float(-np.sqrt((diff * diff).sum()))
-    if model.family == "distmult":
-        return float((hr * tr * rr).sum())
-    ri = emb.relation_imag[r]
-    ti = emb.entity_imag[t]
-    # Re(h * r * conj(t)) grouped as (h * conj(t)) * r so that the
-    # zero-imaginary case coincides bitwise with DistMult
-    return float(((hr * tr + hi * ti) * rr - (hi * tr - hr * ti) * ri).sum())
+    tail = model.embeddings.entity_embedding(t)
+    return float(_score(model, _query_pair(model, h_embedding), r, tail))
 
 
 def score_all_tails(model: KgcModel, h_embedding, r: int) -> np.ndarray:
     """Score (h, r, t) for every known entity t; element t matches score()."""
-    hr, hi = as_pair(h_embedding)
-    _check_pair(model, hr, hi)
-    emb = model.embeddings
-    rr = emb.relation_real[r]
-    if model.family == "transe":
-        diff = hr + rr - emb.entity_real
-        return -np.sqrt((diff * diff).sum(axis=1))
-    if model.family == "distmult":
-        return (hr * emb.entity_real * rr).sum(axis=1)
-    ri = emb.relation_imag[r]
-    return (
-        (hr * emb.entity_real + hi * emb.entity_imag) * rr
-        - (hi * emb.entity_real - hr * emb.entity_imag) * ri
-    ).sum(axis=1)
+    return _score(model, _query_pair(model, h_embedding), r, _all_entities(model))
 
 
 def score_all_heads(model: KgcModel, r: int, t_embedding) -> np.ndarray:
     """Score (h, r, t) for every known entity h, given an explicit tail."""
-    tr, ti = as_pair(t_embedding)
-    _check_pair(model, tr, ti)
-    emb = model.embeddings
-    rr = emb.relation_real[r]
-    if model.family == "transe":
-        diff = emb.entity_real + rr - tr
-        return -np.sqrt((diff * diff).sum(axis=1))
-    if model.family == "distmult":
-        return (emb.entity_real * tr * rr).sum(axis=1)
-    ri = emb.relation_imag[r]
-    return (
-        (emb.entity_real * tr + emb.entity_imag * ti) * rr
-        - (emb.entity_imag * tr - emb.entity_real * ti) * ri
-    ).sum(axis=1)
+    return _score(model, _all_entities(model), r, _query_pair(model, t_embedding))
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -377,46 +363,19 @@ def normalize_entities(emb: EmbeddingTable) -> None:
     np.divide(emb.entity_real, norms, out=emb.entity_real, where=norms > 0)
 
 
-def _filtered_mrr(
-    model: KgcModel, triples: list[Triple], filter_index, max_triples: int | None
-) -> float:
-    """Closed-world filtered MRR over tail and head prediction (validation)."""
-    emb = model.embeddings
-    if max_triples is not None:
-        triples = triples[:max_triples]
-    if not triples:
-        return 0.0
-    total = 0.0
-    n = 0
-    for h, r, t in triples:
-        scores = score_all_tails(model, emb.entity_embedding(h), r)
-        total += 1.0 / _rank_with_exclusion(scores, t, filter_index.tails(h, r) - {t})
-        scores = score_all_heads(model, r, emb.entity_embedding(t))
-        total += 1.0 / _rank_with_exclusion(scores, h, filter_index.heads(r, t) - {h})
-        n += 2
-    return total / n
-
-
-def _rank_with_exclusion(scores: np.ndarray, target: int, exclude: set[int]) -> int:
-    s = scores[target]
-    mask = np.ones(len(scores), dtype=bool)
-    if exclude:
-        mask[list(exclude)] = False
-    mask[target] = False
-    return 1 + int((scores[mask] >= s).sum())
-
-
 def train_kgc(
     graph: KnowledgeGraph,
     family: str,
     hyperparams: KgcHyperparams | None = None,
     seed: int = 0,
+    validator=None,
     log_path: str | None = None,
 ) -> KgcModel:
     """Train a link prediction model with uniform negative sampling.
 
-    Deterministic for a fixed seed in this single-threaded mode. When the
-    graph has a validation split, filtered MRR is computed every
+    Deterministic for a fixed seed in this single-threaded mode. When a
+    ``validator`` callable (model -> score, higher is better, such as
+    ``evaluation.closed_world_validator``) is given, it is invoked every
     ``valid_every`` epochs and the best-scoring epoch's embeddings are
     returned; otherwise the final epoch's.
     """
@@ -431,10 +390,6 @@ def train_kgc(
     emb = init_embeddings(family, graph.num_entities, graph.num_relations, hp.dim, rng)
     model = KgcModel(family, emb, hp)
     adam = Adam(lr=hp.learning_rate)
-
-    filter_index = None
-    if graph.valid:
-        filter_index = build_filter_index(graph, splits=("train", "valid"))
 
     train = np.asarray(graph.train, dtype=np.int64)
     n = len(train)
@@ -468,8 +423,8 @@ def train_kgc(
             normalize_entities(emb)
 
         valid_mrr = ""
-        if filter_index is not None and hp.valid_every > 0 and epoch % hp.valid_every == 0:
-            mrr = _filtered_mrr(model, graph.valid, filter_index, hp.valid_max_triples)
+        if validator is not None and hp.valid_every > 0 and epoch % hp.valid_every == 0:
+            mrr = float(validator(model))
             valid_mrr = f"{mrr:.6f}"
             if mrr > best_mrr:
                 best_mrr = mrr
@@ -488,51 +443,95 @@ def train_kgc(
     return model
 
 
-# Checkpoint format: ASCII header lines terminated by an "end" line, then
-# row-major little-endian float32 blocks (entity_real, relation_real, and
-# for ComplEx entity_imag, relation_imag).
+# Checkpoint format, shared with mapping's map checkpoints: a magic line,
+# ASCII key=value header lines and an "end" line, then row-major
+# little-endian float32 blocks.
+
+def write_checkpoint(path: str, magic: str, fields: dict[str, object], blocks) -> None:
+    header = "".join(f"{key}={value}\n" for key, value in fields.items())
+    with open(path, "wb") as fh:
+        fh.write(f"{magic}\n{header}end\n".encode("ascii"))
+        for arr in blocks:
+            fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+
+
+def _positive_int(value: str) -> int:
+    n = int(value)
+    if n <= 0:
+        raise ValueError(value)
+    return n
+
+
+def _flag(value: str) -> bool:
+    if value not in ("0", "1"):
+        raise ValueError(value)
+    return value == "1"
+
+
+def read_checkpoint(path: str, magic: str, fields: dict):
+    """Parse a checkpoint header and split off its payload.
+
+    ``fields`` maps each required header key to a parser. Returns the parsed
+    fields and a reader ``blocks(shapes)`` that yields one float64 array per
+    shape and requires the payload to hold exactly those blocks. Every
+    malformed file raises ValueError naming ``path``.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    marker = data.find(b"\nend\n")
+    if marker < 0:
+        raise ValueError(f"{path}: checkpoint header has no end line")
+    magic_line, *lines = data[:marker].decode("ascii", "replace").split("\n")
+    if magic_line != magic:
+        raise ValueError(f"{path}: not a {magic} checkpoint")
+    raw = dict(line.split("=", 1) for line in lines if "=" in line)
+    meta = {}
+    for key, parse in fields.items():
+        if key not in raw:
+            raise ValueError(f"{path}: checkpoint header lacks {key}=")
+        try:
+            meta[key] = parse(raw[key])
+        except ValueError:
+            raise ValueError(f"{path}: bad checkpoint header value {key}={raw[key]}") from None
+    payload = memoryview(data)[marker + len(b"\nend\n"):]
+
+    def blocks(shapes: list[tuple[int, ...]]) -> list[np.ndarray]:
+        sizes = [4 * int(np.prod(shape)) for shape in shapes]
+        if len(payload) < sum(sizes):
+            raise ValueError(f"{path}: truncated checkpoint payload")
+        if len(payload) > sum(sizes):
+            raise ValueError(f"{path}: {len(payload) - sum(sizes)} trailing bytes after the payload")
+        offsets = np.cumsum([0] + sizes)
+        return [
+            np.frombuffer(payload[a:b], dtype="<f4").reshape(shape).astype(np.float64)
+            for a, b, shape in zip(offsets, offsets[1:], shapes)
+        ]
+
+    return meta, blocks
+
 
 def save_checkpoint(path: str, model: KgcModel) -> None:
     emb = model.embeddings
-    header = (
-        "kgc v1\n"
-        f"family={model.family}\n"
-        f"entities={emb.num_entities}\n"
-        f"relations={emb.num_relations}\n"
-        f"dim={emb.dim}\n"
-        f"complex={int(emb.is_complex)}\n"
-        "end\n"
-    )
-    with open(path, "wb") as fh:
-        fh.write(header.encode("ascii"))
-        for name in ("entity_real", "relation_real", "entity_imag", "relation_imag"):
-            arr = getattr(emb, name)
-            if arr is not None:
-                fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+    fields = {
+        "family": model.family,
+        "entities": emb.num_entities,
+        "relations": emb.num_relations,
+        "dim": emb.dim,
+        "complex": int(emb.is_complex),
+    }
+    write_checkpoint(path, "kgc v1", fields, emb.arrays().values())
 
 
 def load_checkpoint(path: str) -> KgcModel:
-    with open(path, "rb") as fh:
-        data = fh.read()
-    head_end = data.index(b"end\n") + len(b"end\n")
-    lines = data[:head_end].decode("ascii").splitlines()
-    if lines[0] != "kgc v1":
-        raise ValueError(f"{path}: not a kgc v1 checkpoint")
-    meta = dict(line.split("=", 1) for line in lines[1:-1])
-    ne, nr, d = int(meta["entities"]), int(meta["relations"]), int(meta["dim"])
-    is_complex = bool(int(meta["complex"]))
+    meta, blocks = read_checkpoint(path, "kgc v1", {
+        "family": str, "entities": _positive_int, "relations": _positive_int,
+        "dim": _positive_int, "complex": _flag,
+    })
     family = meta["family"]
-
-    buf = io.BytesIO(data[head_end:])
-
-    def block(rows: int) -> np.ndarray:
-        raw = buf.read(rows * d * 4)
-        if len(raw) != rows * d * 4:
-            raise ValueError(f"{path}: truncated checkpoint payload")
-        return np.frombuffer(raw, dtype="<f4").reshape(rows, d).astype(np.float64)
-
-    ent_r, rel_r = block(ne), block(nr)
-    ent_i = rel_i = None
-    if is_complex:
-        ent_i, rel_i = block(ne), block(nr)
-    return KgcModel(family, EmbeddingTable(ent_r, rel_r, ent_i, rel_i))
+    if family not in FAMILIES:
+        raise ValueError(f"{path}: unknown model family {family!r}")
+    if meta["complex"] != (family == "complex"):
+        raise ValueError(f"{path}: complex={int(meta['complex'])} contradicts family={family}")
+    d = meta["dim"]
+    shapes = [(meta["entities"], d), (meta["relations"], d)] * (2 if meta["complex"] else 1)
+    return KgcModel(family, EmbeddingTable(*blocks(shapes)))

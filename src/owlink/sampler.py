@@ -99,9 +99,7 @@ def sample_open_world(graph: KnowledgeGraph, config: SamplerConfig) -> OwSplit:
             else:
                 remaining.append(trip)
         train = remaining
-        # tail must still be represented in the progressively reduced train
-        represented, _ = _entity_and_relation_sets(train)
-        tail_pool.extend(t for t in moved if t.tail in represented)
+        tail_pool.extend(moved)  # the final filter drops tails no longer in train
         dropped_pool.extend(dropped)
 
     if not train:

@@ -12,7 +12,7 @@ import os
 import numpy as np
 import pytest
 
-from owlink.evaluation import EvalConfig, evaluate, random_head_baseline
+from owlink.evaluation import EvalConfig, closed_world_validator, evaluate, random_head_baseline
 from owlink.graph import EntityText, load_graph, load_entity_text, resolve_metadata
 from owlink.mapping import (
     MapHyperparams,
@@ -419,7 +419,7 @@ def fb_assets():
     template = os.environ.get("OWLINK_PHRASE_TEMPLATE", "{name}")
     store = load_word_embeddings(EMBEDDING_PATH, phrase_template=template)
     hp = KgcHyperparams(dim=300, epochs=100, learning_rate=1e-3, batch_size=128)
-    kgc = train_kgc(graph, "complex", hp, seed=0)
+    kgc = train_kgc(graph, "complex", hp, seed=0, validator=closed_world_validator(graph))
     return graph, kgc, raw_meta, metadata, store
 
 

@@ -6,6 +6,7 @@ from owlink.evaluation import (
     SKIP_OPEN_TARGET,
     SKIP_TARGET_FILTERING,
     EvalConfig,
+    closed_world_validator,
     evaluate,
     nearest_neighbors,
     random_head_baseline,
@@ -48,6 +49,13 @@ class TestRankTarget:
     def test_out_of_range(self):
         with pytest.raises(IndexError):
             rank_target(np.array([1.0]), 3)
+
+    def test_candidate_mask_restricts_competitors(self):
+        scores = np.array([5.0, 4.0, 3.0, 2.0])
+        candidates = np.array([False, True, True, True])
+        assert rank_target(scores, 2, candidates=candidates) == 2
+        assert rank_target(scores, 2, exclude={1}, candidates=candidates) == 1
+        assert candidates.tolist() == [False, True, True, True]
 
 
 class TestConfig:
@@ -126,6 +134,28 @@ class TestClosedWorldEvaluate:
                     report = evaluate(model, g, config)
                     oracle = brute_force_report(model, g, config, g.test)
                     assert_reports_equal(report, oracle)
+
+
+class TestClosedWorldValidator:
+    @pytest.mark.parametrize("family", ["transe", "distmult", "complex"])
+    def test_matches_oracle_over_both_directions(self, family):
+        rng = np.random.default_rng(7)
+        for trial in range(15):
+            base = random_graph(rng)
+            g = KnowledgeGraph(base.entities, base.relations, base.train, valid=base.test)
+            model = random_model(family, g.num_entities, g.num_relations, 3, rng)
+            ranks = []
+            for direction in ("tail", "head"):
+                config = EvalConfig(direction=direction, filter_splits=("train", "valid"))
+                oracle = brute_force_report(model, g, config, g.valid)
+                ranks.append([p[2] for p in oracle["per_triple"]])
+            total = 0.0
+            for tail_rank, head_rank in zip(*ranks):
+                total += 1.0 / tail_rank
+                total += 1.0 / head_rank
+            assert closed_world_validator(g)(model) == total / (2 * len(g.valid))
+            first = 1.0 / ranks[0][0] + 1.0 / ranks[1][0]
+            assert closed_world_validator(g, max_triples=1)(model) == first / 2
 
 
 class TestOpenWorldEvaluate:

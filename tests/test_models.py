@@ -254,6 +254,20 @@ class TestTraining:
         assert len(lines) == 4
         assert all(len(line.split("\t")) == 3 for line in lines[1:])
 
+    def test_validator_selects_best_epoch(self, tmp_path):
+        g = graph_from_triples(tmp_path, [("a", "r", "b"), ("b", "r", "c"), ("c", "r", "a")])
+        snapshots = []
+        scores = iter([0.3, 0.9, 0.1, 0.2])
+
+        def validator(model):
+            snapshots.append(model.embeddings.copy())
+            return next(scores)
+
+        hp = KgcHyperparams(dim=4, epochs=4, learning_rate=0.05)
+        model = train_kgc(g, "distmult", hp, seed=0, validator=validator)
+        assert len(snapshots) == 4
+        np.testing.assert_array_equal(model.embeddings.entity_real, snapshots[1].entity_real)
+
     def test_config_errors(self, tmp_path):
         g = graph_from_triples(tmp_path, [("a", "r", "b")])
         with pytest.raises(ConfigError):
@@ -277,12 +291,22 @@ class TestCheckpoint:
         for a, b in zip(model.embeddings.arrays().values(), loaded.embeddings.arrays().values()):
             np.testing.assert_allclose(a, b, atol=1e-6)  # float32 payload
 
-    def test_truncated_payload_rejected(self, tmp_path):
+    # a complex model with 4 entities, 2 relations, d=3: 72 bytes per part
+    @pytest.mark.parametrize("corrupt, message", [
+        (lambda data: data[:-8], "truncated"),
+        (lambda data: data + bytes(4), "trailing bytes"),
+        (lambda data: data.replace(b"family=complex", b"family=bogus"), "unknown model family"),
+        (lambda data: data.replace(b"complex=1", b"complex=0")[:-72], "contradicts"),
+        (lambda data: data.replace(b"dim=3\n", b""), "lacks dim="),
+        (lambda data: data.replace(b"dim=3", b"dim=x"), "bad checkpoint header value"),
+        (lambda data: data.replace(b"\nend\n", b"\n"), "no end line"),
+    ], ids=["truncated", "trailing", "family", "complex-flag", "no-dim", "bad-dim", "no-end"])
+    def test_malformed_rejected(self, tmp_path, corrupt, message):
         rng = np.random.default_rng(13)
-        model = random_model("transe", 4, 2, 3, rng)
+        model = random_model("complex", 4, 2, 3, rng)
         path = tmp_path / "m.ckpt"
         save_checkpoint(str(path), model)
-        data = path.read_bytes()
-        path.write_bytes(data[:-8])
-        with pytest.raises(ValueError, match="truncated"):
+        path.write_bytes(corrupt(path.read_bytes()))
+        with pytest.raises(ValueError, match=message) as info:
             load_checkpoint(str(path))
+        assert str(path) in str(info.value)

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -164,6 +166,31 @@ class TestInvariants:
         assert m["train_triples"] == len(split.train)
         assert m["test_tail_triples"] == len(split.test_tail)
         assert m["open_entities"] == len(split.open_entities)
+
+
+class TestGolden:
+    """Splits pinned to digests: any change to what the sampler produces shows."""
+
+    SPLIT_FIELDS = ("train", "test_tail", "test_head", "valid_closed",
+                    "valid_open_tail", "valid_open_head", "open_entities")
+
+    @pytest.mark.parametrize("graph_seed, n_e, n_r, n_t, head_count, seed, digest", [
+        (0, 12, 2, 40, 3, 0, "353439e4b1252253"),
+        (1, 25, 3, 120, 6, 1, "047b2bdc1faefb06"),
+        (2, 40, 4, 300, 10, 2, "0d17e88ee02122b6"),
+        (3, 60, 5, 400, 25, 3, "573a54b6946979c7"),
+    ])
+    def test_split_digest(self, tmp_path, graph_seed, n_e, n_r, n_t, head_count, seed, digest):
+        rng = np.random.default_rng(graph_seed)
+        triples = [(f"e{rng.integers(n_e)}", f"r{rng.integers(n_r)}", f"e{rng.integers(n_e)}")
+                   for _ in range(n_t)]
+        g = graph_from_triples(tmp_path, triples)
+        split = sample_open_world(g, SamplerConfig(seed=seed, head_count=head_count,
+                                                   closed_valid_fraction=0.1))
+        assert validate_split(split) == []
+        body = repr([[tuple(x) if isinstance(x, tuple) else x for x in getattr(split, name)]
+                     for name in self.SPLIT_FIELDS])
+        assert hashlib.sha256(body.encode()).hexdigest()[:16] == digest
 
 
 class TestDeterminism:
