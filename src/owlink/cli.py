@@ -2,226 +2,187 @@
 
 Commands: train-kgc, train-map, eval, robustness, neighbors, sample-owe,
 drop-metadata. Options resolve as CLI flag > config file (--config,
-key=value) > default. Every command writes a manifest echoing its resolved
-configuration into the output directory; exit code 0 means the command
-completed and the manifest was written. All randomness flows from a single
---seed via deterministic per-stage sub-seeds.
+key=value) > default. Each option is declared once in ``OPTIONS``; options
+that set a field of ``KgcHyperparams``, ``MapHyperparams``, ``SamplerConfig``
+or ``EvalConfig`` take their type and default from that field. A config key
+is a flag name, and its value is checked like the flag's. Every command
+writes a manifest echoing its resolved configuration into the output
+directory; exit code 0 means the command completed and the manifest was
+written. All randomness flows from a single --seed via deterministic
+per-stage sub-seeds.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+import typing
+from dataclasses import fields
 from pathlib import Path
 
 from . import evaluation, graph as graphmod, mapping, models, sampler, text
-from .config import Settings, load_config_file, stage_seed, write_manifest
+from .config import Option, Settings, load_config_file, stage_seed, write_manifest
 
 
 class CliError(Exception):
     """User-facing command error; printed without a traceback."""
 
 
-def _graph_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--train", help="train triples TSV")
-    p.add_argument("--valid", help="validation triples TSV")
-    p.add_argument("--test", help="test triples TSV")
+# Flags of dataclass fields that are not the field name with dashes.
+RENAMES = {"num_negatives": "negatives", "loss": "loss-mode", "hits_k": "hits"}
+FIELD_CHOICES = {"loss": mapping.LOSS_MODES, "direction": evaluation.DIRECTIONS}
 
 
-def _common_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="flat key=value config file")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out", help="output directory")
+def _flag(field_name: str) -> str:
+    return RENAMES.get(field_name, field_name.replace("_", "-"))
+
+
+def _fields(cls, *names: str) -> list[Option]:
+    """Options for the named fields of a config dataclass (all when none are named)."""
+    hints = typing.get_type_hints(cls)
+    return [Option.from_field(_flag(f.name), hints[f.name], f.default,
+                              choices=FIELD_CHOICES.get(f.name))
+            for f in fields(cls) if not names or f.name in names]
+
+
+def _build(s: Settings, cls, **fixed):
+    """``cls`` with every field the command has an option for read from ``s``."""
+    read = {f.name: s.get(_flag(f.name)) for f in fields(cls)
+            if f.name not in fixed and _flag(f.name) in s}
+    return cls(**read, **fixed)
+
+
+COMMON = [Option("out", help="output directory"), *_fields(sampler.SamplerConfig, "seed")]
+GRAPH = [Option("train", help="train triples TSV"), Option("valid", help="validation triples TSV"),
+         Option("test", help="test triples TSV")]
+KGC = Option("kgc-checkpoint", help="model file written by train-kgc")
+MAP = Option("map-checkpoint", help="map file written by train-map")
+EMBEDDINGS = [Option("embeddings", help="word embedding text file"),
+              Option("phrase-template", default="{name}", help="vector key of a whole name")]
+TEXT = [Option("metadata", help="entity metadata TSV"), *EMBEDDINGS]
+KIND = Option("kind", default="affine", choices=mapping.KINDS)
+EVAL = [*_fields(evaluation.EvalConfig, "direction", "filter_splits", "target_filtering", "hits_k"),
+        Option("raw-ranks", bool, not evaluation.EvalConfig.filtered,
+               help="aggregate MR/Hits over raw instead of filtered ranks")]
+
+# Every option of every command; the name is the flag, config key and manifest key.
+OPTIONS = {command: {o.name: o for o in COMMON + options} for command, options in {
+    "train-kgc": [*GRAPH, Option("family", default="complex", choices=models.FAMILIES),
+                  *_fields(models.KgcHyperparams),
+                  Option("valid-max-triples", int, help="cap on validation triples")],
+    "train-map": [*GRAPH, KGC, *TEXT, KIND, *_fields(mapping.MapHyperparams)],
+    "eval": [*GRAPH, KGC, MAP, *TEXT, *EVAL,
+             Option("split", default="test", choices=("valid", "test"))],
+    "robustness": [*GRAPH, KGC, *TEXT, KIND, *EVAL,
+                   *_fields(mapping.MapHyperparams, "epochs", "learning_rate", "batch_size",
+                            "dropout"),
+                   Option("fractions", float, "0,0.2,0.4,0.6,0.8,0.9,1.0", many=True,
+                          help="drop fractions"),
+                   Option("modes", default="descriptions,all", choices=sampler.MODES, many=True)],
+    "neighbors": [*GRAPH, KGC, MAP, *EMBEDDINGS, Option("entity", help="external entity id"),
+                  Option("text", help="free-text entity name"),
+                  Option("description", help="free-text entity description"),
+                  Option("k", int, 10, help="number of neighbors")],
+    "sample-owe": [GRAPH[0], *_fields(sampler.SamplerConfig)],
+    "drop-metadata": [TEXT[0], Option("mode", default="descriptions", choices=sampler.MODES),
+                      Option("fraction", float, 0.0)],
+}.items()}
+DECLARED = {name: o for options in OPTIONS.values() for name, o in options.items()}
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="owlink", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("train-kgc", help="train a closed-world link prediction model")
-    _common_options(p)
-    _graph_options(p)
-    p.add_argument("--family", choices=models.FAMILIES)
-    p.add_argument("--dim", type=int)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--learning-rate", type=float)
-    p.add_argument("--batch-size", type=int)
-    p.add_argument("--margin", type=float)
-    p.add_argument("--reg-weight", type=float)
-    p.add_argument("--negatives", type=int)
-    p.add_argument("--valid-every", type=int)
-    p.add_argument("--valid-max-triples", type=int)
-
-    p = sub.add_parser("train-map", help="train the text-to-graph transformation")
-    _common_options(p)
-    _graph_options(p)
-    p.add_argument("--kgc-checkpoint")
-    p.add_argument("--metadata")
-    p.add_argument("--embeddings", help="word embedding text file")
-    p.add_argument("--phrase-template")
-    p.add_argument("--kind", choices=mapping.KINDS)
-    p.add_argument("--dropout", type=float)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--learning-rate", type=float)
-    p.add_argument("--batch-size", type=int)
-    p.add_argument("--hidden-dim", type=int)
-    p.add_argument("--loss-mode", choices=mapping.LOSS_MODES)
-    p.add_argument("--valid-every", type=int)
-
-    p = sub.add_parser("eval", help="rank test triples and report metrics")
-    _common_options(p)
-    _graph_options(p)
-    p.add_argument("--kgc-checkpoint")
-    p.add_argument("--map-checkpoint")
-    p.add_argument("--metadata")
-    p.add_argument("--embeddings")
-    p.add_argument("--phrase-template")
-    p.add_argument("--split", choices=("valid", "test"))
-    p.add_argument("--direction", choices=("tail", "head"))
-    p.add_argument("--target-filtering", action="store_const", const=True)
-    p.add_argument("--raw-ranks", action="store_const", const=True,
-                   help="aggregate MR/Hits over raw instead of filtered ranks")
-    p.add_argument("--filter-splits", help="comma list, e.g. train,valid,test")
-    p.add_argument("--hits", help="comma list of Hits@k cutoffs")
-
-    p = sub.add_parser("robustness", help="metadata-dropping robustness sweep")
-    _common_options(p)
-    _graph_options(p)
-    p.add_argument("--kgc-checkpoint")
-    p.add_argument("--metadata")
-    p.add_argument("--embeddings")
-    p.add_argument("--phrase-template")
-    p.add_argument("--kind", choices=mapping.KINDS)
-    p.add_argument("--dropout", type=float)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--learning-rate", type=float)
-    p.add_argument("--batch-size", type=int)
-    p.add_argument("--target-filtering", action="store_const", const=True)
-    p.add_argument("--filter-splits")
-    p.add_argument("--fractions", help="comma list of drop fractions")
-    p.add_argument("--modes", help="comma list from: descriptions,all")
-
-    p = sub.add_parser("neighbors", help="nearest entities to an entity or free text")
-    _common_options(p)
-    _graph_options(p)
-    p.add_argument("--kgc-checkpoint")
-    p.add_argument("--map-checkpoint")
-    p.add_argument("--embeddings")
-    p.add_argument("--phrase-template")
-    p.add_argument("--entity", help="external entity id")
-    p.add_argument("--text", help="free-text entity name")
-    p.add_argument("--description", help="free-text entity description")
-    p.add_argument("-k", "--k", type=int, dest="k")
-
-    p = sub.add_parser("sample-owe", help="construct an open-world split")
-    _common_options(p)
-    p.add_argument("--train")
-    p.add_argument("--head-fraction", type=float)
-    p.add_argument("--head-count", type=int)
-    p.add_argument("--closed-valid-fraction", type=float)
-    p.add_argument("--open-valid-fraction", type=float)
-
-    p = sub.add_parser("drop-metadata", help="corrupt a metadata file")
-    _common_options(p)
-    p.add_argument("--metadata")
-    p.add_argument("--mode", choices=sampler.MODES)
-    p.add_argument("--fraction", type=float)
-
+    for command, options in OPTIONS.items():
+        p = sub.add_parser(command, help=COMMANDS[command].__doc__)
+        p.add_argument("--config", help="flat key=value config file")
+        for o in options.values():
+            flags = [f"-{o.name}"] * (len(o.name) == 1) + [f"--{o.name}"]
+            if o.type is bool:
+                p.add_argument(*flags, action="store_const", const=True, help=o.help)
+            else:
+                p.add_argument(*flags, type=o.convert, help=o.help or o.expected())
     return parser
 
 
-def _require(value, name: str):
+def _config_value(key: str, text: str):
+    """Convert a config-file value like the flag of the same name. Keys of
+    every command are accepted (and checked), so commands can share a file;
+    a name is declared alike by every command that has it."""
+    if key not in DECLARED:
+        raise ValueError("no owlink command has this option")
+    return DECLARED[key].convert(text)
+
+
+def _require(s: Settings, name: str):
+    value = s.get(name)
     if value is None:
         raise CliError(f"missing required option --{name}")
     return value
 
 
-def _check_file(path: str, name: str) -> str:
-    if not Path(path).is_file():
+def _input_file(s: Settings, name: str, required: bool = True) -> str | None:
+    path = _require(s, name) if required else s.get(name)
+    if path is not None and not Path(path).is_file():
         raise CliError(f"--{name}: file not found: {path}")
     return path
 
 
 def _load_graph(s: Settings, open_world: bool) -> graphmod.KnowledgeGraph:
-    train = _check_file(_require(s.get("train"), "train"), "train")
-    valid = s.get("valid")
-    test = s.get("test")
-    if valid is not None:
-        _check_file(valid, "valid")
-    if test is not None:
-        _check_file(test, "test")
-    return graphmod.load_graph(train, valid, test, open_world=open_world)
+    return graphmod.load_graph(_input_file(s, "train"), _input_file(s, "valid", False),
+                               _input_file(s, "test", False), open_world=open_world)
+
+
+def _word_vectors(s: Settings) -> text.WordEmbeddingStore:
+    return text.load_word_embeddings(_input_file(s, "embeddings"),
+                                     phrase_template=s.get("phrase-template"))
 
 
 def _load_text_assets(s: Settings, graph):
-    meta_path = _check_file(_require(s.get("metadata"), "metadata"), "metadata")
-    emb_path = _check_file(_require(s.get("embeddings"), "embeddings"), "embeddings")
-    template = s.get("phrase-template", "{name}")
-    raw_meta = graphmod.load_entity_text(meta_path)
-    store = text.load_word_embeddings(emb_path, phrase_template=template)
+    raw_meta = graphmod.load_entity_text(_input_file(s, "metadata"))
+    store = _word_vectors(s)
     return raw_meta, graphmod.resolve_metadata(raw_meta, graph), store
 
 
+def _load_kgc(s: Settings) -> models.KgcModel:
+    return models.load_checkpoint(_input_file(s, "kgc-checkpoint"))
+
+
 def _out_dir(s: Settings) -> Path:
-    out = Path(_require(s.get("out"), "out"))
+    out = Path(_require(s, "out"))
     out.mkdir(parents=True, exist_ok=True)
     return out
 
 
 def _eval_config(s: Settings) -> evaluation.EvalConfig:
-    splits = s.get("filter-splits", "train,valid,test")
-    hits = s.get("hits", "1,3,10")
-    return evaluation.EvalConfig(
-        direction=s.get("direction", "tail"),
-        filtered=not s.get("raw-ranks", False, cast=bool),
-        filter_splits=tuple(x for x in splits.split(",") if x),
-        target_filtering=bool(s.get("target-filtering", False, cast=bool)),
-        hits_k=tuple(int(k) for k in hits.split(",")),
-    )
+    return _build(s, evaluation.EvalConfig, filtered=not s.get("raw-ranks"))
 
 
 def cmd_train_kgc(s: Settings) -> None:
+    """Train a closed-world link prediction model."""
     out = _out_dir(s)
-    seed = s.get("seed", 0, int)
+    seed = s.get("seed")
     graph = _load_graph(s, open_world=False)
-    hp = models.KgcHyperparams(
-        dim=s.get("dim", 300, int),
-        epochs=s.get("epochs", 100, int),
-        learning_rate=s.get("learning-rate", 1e-3, float),
-        batch_size=s.get("batch-size", 128, int),
-        margin=s.get("margin", 1.0, float),
-        reg_weight=s.get("reg-weight", 1e-3, float),
-        num_negatives=s.get("negatives", 1, int),
-        valid_every=s.get("valid-every", 1, int),
-    )
-    valid_max_triples = s.get("valid-max-triples", None, int)
-    family = s.get("family", "complex")
+    hp = _build(s, models.KgcHyperparams)
+    valid_max_triples = s.get("valid-max-triples")
     validator = None
     if graph.valid:
         validator = evaluation.closed_world_validator(graph, valid_max_triples)
-    model = models.train_kgc(graph, family, hp, seed=stage_seed(seed, "kgc"),
+    model = models.train_kgc(graph, s.get("family"), hp, seed=stage_seed(seed, "kgc"),
                              validator=validator, log_path=str(out / "train_log.tsv"))
     models.save_checkpoint(str(out / "kgc.ckpt"), model)
     write_manifest(out, "train-kgc", s.resolved)
 
 
 def cmd_train_map(s: Settings) -> None:
+    """Train the text-to-graph transformation."""
     out = _out_dir(s)
-    seed = s.get("seed", 0, int)
+    seed = s.get("seed")
     graph = _load_graph(s, open_world=True)
-    kgc_path = _check_file(_require(s.get("kgc-checkpoint"), "kgc-checkpoint"), "kgc-checkpoint")
-    kgc = models.load_checkpoint(kgc_path)
+    kgc = _load_kgc(s)
     _, metadata, store = _load_text_assets(s, graph)
-    hp = mapping.MapHyperparams(
-        epochs=s.get("epochs", 200, int),
-        learning_rate=s.get("learning-rate", 1e-3, float),
-        batch_size=s.get("batch-size", 128, int),
-        dropout=s.get("dropout", 0.0, float),
-        hidden_dim=s.get("hidden-dim", None, int),
-        loss=s.get("loss-mode", "squared"),
-        valid_every=s.get("valid-every", 10, int),
-    )
-    kind = s.get("kind", "affine")
+    hp = _build(s, mapping.MapHyperparams)
+    kind = s.get("kind")
 
     validator = None
     if graph.valid:
@@ -243,17 +204,17 @@ def cmd_train_map(s: Settings) -> None:
 
 
 def cmd_eval(s: Settings) -> None:
+    """Rank test triples and report metrics."""
     out = _out_dir(s)
     graph = _load_graph(s, open_world=True)
-    kgc_path = _check_file(_require(s.get("kgc-checkpoint"), "kgc-checkpoint"), "kgc-checkpoint")
-    kgc = models.load_checkpoint(kgc_path)
+    kgc = _load_kgc(s)
     map_model = metadata = store = None
-    map_path = s.get("map-checkpoint")
+    map_path = _input_file(s, "map-checkpoint", required=False)
     if map_path is not None:
-        map_model = mapping.load_map(_check_file(map_path, "map-checkpoint"))
+        map_model = mapping.load_map(map_path)
         _, metadata, store = _load_text_assets(s, graph)
     config = _eval_config(s)
-    split = s.get("split", "test")
+    split = s.get("split")
     report = evaluation.evaluate(
         kgc, graph, config, map_model, metadata, store, triples=graph.split(split)
     )
@@ -264,23 +225,17 @@ def cmd_eval(s: Settings) -> None:
 
 
 def cmd_robustness(s: Settings) -> None:
+    """Metadata-dropping robustness sweep."""
     out = _out_dir(s)
-    seed = s.get("seed", 0, int)
+    seed = s.get("seed")
     graph = _load_graph(s, open_world=True)
-    kgc_path = _check_file(_require(s.get("kgc-checkpoint"), "kgc-checkpoint"), "kgc-checkpoint")
-    kgc = models.load_checkpoint(kgc_path)
+    kgc = _load_kgc(s)
     raw_meta, _, store = _load_text_assets(s, graph)
-    hp = mapping.MapHyperparams(
-        epochs=s.get("epochs", 200, int),
-        learning_rate=s.get("learning-rate", 1e-3, float),
-        batch_size=s.get("batch-size", 128, int),
-        dropout=s.get("dropout", 0.0, float),
-        valid_every=0,
-    )
-    kind = s.get("kind", "affine")
+    hp = _build(s, mapping.MapHyperparams, valid_every=0)
+    kind = s.get("kind")
     config = _eval_config(s)
-    fractions = [float(x) for x in s.get("fractions", "0,0.2,0.4,0.6,0.8,0.9,1.0").split(",")]
-    modes = [m for m in s.get("modes", "descriptions,all").split(",") if m]
+    fractions = s.get("fractions")
+    modes = s.get("modes")
 
     header = ["mode", "fraction", "mrr_filtered", "mrr_raw"]
     header += [f"hits_{k}" for k in config.hits_k]
@@ -312,14 +267,14 @@ def cmd_robustness(s: Settings) -> None:
 
 
 def cmd_neighbors(s: Settings) -> None:
+    """Nearest entities to an entity or free text."""
     out = _out_dir(s)
     graph = _load_graph(s, open_world=True)
-    kgc_path = _check_file(_require(s.get("kgc-checkpoint"), "kgc-checkpoint"), "kgc-checkpoint")
-    kgc = models.load_checkpoint(kgc_path)
-    k = s.get("k", 10, int)
+    kgc = _load_kgc(s)
+    k = s.get("k")
     entity = s.get("entity")
     free_text = s.get("text")
-    s.get("description")
+    description = s.get("description")
 
     if entity is not None:
         eid = graph.entity_id(entity)
@@ -327,13 +282,10 @@ def cmd_neighbors(s: Settings) -> None:
             raise CliError(f"--entity: unknown closed-world entity {entity!r}")
         query = kgc.embeddings.entity_embedding(eid)
     elif free_text is not None:
-        map_path = _check_file(_require(s.get("map-checkpoint"), "map-checkpoint"),
-                               "map-checkpoint")
-        emb_path = _check_file(_require(s.get("embeddings"), "embeddings"), "embeddings")
-        store = text.load_word_embeddings(emb_path,
-                                          phrase_template=s.get("phrase-template", "{name}"))
+        map_path = _input_file(s, "map-checkpoint")
+        store = _word_vectors(s)
         map_model = mapping.load_map(map_path)
-        meta = graphmod.EntityText("query", free_text, s.resolved.get("description") or "")
+        meta = graphmod.EntityText("query", free_text, description or "")
         query = mapping.mapped_entity_embedding(kgc, map_model, meta, store)
     else:
         raise CliError("neighbors requires --entity or --text")
@@ -348,16 +300,10 @@ def cmd_neighbors(s: Settings) -> None:
 
 
 def cmd_sample_owe(s: Settings) -> None:
+    """Construct an open-world split."""
     out = _out_dir(s)
-    train = _check_file(_require(s.get("train"), "train"), "train")
-    graph = graphmod.load_graph(train)
-    config = sampler.SamplerConfig(
-        seed=s.get("seed", 0, int),
-        head_fraction=s.get("head-fraction", None, float),
-        head_count=s.get("head-count", None, int),
-        closed_valid_fraction=s.get("closed-valid-fraction", 0.05, float),
-        open_valid_fraction=s.get("open-valid-fraction", 0.1, float),
-    )
+    graph = graphmod.load_graph(_input_file(s, "train"))
+    config = _build(s, sampler.SamplerConfig)
     split = sampler.sample_open_world(graph, config)
     violations = sampler.validate_split(split)
     if violations:
@@ -382,14 +328,11 @@ def cmd_sample_owe(s: Settings) -> None:
 
 
 def cmd_drop_metadata(s: Settings) -> None:
+    """Corrupt a metadata file."""
     out = _out_dir(s)
-    meta_path = _check_file(_require(s.get("metadata"), "metadata"), "metadata")
-    metadata = graphmod.load_entity_text(meta_path)
+    metadata = graphmod.load_entity_text(_input_file(s, "metadata"))
     corrupted = sampler.corrupt_metadata(
-        metadata,
-        mode=s.get("mode", "descriptions"),
-        fraction=s.get("fraction", 0.0, float),
-        seed=s.get("seed", 0, int),
+        metadata, mode=s.get("mode"), fraction=s.get("fraction"), seed=s.get("seed")
     )
     graphmod.save_entity_text(str(out / "metadata.tsv"), corrupted)
     write_manifest(out, "drop-metadata", s.resolved)
@@ -407,19 +350,12 @@ COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = vars(parser.parse_args(argv))
+    args = vars(build_parser().parse_args(argv))
     command = args.pop("command")
-    config = {}
-    if args.get("config"):
-        try:
-            config = load_config_file(args["config"])
-        except (OSError, ValueError) as exc:
-            print(f"owlink: {exc}", file=sys.stderr)
-            return 1
-    settings = Settings(args, config)
+    defaults = {name: o.default for name, o in OPTIONS[command].items()}
     try:
-        COMMANDS[command](settings)
+        config = load_config_file(args["config"], _config_value) if args["config"] else {}
+        COMMANDS[command](Settings(args, config, defaults))
     except (CliError, OSError, ValueError, FloatingPointError) as exc:
         print(f"owlink: {exc}", file=sys.stderr)
         return 1

@@ -1,19 +1,95 @@
-"""Flat key=value config files, manifests, and seed derivation.
+"""Option declarations, flat key=value config files, manifests, and seed derivation.
 
-Every CLI option can come from a config file (``key=value`` per line,
-``#`` comments); a command-line flag of the same name wins. Each command
-echoes its resolved configuration into a manifest file in the output
-directory, so a run is reproducible from the manifest alone.
+Every CLI option is declared once as an :class:`Option`: its name is the
+flag (``--name``), the config-file key and the manifest key. A flag value
+and a config-file value go through the same :meth:`Option.convert`, so
+both are checked for the same type and choices. Config files hold
+``key=value`` per line with ``#`` comments; a command-line flag of the same
+name wins. Each command echoes its resolved configuration into a manifest
+file in the output directory, so a run is reproducible from the manifest
+alone.
 """
 
 from __future__ import annotations
 
+import argparse
+import typing
 import zlib
+from dataclasses import dataclass
 from pathlib import Path
 
+BOOL_WORDS = {"1": True, "true": True, "yes": True, "on": True,
+              "0": False, "false": False, "no": False, "off": False}
 
-def load_config_file(path: str) -> dict[str, str]:
-    values: dict[str, str] = {}
+_EXPECTED = {int: ("an integer", "integers"), float: ("a number", "numbers"),
+             str: ("text", "names"), bool: ("one of " + "/".join(BOOL_WORDS), "booleans")}
+
+
+class OptionError(argparse.ArgumentTypeError, ValueError):
+    """A flag or config value that does not fit its option."""
+
+
+class Items(tuple):
+    """The values of a comma list; prints as the text they were read from."""
+
+    def __new__(cls, values, text: str):
+        self = super().__new__(cls, values)
+        self.text = text
+        return self
+
+    def __str__(self) -> str:
+        return self.text
+
+
+@dataclass
+class Option:
+    """One option: its type (``int``, ``float``, ``str`` or ``bool``),
+    whether it is a comma list of that type, its choices and its default.
+    A comma list's default is given as text and converted like a value."""
+
+    name: str
+    type: type = str
+    default: object = None
+    choices: tuple | None = None
+    many: bool = False
+    help: str | None = None
+
+    def __post_init__(self):
+        if self.many and self.default is not None:
+            self.default = self.convert(self.default)
+
+    @classmethod
+    def from_field(cls, name: str, hint, default, **kw) -> "Option":
+        """Option for a dataclass field annotated ``T``, ``T | None`` or ``tuple[T, ...]``."""
+        args = typing.get_args(hint)
+        if typing.get_origin(hint) is tuple:
+            return cls(name, args[0], ",".join(map(str, default)), many=True, **kw)
+        if args:
+            hint = next(a for a in args if a is not type(None))
+        return cls(name, hint, default, **kw)
+
+    def expected(self) -> str:
+        if self.choices:
+            what = "{" + ",".join(map(str, self.choices)) + "}"
+            return f"a comma list from {what}" if self.many else f"one of {what}"
+        one, many = _EXPECTED[self.type]
+        return f"a comma list of {many}" if self.many else one
+
+    def convert(self, text: str):
+        parts = [p for p in text.split(",") if p] if self.many else [text]
+        try:
+            values = [BOOL_WORDS[p.lower()] if self.type is bool else self.type(p) for p in parts]
+        except (KeyError, ValueError):
+            raise OptionError(f"expected {self.expected()}, got {text!r}") from None
+        if self.choices is not None and any(v not in self.choices for v in values):
+            raise OptionError(f"expected {self.expected()}, got {text!r}")
+        return Items(values, text) if self.many else values[0]
+
+
+def load_config_file(path: str, convert=lambda key, text: text) -> dict[str, object]:
+    """Read ``key=value`` lines; ``convert(key, text)`` gives each value, and a
+    ``ValueError`` it raises is reported with ``path:line`` and the key."""
+    values: dict[str, object] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.strip()
@@ -21,29 +97,31 @@ def load_config_file(path: str) -> dict[str, str]:
                 continue
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            key, value = line.split("=", 1)
-            values[key.strip()] = value.strip()
+            key, text = (part.strip() for part in line.split("=", 1))
+            try:
+                values[key] = convert(key, text)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {key}: {exc}") from None
     return values
 
 
 class Settings:
-    """Option resolution: CLI flag > config file > coded default."""
+    """Option resolution: CLI flag > config file > declared default."""
 
-    def __init__(self, args: dict[str, object], config: dict[str, str]):
+    def __init__(self, args: dict[str, object], config: dict[str, object],
+                 defaults: dict[str, object]):
         self._args = args
         self._config = config
+        self._defaults = defaults
         self.resolved: dict[str, object] = {}
 
-    def get(self, key: str, default=None, cast=str):
+    def __contains__(self, key: str) -> bool:
+        return key in self._defaults
+
+    def get(self, key: str):
         value = self._args.get(key.replace("-", "_"))
         if value is None:
-            raw = self._config.get(key)
-            if raw is None:
-                value = default
-            elif cast is bool:
-                value = raw.lower() in ("1", "true", "yes", "on")
-            else:
-                value = cast(raw)
+            value = self._config.get(key, self._defaults[key])
         self.resolved[key] = value
         return value
 

@@ -24,6 +24,8 @@ SKIP_NO_METADATA = "no-metadata"
 SKIP_TARGET_FILTERING = "target-filtering"
 SKIP_OPEN_TARGET = "open-target"
 
+DIRECTIONS = ("tail", "head")
+
 
 @dataclass
 class EvalConfig:
@@ -34,7 +36,7 @@ class EvalConfig:
     hits_k: tuple[int, ...] = (1, 3, 10)
 
     def validate(self) -> None:
-        if self.direction not in ("tail", "head"):
+        if self.direction not in DIRECTIONS:
             raise ValueError(f"direction must be 'tail' or 'head', got {self.direction!r}")
         if not self.hits_k or list(self.hits_k) != sorted(self.hits_k) or self.hits_k[0] < 1:
             raise ValueError(f"hits_k must be ascending and >= 1, got {self.hits_k}")

@@ -15,6 +15,7 @@ at ``num_entities``, so a single integer id space covers both vocabularies.
 from __future__ import annotations
 
 import logging
+import re
 from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple
@@ -291,32 +292,18 @@ def build_filter_index(
     return FilterIndex(dict(true_tails), dict(true_heads), splits)
 
 
+_ESCAPED = re.compile(r"\\([tn\\])")
+_UNESCAPE = {"t": "\t", "n": "\n", "\\": "\\"}
+
+
 def escape_field(text: str) -> str:
     return text.replace("\\", "\\\\").replace("\t", "\\t").replace("\n", "\\n")
 
 
 def unescape_field(text: str) -> str:
-    out: list[str] = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\\" and i + 1 < len(text):
-            nxt = text[i + 1]
-            if nxt == "t":
-                out.append("\t")
-                i += 2
-                continue
-            if nxt == "n":
-                out.append("\n")
-                i += 2
-                continue
-            if nxt == "\\":
-                out.append("\\")
-                i += 2
-                continue
-        out.append(ch)
-        i += 1
-    return "".join(out)
+    if "\\" not in text:
+        return text
+    return _ESCAPED.sub(lambda m: _UNESCAPE[m.group(1)], text)
 
 
 def load_entity_text(path: str) -> dict[str, EntityText]:

@@ -241,7 +241,8 @@ def fit_map(
     re-sampled every epoch (used for word dropout). When a ``validator``
     callable is given, it is invoked every ``valid_every`` epochs and the
     best-scoring epoch's parameters are returned; otherwise the final
-    epoch's. Deterministic for a fixed seed.
+    epoch's. A non-finite epoch loss raises ``FloatingPointError`` naming
+    the epoch. Deterministic for a fixed seed.
     """
     hp = hyperparams if hyperparams is not None else MapHyperparams()
     hp.validate()
@@ -278,6 +279,8 @@ def fit_map(
                 adam.begin_step()
                 for key, g in grads.items():
                     adam.update(key, _param(model, key), g)
+        if not np.isfinite(epoch_loss):
+            raise FloatingPointError(f"non-finite loss {epoch_loss} at epoch {epoch}")
         valid_score = ""
         if validator is not None and hp.valid_every > 0 and epoch % hp.valid_every == 0:
             s = float(validator(model))

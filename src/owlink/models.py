@@ -377,7 +377,8 @@ def train_kgc(
     ``validator`` callable (model -> score, higher is better, such as
     ``evaluation.closed_world_validator``) is given, it is invoked every
     ``valid_every`` epochs and the best-scoring epoch's embeddings are
-    returned; otherwise the final epoch's.
+    returned; otherwise the final epoch's. A non-finite epoch loss raises
+    ``FloatingPointError`` naming the epoch.
     """
     hp = hyperparams if hyperparams is not None else KgcHyperparams()
     hp.validate()
@@ -421,6 +422,8 @@ def train_kgc(
                     adam.update_rows(name, tables[name], rows, grad_rows)
         if family == "transe" and hp.learning_rate > 0:
             normalize_entities(emb)
+        if not np.isfinite(epoch_loss):
+            raise FloatingPointError(f"non-finite loss {epoch_loss} at epoch {epoch}")
 
         valid_mrr = ""
         if validator is not None and hp.valid_every > 0 and epoch % hp.valid_every == 0:

@@ -85,22 +85,27 @@ def sample_open_world(graph: KnowledgeGraph, config: SamplerConfig) -> OwSplit:
     sampled = [heads[i] for i in rng.choice(len(heads), size=n_extract, replace=False)]
     open_set = set(sampled)
 
-    tail_pool: list[Triple] = []
-    dropped_pool: list[Triple] = []
-    for x in sampled:
-        remaining = []
-        moved = []
-        dropped = []
-        for trip in train:
-            if trip.head == x:
-                moved.append(trip)
-            elif trip.tail == x:
-                dropped.append(trip)
-            else:
-                remaining.append(trip)
-        train = remaining
-        tail_pool.extend(moved)  # the final filter drops tails no longer in train
-        dropped_pool.extend(dropped)
+    # One pass: a triple leaves train with whichever of its head and tail
+    # comes first in ``sampled`` (the head when both are the same entity),
+    # into that entity's tail-pool bucket if it is the head, else its dropped
+    # bucket. The pools are the buckets in ``sampled`` order; the final
+    # filters below drop the triples whose other end is no longer in train.
+    position = {x: i for i, x in enumerate(sampled)}
+    moved: list[list[Triple]] = [[] for _ in sampled]
+    dropped: list[list[Triple]] = [[] for _ in sampled]
+    remaining = []
+    for trip in train:
+        i = position.get(trip.head, n_extract)
+        j = position.get(trip.tail, n_extract)
+        if i < n_extract and i <= j:
+            moved[i].append(trip)
+        elif j < n_extract:
+            dropped[j].append(trip)
+        else:
+            remaining.append(trip)
+    train = remaining
+    tail_pool = [trip for bucket in moved for trip in bucket]
+    dropped_pool = [trip for bucket in dropped for trip in bucket]
 
     if not train:
         raise SamplerError("sampling would empty the train set")

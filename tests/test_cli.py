@@ -1,8 +1,10 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from owlink.cli import main
-from owlink.config import Settings, load_config_file, stage_seed, write_manifest
+from owlink.cli import DECLARED, OPTIONS, main
+from owlink.config import Option, Settings, load_config_file, stage_seed, write_manifest
 from helpers import write_triples
 
 
@@ -269,15 +271,18 @@ class TestConfigHelpers:
             load_config_file(str(p))
 
     def test_settings_precedence(self):
-        s = Settings({"dim": 4}, {"dim": "8", "epochs": "3"})
-        assert s.get("dim", 2, int) == 4
-        assert s.get("epochs", 1, int) == 3
-        assert s.get("margin", 1.0, float) == 1.0
+        s = Settings({"dim": 4}, {"dim": 8, "epochs": 3}, {"dim": 2, "epochs": 1, "margin": 1.0})
+        assert s.get("dim") == 4
+        assert s.get("epochs") == 3
+        assert s.get("margin") == 1.0
+        assert s.resolved == {"dim": 4, "epochs": 3, "margin": 1.0}
 
     def test_bool_cast(self):
-        s = Settings({}, {"flag": "yes", "off": "0"})
-        assert s.get("flag", False, bool) is True
-        assert s.get("off", True, bool) is False
+        option = Option("flag", bool, False)
+        for text in ("1", "true", "Yes", "ON"):
+            assert option.convert(text) is True
+        for text in ("0", "False", "no", "off"):
+            assert option.convert(text) is False
 
     def test_manifest_round_trip(self, tmp_path):
         path = write_manifest(tmp_path, "demo", {"b": 2, "a": 1})
@@ -289,3 +294,237 @@ class TestConfigHelpers:
         assert stage_seed(1, "kgc") == stage_seed(1, "kgc")
         assert stage_seed(1, "kgc") != stage_seed(1, "map")
         assert stage_seed(1, "kgc") != stage_seed(2, "kgc")
+
+
+class TestConfigChecks:
+    """A config-file value is checked like the flag of the same name."""
+
+    def run_with_config(self, assets, body, capsys):
+        cfg = assets / "run.cfg"
+        cfg.write_text(body)
+        code = run(["train-kgc", "--config", cfg, "--train", assets / "train.txt",
+                    "--out", assets / "o", "--epochs", "1"])
+        return code, capsys.readouterr().err
+
+    def test_bad_type_names_file_line_and_key(self, assets, capsys):
+        code, err = self.run_with_config(assets, "# header\ndim=abc\n", capsys)
+        assert code == 1
+        assert "run.cfg:2: dim: expected an integer, got 'abc'" in err
+
+    def test_bad_bool_spelling(self, assets, capsys):
+        code, err = self.run_with_config(assets, "raw-ranks=maybe\n", capsys)
+        assert code == 1
+        assert "run.cfg:1: raw-ranks: expected one of 1/true/yes/on/0/false/no/off" in err
+
+    def test_bad_choice(self, assets, capsys):
+        code, err = self.run_with_config(assets, "family=transee\n", capsys)
+        assert code == 1
+        assert "run.cfg:1: family: expected one of {transe,distmult,complex}" in err
+
+    def test_unknown_key(self, assets, capsys):
+        code, err = self.run_with_config(assets, "learning_rate=0.1\n", capsys)
+        assert code == 1
+        assert "run.cfg:1: learning_rate: no owlink command has this option" in err
+
+    def test_key_of_another_command_allowed(self, assets, capsys):
+        # kind and fractions belong to train-map and robustness, not train-kgc
+        code, err = self.run_with_config(assets, "kind=mlp\nfractions=0,0.5\n", capsys)
+        assert code == 0, err
+        manifest = (assets / "o" / "manifest.txt").read_text()
+        assert "kind=" not in manifest and "fractions=" not in manifest
+
+    def test_key_of_another_command_still_checked(self, assets, capsys):
+        code, err = self.run_with_config(assets, "kind=cubic\n", capsys)
+        assert code == 1
+        assert "run.cfg:1: kind: expected one of {linear,affine,mlp}" in err
+
+    def test_bad_flag_value_is_a_usage_error(self, assets, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["train-kgc", "--dim", "abc"])
+        assert exc.value.code == 2
+        assert "argument --dim: expected an integer, got 'abc'" in capsys.readouterr().err
+
+    def test_same_name_same_declaration(self):
+        for options in OPTIONS.values():
+            for name, option in options.items():
+                other = DECLARED[name]
+                assert (option.type, option.choices, option.many) == \
+                       (other.type, other.choices, other.many), name
+
+
+# Manifests of the seven commands on the assets fixture, with the fixture's
+# directory written as <tmp>; captured before option declarations were
+# derived from the config dataclasses.
+GOLDEN_MANIFESTS = {
+    'train-kgc': (
+        'command=train-kgc\n'
+        'version=0.1.0\n'
+        'batch-size=4\n'
+        'dim=6\n'
+        'epochs=3\n'
+        'family=distmult\n'
+        'learning-rate=0.05\n'
+        'margin=1.0\n'
+        'negatives=1\n'
+        'out=<tmp>/kgc\n'
+        'reg-weight=0.001\n'
+        'seed=1\n'
+        'test=None\n'
+        'train=<tmp>/train.txt\n'
+        'valid=None\n'
+        'valid-every=1\n'
+        'valid-max-triples=2\n'
+    ),
+    'train-map': (
+        'command=train-map\n'
+        'version=0.1.0\n'
+        'batch-size=4\n'
+        'dropout=0.1\n'
+        'embeddings=<tmp>/vectors.txt\n'
+        'epochs=4\n'
+        'hidden-dim=3\n'
+        'kgc-checkpoint=<tmp>/kgc/kgc.ckpt\n'
+        'kind=mlp\n'
+        'learning-rate=0.001\n'
+        'loss-mode=euclidean\n'
+        'metadata=<tmp>/metadata.tsv\n'
+        'out=<tmp>/map\n'
+        'phrase-template={name}\n'
+        'seed=0\n'
+        'test=None\n'
+        'train=<tmp>/train.txt\n'
+        'valid=<tmp>/valid.txt\n'
+        'valid-every=10\n'
+    ),
+    'eval': (
+        'command=eval\n'
+        'version=0.1.0\n'
+        'direction=tail\n'
+        'embeddings=<tmp>/vectors.txt\n'
+        'filter-splits=train,valid,test\n'
+        'hits=1,3,10\n'
+        'kgc-checkpoint=<tmp>/kgc/kgc.ckpt\n'
+        'map-checkpoint=<tmp>/map/map.ckpt\n'
+        'metadata=<tmp>/metadata.tsv\n'
+        'out=<tmp>/eval\n'
+        'phrase-template={name}\n'
+        'raw-ranks=False\n'
+        'split=test\n'
+        'target-filtering=False\n'
+        'test=<tmp>/test.txt\n'
+        'train=<tmp>/train.txt\n'
+        'valid=<tmp>/valid.txt\n'
+    ),
+    'robustness': (
+        'command=robustness\n'
+        'version=0.1.0\n'
+        'batch-size=128\n'
+        'direction=tail\n'
+        'dropout=0.0\n'
+        'embeddings=<tmp>/vectors.txt\n'
+        'epochs=2\n'
+        'filter-splits=train,valid,test\n'
+        'fractions=0,1.0\n'
+        'hits=1,3,10\n'
+        'kgc-checkpoint=<tmp>/kgc/kgc.ckpt\n'
+        'kind=affine\n'
+        'learning-rate=0.001\n'
+        'metadata=<tmp>/metadata.tsv\n'
+        'modes=descriptions\n'
+        'out=<tmp>/robust\n'
+        'phrase-template={name}\n'
+        'raw-ranks=False\n'
+        'seed=0\n'
+        'target-filtering=True\n'
+        'test=<tmp>/test.txt\n'
+        'train=<tmp>/train.txt\n'
+        'valid=None\n'
+    ),
+    'neighbors': (
+        'command=neighbors\n'
+        'version=0.1.0\n'
+        'description=w4 w5\n'
+        'embeddings=<tmp>/vectors.txt\n'
+        'entity=None\n'
+        'k=2\n'
+        'kgc-checkpoint=<tmp>/kgc/kgc.ckpt\n'
+        'map-checkpoint=<tmp>/map/map.ckpt\n'
+        'out=<tmp>/nn\n'
+        'phrase-template={name}\n'
+        'test=None\n'
+        'text=w3\n'
+        'train=<tmp>/train.txt\n'
+        'valid=None\n'
+    ),
+    'sample-owe': (
+        'command=sample-owe\n'
+        'version=0.1.0\n'
+        'closed-valid-fraction=0.05\n'
+        'count_closed_valid_fraction=0.05\n'
+        'count_head_count=None\n'
+        'count_head_fraction=0.25\n'
+        'count_open_entities=2\n'
+        'count_open_valid_fraction=0.1\n'
+        'count_sampled_heads=2\n'
+        'count_seed=2\n'
+        'count_test_head_triples=4\n'
+        'count_test_tail_triples=4\n'
+        'count_train_triples=8\n'
+        'count_valid_closed_triples=0\n'
+        'count_valid_open_head_triples=0\n'
+        'count_valid_open_tail_triples=0\n'
+        'head-count=None\n'
+        'head-fraction=0.25\n'
+        'open-valid-fraction=0.1\n'
+        'out=<tmp>/owe\n'
+        'seed=2\n'
+        'train=<tmp>/train.txt\n'
+    ),
+    'drop-metadata': (
+        'command=drop-metadata\n'
+        'version=0.1.0\n'
+        'fraction=0.5\n'
+        'metadata=<tmp>/metadata.tsv\n'
+        'mode=all\n'
+        'out=<tmp>/dropped\n'
+        'seed=0\n'
+    ),
+}
+
+
+def golden_commands(a):
+    kgc, mp = a / "kgc", a / "map"
+    text = ["--metadata", a / "metadata.tsv", "--embeddings", a / "vectors.txt"]
+    (a / "map.cfg").write_text("dropout=0.1\nhidden-dim=3\nloss-mode=euclidean\n")
+    return {
+        "train-kgc": ["train-kgc", "--train", a / "train.txt", "--out", kgc,
+                      "--family", "distmult", "--dim", "6", "--epochs", "3",
+                      "--learning-rate", "0.05", "--batch-size", "4",
+                      "--valid-max-triples", "2", "--seed", "1"],
+        "train-map": ["train-map", "--config", a / "map.cfg", "--train", a / "train.txt",
+                      "--valid", a / "valid.txt", "--kgc-checkpoint", kgc / "kgc.ckpt", *text,
+                      "--kind", "mlp", "--epochs", "4", "--batch-size", "4", "--out", mp],
+        "eval": ["eval", "--train", a / "train.txt", "--valid", a / "valid.txt",
+                 "--test", a / "test.txt", "--kgc-checkpoint", kgc / "kgc.ckpt",
+                 "--map-checkpoint", mp / "map.ckpt", *text, "--out", a / "eval"],
+        "robustness": ["robustness", "--train", a / "train.txt", "--test", a / "test.txt",
+                       "--kgc-checkpoint", kgc / "kgc.ckpt", *text, "--epochs", "2",
+                       "--fractions", "0,1.0", "--modes", "descriptions",
+                       "--target-filtering", "--out", a / "robust"],
+        "neighbors": ["neighbors", "--train", a / "train.txt",
+                      "--kgc-checkpoint", kgc / "kgc.ckpt", "--map-checkpoint", mp / "map.ckpt",
+                      "--embeddings", a / "vectors.txt", "--text", "w3",
+                      "--description", "w4 w5", "-k", "2", "--out", a / "nn"],
+        "sample-owe": ["sample-owe", "--train", a / "train.txt", "--head-fraction", "0.25",
+                       "--seed", "2", "--out", a / "owe"],
+        "drop-metadata": ["drop-metadata", "--metadata", a / "metadata.tsv", "--mode", "all",
+                          "--fraction", "0.5", "--out", a / "dropped"],
+    }
+
+
+def test_golden_manifests(assets, capsys):
+    for name, argv in golden_commands(assets).items():
+        assert run(argv) == 0, capsys.readouterr().err
+        out = Path(str(argv[argv.index("--out") + 1]))
+        text = (out / "manifest.txt").read_text().replace(str(assets), "<tmp>")
+        assert text == GOLDEN_MANIFESTS[name], name

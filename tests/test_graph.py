@@ -1,4 +1,5 @@
 import logging
+import random
 
 import pytest
 
@@ -138,6 +139,33 @@ class TestEntityText:
     def test_escape_unescape_inverse(self):
         for s in ("", "plain", "a\tb\nc", "\\t literal", "\\\\"):
             assert unescape_field(escape_field(s)) == s
+
+    @pytest.mark.parametrize("field, expected", [
+        ("trailing\\", "trailing\\"),  # a lone backslash at the end stays
+        ("a\\xb", "a\\xb"),  # a backslash before another character stays
+        ("\\\\t", "\\t"),  # an escaped backslash, then a plain t
+        ("a\\tb\\nc\\\\", "a\tb\nc\\"),
+        ("no backslash\there", "no backslash\there"),
+    ])
+    def test_unescape_cases(self, field, expected):
+        assert unescape_field(field) == expected
+
+    def test_unescape_matches_character_loop(self):
+        def reference(text):
+            out, i = [], 0
+            while i < len(text):
+                if text[i] == "\\" and i + 1 < len(text) and text[i + 1] in "tn\\":
+                    out.append({"t": "\t", "n": "\n", "\\": "\\"}[text[i + 1]])
+                    i += 2
+                else:
+                    out.append(text[i])
+                    i += 1
+            return "".join(out)
+
+        rng = random.Random(0)
+        for _ in range(5000):
+            field = "".join(rng.choice("ab\\tn\t\n x") for _ in range(rng.randint(0, 12)))
+            assert unescape_field(field) == reference(field), repr(field)
 
     def test_resolve_metadata_drops_unknown(self, tmp_path):
         g = graph_from_triples(tmp_path, TRAIN)

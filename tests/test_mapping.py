@@ -240,6 +240,17 @@ class TestFit:
         assert lines[0] == "epoch\tloss\tvalid_score"
         assert len(lines) == 4
 
+    def test_non_finite_loss_stops_at_its_epoch(self):
+        rng = np.random.default_rng(0)
+        V = rng.normal(size=(8, 2))
+        targets = rng.normal(size=(8, 2))
+        validated = []
+        hp = MapHyperparams(epochs=10, valid_every=1, learning_rate=1e200)
+        with np.errstate(all="ignore"), pytest.raises(FloatingPointError, match="at epoch 2$"):
+            fit_map(V, targets, None, "linear", hp, seed=0,
+                    validator=lambda m: validated.append(m) or 0.0)
+        assert len(validated) == 1  # epoch 1 finished; epoch 2 raised before validation
+
     def test_empty_training_set_rejected(self):
         with pytest.raises(ConfigError, match="empty"):
             fit_map(np.zeros((0, 2)), np.zeros((0, 2)), None, "linear")

@@ -268,6 +268,14 @@ class TestTraining:
         assert len(snapshots) == 4
         np.testing.assert_array_equal(model.embeddings.entity_real, snapshots[1].entity_real)
 
+    def test_non_finite_loss_stops_at_its_epoch(self, tmp_path):
+        g = graph_from_triples(tmp_path, [("a", "r", "b"), ("b", "r", "c"), ("c", "r", "a")])
+        validated = []
+        hp = KgcHyperparams(dim=4, epochs=10, learning_rate=1e200)
+        with np.errstate(all="ignore"), pytest.raises(FloatingPointError, match="at epoch 2$"):
+            train_kgc(g, "distmult", hp, seed=0, validator=lambda m: validated.append(m) or 0.0)
+        assert len(validated) == 1  # epoch 1 finished; epoch 2 raised before validation
+
     def test_config_errors(self, tmp_path):
         g = graph_from_triples(tmp_path, [("a", "r", "b")])
         with pytest.raises(ConfigError):
