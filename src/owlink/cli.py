@@ -15,6 +15,7 @@ per-stage sub-seeds.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import typing
 from dataclasses import fields
@@ -105,13 +106,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_value(key: str, text: str):
+def _config_value(command: str, key: str, text: str):
     """Convert a config-file value like the flag of the same name. Keys of
     every command are accepted (and checked), so commands can share a file;
-    a name is declared alike by every command that has it."""
+    a name is declared alike by every command that has it.
+
+    A manifest reads back as a config file: its ``command`` must be the
+    command being run, ``version`` and the ``count_*`` lines are skipped,
+    and ``None`` leaves an option unset. A line to skip converts to None."""
+    if key == "command":
+        if text != command:
+            raise ValueError(f"this file is for {text!r}, not {command!r}")
+        return None
+    if key == "version" or key.startswith("count_"):
+        return None
     if key not in DECLARED:
         raise ValueError("no owlink command has this option")
-    return DECLARED[key].convert(text)
+    return None if text == "None" else DECLARED[key].convert(text)
 
 
 def _require(s: Settings, name: str):
@@ -354,7 +365,9 @@ def main(argv: list[str] | None = None) -> int:
     command = args.pop("command")
     defaults = {name: o.default for name, o in OPTIONS[command].items()}
     try:
-        config = load_config_file(args["config"], _config_value) if args["config"] else {}
+        config = {}
+        if args["config"]:
+            config = load_config_file(args["config"], functools.partial(_config_value, command))
         COMMANDS[command](Settings(args, config, defaults))
     except (CliError, OSError, ValueError, FloatingPointError) as exc:
         print(f"owlink: {exc}", file=sys.stderr)

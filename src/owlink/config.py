@@ -7,7 +7,7 @@ both are checked for the same type and choices. Config files hold
 ``key=value`` per line with ``#`` comments; a command-line flag of the same
 name wins. Each command echoes its resolved configuration into a manifest
 file in the output directory, so a run is reproducible from the manifest
-alone.
+alone: the manifest can be passed back as the command's config file.
 """
 
 from __future__ import annotations
@@ -88,7 +88,8 @@ class Option:
 
 def load_config_file(path: str, convert=lambda key, text: text) -> dict[str, object]:
     """Read ``key=value`` lines; ``convert(key, text)`` gives each value, and a
-    ``ValueError`` it raises is reported with ``path:line`` and the key."""
+    ``ValueError`` it raises is reported with ``path:line`` and the key. A
+    line whose value converts to None is left out, as if it were absent."""
     values: dict[str, object] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -99,9 +100,11 @@ def load_config_file(path: str, convert=lambda key, text: text) -> dict[str, obj
                 raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
             key, text = (part.strip() for part in line.split("=", 1))
             try:
-                values[key] = convert(key, text)
+                value = convert(key, text)
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {key}: {exc}") from None
+            if value is not None:
+                values[key] = value
     return values
 
 

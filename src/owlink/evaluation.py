@@ -228,7 +228,7 @@ def evaluate(
     config = config if config is not None else EvalConfig()
     config.validate()
     triples = triples if triples is not None else graph.test
-    filter_index = build_filter_index(graph, config.filter_splits)
+    filter_index = build_filter_index(graph, config.filter_splits, triples)
     emb = kgc_model.embeddings
     cache: dict[int, object] = {}
 
@@ -254,9 +254,10 @@ def evaluate(
 def closed_world_validator(graph: KnowledgeGraph, max_triples: int | None = None):
     """Filtered MRR over tail and head prediction of the first ``max_triples``
     (all when None) of ``graph.valid``, as a ``model -> score`` callable for
-    ``models.train_kgc``. The train+valid filter index is built once, here."""
+    ``models.train_kgc``. The train+valid filter index of those triples is built
+    once, here."""
     triples = graph.valid[:max_triples]
-    filter_index = build_filter_index(graph, ("train", "valid"))
+    filter_index = build_filter_index(graph, ("train", "valid"), triples)
     configs = [EvalConfig(direction=d, filter_splits=("train", "valid")) for d in ("tail", "head")]
 
     def validator(kgc_model: KgcModel) -> float:
@@ -291,7 +292,7 @@ def random_head_baseline(
     config = config if config is not None else EvalConfig()
     config.validate()
     triples = triples if triples is not None else graph.test
-    filter_index = build_filter_index(graph, config.filter_splits)
+    filter_index = build_filter_index(graph, config.filter_splits, triples)
     emb = kgc_model.embeddings
     rng = np.random.default_rng(seed)
 

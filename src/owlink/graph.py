@@ -280,16 +280,28 @@ class FilterIndex:
 def build_filter_index(
     graph: KnowledgeGraph,
     splits: Iterable[str] = ("train", "valid", "test"),
+    triples: Iterable[Triple] | None = None,
 ) -> FilterIndex:
-    """Index every (h, r) -> {t} and (r, t) -> {h} over the chosen splits."""
+    """Index (h, r) -> {t} and (r, t) -> {h} over the chosen splits.
+
+    With ``triples``, only the (head, rel) and (rel, tail) keys those
+    triples query are indexed, each with the same set as in the full index
+    (empty when no split holds the key); without, every key of the splits.
+    """
     splits = tuple(splits)
-    true_tails: dict[tuple[int, int], set[int]] = defaultdict(set)
-    true_heads: dict[tuple[int, int], set[int]] = defaultdict(set)
-    for name in splits:
-        for h, r, t in graph.split(name):
-            true_tails[(h, r)].add(t)
-            true_heads[(r, t)].add(h)
-    return FilterIndex(dict(true_tails), dict(true_heads), splits)
+    indexed = [graph.split(name) for name in splits]
+    queried = [trip for rows in indexed for trip in rows] if triples is None else list(triples)
+    true_tails = {key: set() for key in {(h, r) for h, r, _ in queried}}
+    true_heads = {key: set() for key in {(r, t) for _, r, t in queried}}
+    for rows in indexed:
+        for h, r, t in rows:
+            tails = true_tails.get((h, r))
+            if tails is not None:
+                tails.add(t)
+            heads = true_heads.get((r, t))
+            if heads is not None:
+                heads.add(h)
+    return FilterIndex(true_tails, true_heads, splits)
 
 
 _ESCAPED = re.compile(r"\\([tn\\])")

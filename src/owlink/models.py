@@ -11,7 +11,8 @@ epoch), softplus logistic loss with L2 regularization for DistMult and
 ComplEx. All gradients are closed-form; Adam performs sparse row updates.
 
 Each family's formula is written once, in a broadcasting kernel that
-``score``, ``score_all_tails`` and ``score_all_heads`` share. Head (and
+``score``, ``score_all_tails`` and ``score_all_heads`` share; the latter two
+run it over blocks of entity rows, with bitwise the same scores. Head (and
 tail) embeddings can be passed explicitly to these functions instead of
 entity ids, which is what allows scoring entities that only exist as
 mapped text embeddings. Ranking lives in ``evaluation.rank_target``;
@@ -181,8 +182,22 @@ def _score(model: KgcModel, head, r: int, tail) -> np.ndarray:
     return ((hr * tr + hi * ti) * rr - (hi * tr - hr * ti) * ri).sum(axis=-1)
 
 
-def _all_entities(model: KgcModel) -> tuple[np.ndarray, np.ndarray | None]:
-    return model.embeddings.entity_real, model.embeddings.entity_imag
+# Entity rows per call of the kernel in score_all_*: the kernel's (rows, d)
+# temporaries then stay in cache instead of streaming (N, d) arrays through
+# memory. Blocking changes no row's arithmetic, so scores are bitwise equal.
+SCORE_BLOCK_ROWS = 1024
+
+
+def _score_all(model: KgcModel, query, r: int, query_is_head: bool) -> np.ndarray:
+    """The kernel against every entity row, one block of rows at a time."""
+    real, imag = model.embeddings.entity_real, model.embeddings.entity_imag
+    out = np.empty(len(real))
+    for start in range(0, len(real), SCORE_BLOCK_ROWS):
+        stop = start + SCORE_BLOCK_ROWS
+        rows = (real[start:stop], None if imag is None else imag[start:stop])
+        head, tail = (query, rows) if query_is_head else (rows, query)
+        out[start:stop] = _score(model, head, r, tail)
+    return out
 
 
 def score(model: KgcModel, h_embedding, r: int, t: int) -> float:
@@ -193,12 +208,12 @@ def score(model: KgcModel, h_embedding, r: int, t: int) -> float:
 
 def score_all_tails(model: KgcModel, h_embedding, r: int) -> np.ndarray:
     """Score (h, r, t) for every known entity t; element t matches score()."""
-    return _score(model, _query_pair(model, h_embedding), r, _all_entities(model))
+    return _score_all(model, _query_pair(model, h_embedding), r, query_is_head=True)
 
 
 def score_all_heads(model: KgcModel, r: int, t_embedding) -> np.ndarray:
     """Score (h, r, t) for every known entity h, given an explicit tail."""
-    return _score(model, _all_entities(model), r, _query_pair(model, t_embedding))
+    return _score_all(model, _query_pair(model, t_embedding), r, query_is_head=False)
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:

@@ -2,7 +2,10 @@
 drives the CLI with fixed command lines (perfbench/workloads.py).
 
 A rename in owlink, or a flag the CLI no longer takes, would make benchmark
-child processes fail; these tests make it fail here instead.
+child processes fail; these tests make it fail here instead. The benchmark's
+setup_s is the loader time before a command's first call in spans.WORK; the
+last test checks that an eval command still loads its filter index before it
+scores, and scores once per evaluated query.
 """
 
 import importlib
@@ -12,7 +15,8 @@ from pathlib import Path
 
 import pytest
 
-from owlink.cli import build_parser
+from owlink.cli import build_parser, main
+from test_cli import assets, golden_commands  # noqa: F401  (assets is a fixture)
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -52,3 +56,42 @@ def test_benchmark_command_lines_parse(workload, scale):
     for command in commands:
         args = parser.parse_args(command.argv)
         assert args.command == command.argv[0]
+
+
+def record_calls(monkeypatch, qualnames, calls):
+    """Append each named ``layer.function``'s name to ``calls`` when it is
+    called, through every loaded owlink module that refers to it."""
+    modules = [m for k, m in sys.modules.items() if k == "owlink" or k.startswith("owlink.")]
+    for qualname in qualnames:
+        layer, name = qualname.split(".")
+        original = getattr(importlib.import_module(f"owlink.{layer}"), name)
+
+        def wrapper(*args, _qualname=qualname, _original=original, **kwargs):
+            calls.append(_qualname)
+            return _original(*args, **kwargs)
+
+        for module in modules:
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, wrapper)
+
+
+@pytest.mark.parametrize("direction", ["tail", "head"])
+def test_eval_loads_filter_index_before_scoring(assets, direction, monkeypatch, capsys):
+    commands = golden_commands(assets)
+    for name in ("train-kgc", "train-map"):
+        assert main([str(a) for a in commands[name]]) == 0, capsys.readouterr().err
+    calls: list[str] = []
+    record_calls(monkeypatch, SPANS.LOADERS + SPANS.WORK, calls)
+    argv = [str(a) for a in commands["eval"]] + ["--direction", direction]
+    assert main(argv) == 0, capsys.readouterr().err
+
+    scoring = f"models.score_all_{direction}s"
+    first_work = next(i for i, name in enumerate(calls) if name in SPANS.WORK)
+    assert calls[first_work] == scoring
+    assert "graph.build_filter_index" in calls[:first_work]
+    assert set(calls[first_work:]) == {scoring}
+    summary = (assets / "eval" / "summary.txt").read_text()
+    evaluated = int(summary.split("evaluated=")[1].split()[0])
+    assert evaluated > 0
+    assert calls.count(scoring) == evaluated

@@ -528,3 +528,26 @@ def test_golden_manifests(assets, capsys):
         out = Path(str(argv[argv.index("--out") + 1]))
         text = (out / "manifest.txt").read_text().replace(str(assets), "<tmp>")
         assert text == GOLDEN_MANIFESTS[name], name
+
+
+def test_golden_commands_rerun_from_their_manifests(assets, capsys):
+    """A manifest passed back as --config reproduces its run byte for byte."""
+    for name, argv in golden_commands(assets).items():
+        assert run(argv) == 0, capsys.readouterr().err
+        out = Path(str(argv[argv.index("--out") + 1]))
+        first = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+        manifest = assets / f"{name}.manifest.txt"
+        manifest.write_bytes(first["manifest.txt"])
+        for path in out.iterdir():
+            path.unlink()
+        assert run([name, "--config", manifest]) == 0, capsys.readouterr().err
+        again = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+        assert again == first, name
+
+
+def test_manifest_of_another_command_rejected(assets, capsys):
+    assert train_kgc(assets, assets / "kgc") == 0
+    code = run(["eval", "--config", assets / "kgc" / "manifest.txt"])
+    assert code == 1
+    assert "manifest.txt:1: command: this file is for 'train-kgc', not 'eval'" in \
+        capsys.readouterr().err

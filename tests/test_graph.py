@@ -1,13 +1,16 @@
 import logging
 import random
 
+import numpy as np
 import pytest
 
 from owlink.graph import (
     EntityText,
+    KnowledgeGraph,
     MetadataError,
     ParseError,
     Triple,
+    Vocab,
     VocabularyError,
     build_filter_index,
     escape_field,
@@ -101,6 +104,47 @@ class TestFilterIndex:
         assert total == len(g.train) + len(g.valid) + len(g.test)
         idx_train = build_filter_index(g, splits=("train",))
         assert sum(len(s) for s in idx_train.true_tails.values()) == len(g.train)
+
+
+class TestRestrictedFilterIndex:
+    """``build_filter_index(g, splits, triples)`` holds exactly the full
+    index's sets for every key the triples query, and no other key."""
+
+    @staticmethod
+    def random_split_graph(rng):
+        n_e, n_open, n_r = int(rng.integers(2, 12)), int(rng.integers(0, 4)), int(rng.integers(1, 4))
+
+        def triples(count, entity_limit):
+            return [Triple(int(rng.integers(entity_limit)), int(rng.integers(n_r)),
+                           int(rng.integers(entity_limit))) for _ in range(count)]
+
+        train = triples(int(rng.integers(1, 40)), n_e)
+        # valid and test may hold open-world ids (>= n_e) on either side
+        valid = triples(int(rng.integers(0, 10)), n_e + n_open)
+        test = triples(int(rng.integers(0, 10)), n_e + n_open)
+        return KnowledgeGraph(Vocab([f"e{i}" for i in range(n_e)]),
+                              Vocab([f"r{i}" for i in range(n_r)]), train, valid, test,
+                              Vocab([f"o{i}" for i in range(n_open)])), n_e + n_open, n_r
+
+    def test_matches_full_index_on_queried_keys(self):
+        rng = np.random.default_rng(404)
+        split_choices = [("train",), ("train", "valid"), ("train", "valid", "test"), ("test",)]
+        for _ in range(500):
+            g, n_ids, n_r = self.random_split_graph(rng)
+            splits = split_choices[int(rng.integers(len(split_choices)))]
+            # queried triples: some from the splits, some with keys no split holds
+            pool = g.train + g.valid + g.test
+            queried = [pool[int(i)] for i in rng.integers(len(pool), size=int(rng.integers(0, 8)))]
+            queried += [Triple(int(rng.integers(n_ids + 2)), int(rng.integers(n_r)),
+                               int(rng.integers(n_ids + 2))) for _ in range(int(rng.integers(0, 4)))]
+            full = build_filter_index(g, splits)
+            restricted = build_filter_index(g, splits, queried)
+            assert restricted.splits == full.splits
+            assert set(restricted.true_tails) == {(h, r) for h, r, _ in queried}
+            assert set(restricted.true_heads) == {(r, t) for _, r, t in queried}
+            for h, r, t in queried:
+                assert restricted.tails(h, r) == full.tails(h, r)
+                assert restricted.heads(r, t) == full.heads(r, t)
 
 
 class TestEntityText:

@@ -1,9 +1,12 @@
+import zlib
+
 import numpy as np
 import pytest
 
 from owlink.graph import Triple
 from owlink.models import (
     FAMILIES,
+    SCORE_BLOCK_ROWS,
     ConfigError,
     EmbeddingTable,
     KgcHyperparams,
@@ -16,8 +19,9 @@ from owlink.models import (
     score_all_heads,
     score_all_tails,
     train_kgc,
+    _score,
 )
-from owlink.evaluation import EvalConfig, evaluate
+from owlink.evaluation import EvalConfig, evaluate, rank_target
 from helpers import graph_from_triples, random_model
 
 
@@ -136,6 +140,44 @@ class TestScoreAll:
         np.testing.assert_array_equal(scores, [-1.0, 0.0, -2.0])
         heads = score_all_heads(model, 0, np.array([1.0]))
         np.testing.assert_array_equal(heads, [0.0, -1.0, -3.0])
+
+
+class TestScoreBlocks:
+    """score_all_* run the kernel over blocks of SCORE_BLOCK_ROWS entity rows."""
+
+    @pytest.mark.parametrize("direction", ["tail", "head"])
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("num_entities", [SCORE_BLOCK_ROWS - 3, SCORE_BLOCK_ROWS,
+                                              2 * SCORE_BLOCK_ROWS + 37])
+    def test_block_edges_bitwise_and_ties_pessimistic(self, num_entities, family, direction):
+        rng = np.random.default_rng(zlib.crc32(f"{num_entities}:{family}:{direction}".encode()))
+        model = random_model(family, num_entities, 2, 10, rng)
+        emb = model.embeddings
+        tables = [emb.entity_real] + ([emb.entity_imag] if emb.is_complex else [])
+        target, last = 5, num_entities - 1
+        # the rows either side of every block edge inside the table are equal,
+        # as are the last row and the target row
+        edges = list(range(SCORE_BLOCK_ROWS, num_entities, SCORE_BLOCK_ROWS))
+        for table in tables:
+            for edge in edges:
+                table[edge] = table[edge - 1]
+            table[last] = table[target]
+        query = (rng.normal(size=10), rng.normal(size=10) if emb.is_complex else None)
+        if direction == "tail":
+            scores = score_all_tails(model, query, 1)
+            unblocked = _score(model, query, 1, (emb.entity_real, emb.entity_imag))
+        else:
+            scores = score_all_heads(model, 1, query)
+            unblocked = _score(model, (emb.entity_real, emb.entity_imag), 1, query)
+
+        assert scores.shape == (num_entities,)
+        assert scores.tobytes() == unblocked.tobytes()
+        for edge in edges:
+            assert scores[edge] == scores[edge - 1]
+        assert scores[last] == scores[target]
+        better_or_tied = int((np.delete(scores, target) >= scores[target]).sum())
+        assert rank_target(scores, target) == 1 + better_or_tied
+        assert rank_target(scores, target) > rank_target(scores, target, exclude={last})
 
 
 class TestInvariants:
