@@ -51,6 +51,8 @@ class MapHyperparams:
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
         if self.loss not in LOSS_MODES:
             raise ConfigError(f"unknown loss mode {self.loss!r}")
+        if self.valid_every < 0:
+            raise ConfigError(f"valid_every must be >= 0 (0: never), got {self.valid_every}")
 
 
 @dataclass

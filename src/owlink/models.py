@@ -63,6 +63,8 @@ class KgcHyperparams:
             raise ConfigError(f"reg_weight must be >= 0, got {self.reg_weight}")
         if self.num_negatives < 1:
             raise ConfigError(f"num_negatives must be >= 1, got {self.num_negatives}")
+        if self.valid_every < 0:
+            raise ConfigError(f"valid_every must be >= 0 (0: never), got {self.valid_every}")
 
 
 @dataclass
@@ -229,14 +231,27 @@ def _softplus(x: np.ndarray) -> np.ndarray:
     return np.logaddexp(0.0, x)
 
 
-def _accumulate(dim: int, indices: list[np.ndarray], grads: list[np.ndarray]):
-    """Sum duplicate row contributions; returns (unique_rows, grad_rows)."""
+def _accumulate(dim: int, indices: list[np.ndarray], *grads: list[np.ndarray]):
+    """Sum the gradient rows that share a table row, in batch order.
+
+    ``indices`` lists the index arrays into one table; each further argument
+    lists one parameter block's gradient arrays, matching ``indices`` (ComplEx
+    passes a real and an imaginary block). Returns the sorted unique rows and
+    one (rows, dim) sum per block. Each cell starts at 0.0 and adds its
+    contributions one at a time in batch order, as an unbuffered ``np.add``
+    scatter does, so a row of -0.0 gradients sums to 0.0. ``np.add.reduceat``
+    over sorted rows would not give the same bits: it sums a segment in
+    another order.
+    """
     idx = np.concatenate([np.asarray(a, dtype=np.int64).ravel() for a in indices])
-    g = np.concatenate([np.asarray(a).reshape(-1, dim) for a in grads])
-    uniq, inv = np.unique(idx, return_inverse=True)
-    acc = np.zeros((len(uniq), dim))
-    np.add.at(acc, inv, g)
-    return uniq, acc
+    rows, inv = np.unique(idx, return_inverse=True)
+    cells = (inv[:, None] * dim + np.arange(dim)).ravel()
+    sums = []
+    for block in grads:
+        g = np.concatenate([np.asarray(a).reshape(-1, dim) for a in block])
+        acc = np.bincount(cells, weights=g.ravel(), minlength=len(rows) * dim)
+        sums.append(acc.reshape(len(rows), dim))
+    return rows, sums
 
 
 def batch_loss_and_gradients(
@@ -283,11 +298,9 @@ def _transe_batch(emb, hp, pos, neg, d):
     ent_grad = [gp, -gp, -gn, gn]
     rel_idx = [pos[:, 1], neg[..., 1]]
     rel_grad = [gp, -gn]
-    sparse = {
-        "entity_real": _accumulate(d, ent_idx, ent_grad),
-        "relation_real": _accumulate(d, rel_idx, rel_grad),
-    }
-    return loss, sparse
+    ent_rows, (ent_sum,) = _accumulate(d, ent_idx, ent_grad)
+    rel_rows, (rel_sum,) = _accumulate(d, rel_idx, rel_grad)
+    return loss, {"entity_real": (ent_rows, ent_sum), "relation_real": (rel_rows, rel_sum)}
 
 
 def _logistic_batch(family, emb, hp, pos, neg, d):
@@ -341,13 +354,17 @@ def _logistic_batch(family, emb, hp, pos, neg, d):
 
     ent_idx = [pos[:, 0], pos[:, 2], neg[..., 0], neg[..., 2]]
     rel_idx = [pos[:, 1], neg[..., 1]]
-    sparse = {
-        "entity_real": _accumulate(d, ent_idx, [gp[0], gp[2], gn[0], gn[2]]),
-        "relation_real": _accumulate(d, rel_idx, [gp[1], gn[1]]),
-    }
+    ent_blocks = [[gp[0], gp[2], gn[0], gn[2]]]
+    rel_blocks = [[gp[1], gn[1]]]
     if is_complex:
-        sparse["entity_imag"] = _accumulate(d, ent_idx, [gp[3], gp[5], gn[3], gn[5]])
-        sparse["relation_imag"] = _accumulate(d, rel_idx, [gp[4], gn[4]])
+        ent_blocks.append([gp[3], gp[5], gn[3], gn[5]])
+        rel_blocks.append([gp[4], gn[4]])
+    ent_rows, ent_sums = _accumulate(d, ent_idx, *ent_blocks)
+    rel_rows, rel_sums = _accumulate(d, rel_idx, *rel_blocks)
+    sparse = {}
+    for part, ent_sum, rel_sum in zip(("real", "imag"), ent_sums, rel_sums):
+        sparse[f"entity_{part}"] = (ent_rows, ent_sum)
+        sparse[f"relation_{part}"] = (rel_rows, rel_sum)
     return loss, sparse
 
 
@@ -446,7 +463,11 @@ def train_kgc(
             valid_mrr = f"{mrr:.6f}"
             if mrr > best_mrr:
                 best_mrr = mrr
-                best_emb = emb.copy()
+                if best_emb is None:
+                    best_emb = emb.copy()
+                else:  # in place: a new table-sized copy each epoch fragments the heap
+                    for best, now in zip(best_emb.arrays().values(), emb.arrays().values()):
+                        best[...] = now
         log_rows.append(f"{epoch}\t{epoch_loss / n:.6f}\t{valid_mrr}")
 
     if log_path is not None:

@@ -4,7 +4,10 @@ Shared by the embedding trainer (sparse row updates on large tables) and
 the transformation trainer (dense updates on small parameter blocks).
 Sparse mode is the usual lazy variant: first/second moment rows are only
 updated for rows that received a gradient; the bias-correction step counter
-is global per optimizer step.
+is global per optimizer step. One in-place step serves both modes, so a
+dense update and a row update over every row give bitwise the same result.
+The embedding trainer sums a row's gradient contributions in batch order
+(``models._accumulate``) before handing them to :meth:`Adam.update_rows`.
 """
 
 from __future__ import annotations
@@ -40,16 +43,28 @@ class Adam:
         """Advance the shared step counter; call once per optimization step."""
         self.t += 1
 
+    def _step(self, m: np.ndarray, v: np.ndarray, grad: np.ndarray) -> np.ndarray:
+        """Advance the moments ``m`` and ``v`` in place by ``grad`` and return
+        the step to subtract from the parameters,
+        ``lr * m_hat / (sqrt(v_hat) + eps)``."""
+        m *= self.beta1
+        m += (1 - self.beta1) * grad
+        g2 = (1 - self.beta2) * grad
+        g2 *= grad
+        v *= self.beta2
+        v += g2
+        step = m / (1 - self.beta1 ** self.t)
+        step *= self.lr
+        denom = v / (1 - self.beta2 ** self.t)
+        np.sqrt(denom, out=denom)
+        denom += self.eps
+        step /= denom
+        return step
+
     def update(self, name: str, param: np.ndarray, grad: np.ndarray) -> None:
         """Dense in-place Adam update of ``param``."""
         m, v = self._state(name, param.shape)
-        m *= self.beta1
-        m += (1 - self.beta1) * grad
-        v *= self.beta2
-        v += (1 - self.beta2) * grad * grad
-        m_hat = m / (1 - self.beta1 ** self.t)
-        v_hat = v / (1 - self.beta2 ** self.t)
-        param -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        param -= self._step(m, v, grad)
 
     def update_rows(
         self, name: str, param: np.ndarray, rows: np.ndarray, grad_rows: np.ndarray
@@ -60,10 +75,8 @@ class Adam:
         entry of ``rows``.
         """
         m, v = self._state(name, param.shape)
-        m_r = self.beta1 * m[rows] + (1 - self.beta1) * grad_rows
-        v_r = self.beta2 * v[rows] + (1 - self.beta2) * grad_rows * grad_rows
+        m_r, v_r = m[rows], v[rows]
+        step = self._step(m_r, v_r, grad_rows)
         m[rows] = m_r
         v[rows] = v_r
-        m_hat = m_r / (1 - self.beta1 ** self.t)
-        v_hat = v_r / (1 - self.beta2 ** self.t)
-        param[rows] -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        param[rows] -= step

@@ -79,6 +79,11 @@ class TestTrainKgc:
         assert code == 1
         assert "--train" in capsys.readouterr().err
 
+    def test_negative_valid_every_rejected(self, assets, capsys):
+        assert train_kgc(assets, assets / "o", ["--valid-every", "-1"]) == 1
+        assert "valid_every must be >= 0" in capsys.readouterr().err
+        assert not (assets / "o" / "kgc.ckpt").exists()
+
     def test_config_file_with_flag_override(self, assets):
         cfg = assets / "run.cfg"
         cfg.write_text("family=transe\ndim=6\nepochs=2\nlearning-rate=0.01\n"

@@ -261,6 +261,11 @@ class TestFit:
         with pytest.raises(ConfigError):
             MapHyperparams(loss="huber").validate()
 
+    def test_negative_valid_every_rejected(self):
+        with pytest.raises(ConfigError, match="valid_every"):
+            MapHyperparams(valid_every=-1).validate()
+        MapHyperparams(valid_every=0).validate()  # 0 means never
+
 
 class TestTrainMapIntegration:
     def build(self, tmp_path, family="distmult"):

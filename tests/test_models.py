@@ -1,9 +1,11 @@
+import hashlib
 import zlib
 
 import numpy as np
 import pytest
 
 from owlink.graph import Triple
+from owlink import models
 from owlink.models import (
     FAMILIES,
     SCORE_BLOCK_ROWS,
@@ -19,10 +21,13 @@ from owlink.models import (
     score_all_heads,
     score_all_tails,
     train_kgc,
+    _accumulate,
     _score,
 )
-from owlink.evaluation import EvalConfig, evaluate, rank_target
+from owlink.optim import Adam
+from owlink.evaluation import EvalConfig, closed_world_validator, evaluate, rank_target
 from helpers import graph_from_triples, random_model
+from test_optim import bits, reference_update_rows
 
 
 def fd_gradient_error(model, positive, negatives, h=1e-6):
@@ -252,6 +257,102 @@ class TestGradients:
         assert touched_relations == {1}
 
 
+def reference_accumulate(dim, indices, *grads):
+    """``_accumulate`` as first written: per block, ``np.add.at`` into zeros."""
+    idx = np.concatenate([np.asarray(a, dtype=np.int64).ravel() for a in indices])
+    rows, inv = np.unique(idx, return_inverse=True)
+    sums = []
+    for block in grads:
+        acc = np.zeros((len(rows), dim))
+        np.add.at(acc, inv, np.concatenate([np.asarray(a).reshape(-1, dim) for a in block]))
+        sums.append(acc)
+    return rows, sums
+
+
+class TestAccumulate:
+    """Row sums bitwise equal to the ``np.add.at`` reference."""
+
+    @staticmethod
+    def assert_same(got, want):
+        assert bits(got[0]) == bits(want[0])
+        assert len(got[1]) == len(want[1])
+        for a, b in zip(got[1], want[1]):
+            assert a.shape == b.shape and bits(a) == bits(b)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_add_at(self, seed):
+        rng = np.random.default_rng(seed)
+        dim = int(rng.integers(1, 7))
+        shapes = [(int(rng.integers(0, 9)),) + (() if rng.random() < 0.5 else (int(rng.integers(0, 4)),))
+                  for _ in range(int(rng.integers(1, 5)))]
+        indices = [rng.integers(0, 12, size=shape) for shape in shapes]
+        blocks = []
+        for _ in range(int(rng.integers(1, 3))):
+            block = []
+            for shape in shapes:
+                g = rng.normal(size=shape + (dim,)) * 10.0 ** rng.integers(-4, 4, size=shape + (dim,))
+                g[rng.random(shape) < 0.2] = -0.0
+                g[rng.random(shape) < 0.1] = 0.0
+                block.append(g)
+            blocks.append(block)
+        self.assert_same(_accumulate(dim, indices, *blocks), reference_accumulate(dim, indices, *blocks))
+
+    def test_repeated_once_and_negative_zero_rows(self):
+        indices = [np.array([3, 1, 3, 0]), np.array([[3, 5], [1, 3]])]
+        g = np.array([[1e16, -0.0], [-0.0, -0.0], [1.0, -0.0], [-0.0, 0.0],
+                      [-1e16, -0.0], [2.0, 3.0], [-0.0, -0.0], [1.0, 1.0]])
+        grads = [g[:4], g[4:].reshape(2, 2, 2)]
+        rows, (sums,) = _accumulate(2, indices, grads)
+        self.assert_same((rows, [sums]), reference_accumulate(2, indices, grads))
+        assert rows.tolist() == [0, 1, 3, 5]
+        # row 3 adds 1e16, 1.0, -1e16, 1.0 in that order (the first 1.0 is lost);
+        # rows 0 and 1 hold only zeros, -0.0 among them, and sum to 0.0
+        assert sums.tolist() == [[0.0, 0.0], [0.0, 0.0], [1.0, 1.0], [2.0, 3.0]]
+        assert not np.signbit(sums[:2]).any()
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("num_negatives", [0, 1, 4])
+    def test_batch_gradients_match_add_at(self, monkeypatch, family, num_negatives):
+        rng = np.random.default_rng(30 + num_negatives)
+        hp = KgcHyperparams(dim=5, margin=0.5)
+        negative_zeros = []
+
+        def recording_reference(dim, indices, *grads):
+            cells = np.concatenate([np.asarray(a).ravel() for block in grads for a in block])
+            negative_zeros.append(int((np.signbit(cells) & (cells == 0)).sum()))
+            return reference_accumulate(dim, indices, *grads)
+
+        for _ in range(10):
+            model = random_model(family, 8, 3, 5, rng, scale=0.5)
+            model.hyperparams = hp
+            pos = np.stack([rng.integers(8, size=16), rng.integers(3, size=16), rng.integers(8, size=16)], 1)
+            neg = np.stack([rng.integers(8, size=(16, num_negatives)),
+                            np.repeat(pos[:, 1:2], num_negatives, axis=1),
+                            rng.integers(8, size=(16, num_negatives))], 2)
+            loss, got = models.batch_loss_and_gradients(model, pos, neg)
+            with monkeypatch.context() as m:
+                m.setattr(models, "_accumulate", recording_reference)
+                ref_loss, want = models.batch_loss_and_gradients(model, pos, neg)
+            assert loss == ref_loss and list(got) == list(want)
+            for name in got:
+                assert bits(got[name][0]) == bits(want[name][0])
+                assert bits(got[name][1]) == bits(want[name][1])
+        if family == "transe" and num_negatives:
+            assert sum(negative_zeros) > 0  # inactive negatives give -0.0 gradient cells
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_no_negatives_single_triple(self, monkeypatch, family):
+        rng = np.random.default_rng(40)
+        model = random_model(family, 6, 2, 4, rng)
+        pos = Triple(1, 0, 1)  # head and tail share a row
+        loss, got = gradients(model, pos, [])
+        with monkeypatch.context() as m:
+            m.setattr(models, "_accumulate", reference_accumulate)
+            ref_loss, want = gradients(model, pos, [])
+        assert loss == ref_loss and list(got) == list(want)
+        assert all(bits(got[key]) == bits(want[key]) for key in got)
+
+
 class TestTraining:
     def test_zero_learning_rate_keeps_initialization(self, tmp_path):
         g = graph_from_triples(tmp_path, [("a", "r", "b"), ("b", "r", "c")])
@@ -327,6 +428,16 @@ class TestTraining:
         with pytest.raises(ConfigError):
             train_kgc(g, "nope", KgcHyperparams())
 
+    def test_negative_valid_every_rejected(self, tmp_path):
+        g = graph_from_triples(tmp_path, [("a", "r", "b"), ("b", "r", "c")])
+        with pytest.raises(ConfigError, match="valid_every"):
+            train_kgc(g, "distmult", KgcHyperparams(dim=2, epochs=1, valid_every=-1),
+                      validator=lambda m: 0.0)
+        validated = []
+        train_kgc(g, "distmult", KgcHyperparams(dim=2, epochs=2, valid_every=0),
+                  validator=lambda m: validated.append(m) or 0.0)
+        assert validated == []  # 0 means never
+
 
 class TestCheckpoint:
     @pytest.mark.parametrize("family", FAMILIES)
@@ -360,3 +471,55 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match=message) as info:
             load_checkpoint(str(path))
         assert str(path) in str(info.value)
+
+
+class TestTrainGolden:
+    """Two seeded epochs per family pinned to the sha256 of the checkpoint and
+    of the training log. Repeated rows, rows seen once, TransE's inactive
+    negatives (-0.0 gradient rows) and per-epoch validation all occur, so a
+    train-step kernel that moves a bit of the saved float32 payload shows."""
+
+    @staticmethod
+    def train(tmp_path, family):
+        rng = np.random.default_rng(21)
+
+        def triples(n):
+            return [(f"e{rng.integers(30)}", f"r{rng.integers(4)}", f"e{rng.integers(30)}")
+                    for _ in range(n)]
+
+        g = graph_from_triples(tmp_path, triples(400), valid=triples(15))
+        hp = KgcHyperparams(dim=6, epochs=2, learning_rate=0.05, batch_size=64,
+                            num_negatives=3, margin=0.25)
+        log = tmp_path / "train_log.tsv"
+        # seed 11: epoch 2 validates best for every family, so it is the one saved
+        model = train_kgc(g, family, hp, seed=11, validator=closed_world_validator(g),
+                          log_path=str(log))
+        ckpt = tmp_path / "kgc.ckpt"
+        save_checkpoint(str(ckpt), model)
+        return model, ckpt.read_bytes(), log.read_bytes()
+
+    @pytest.mark.parametrize("family, ckpt_digest, log_digest", [
+        ("transe", "f7a28f38dbc53d0a", "e2a79572aea315fc"),
+        ("distmult", "887852e361a8c623", "b1fca991dc8c125a"),
+        ("complex", "a0a5ac83342e3e48", "68f6872d62020d9e"),
+    ])
+    def test_digests(self, tmp_path, family, ckpt_digest, log_digest):
+        _, ckpt, log = self.train(tmp_path, family)
+        assert len(log.splitlines()) == 3
+        assert hashlib.sha256(ckpt).hexdigest()[:16] == ckpt_digest
+        assert hashlib.sha256(log).hexdigest()[:16] == log_digest
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_matches_reference_kernels(self, tmp_path, monkeypatch, family):
+        """The same two epochs with the first-written row sums and row update
+        give bitwise the same float64 embeddings, on any machine."""
+        (tmp_path / "a").mkdir()
+        (tmp_path / "b").mkdir()
+        model, _, log = self.train(tmp_path / "a", family)
+        with monkeypatch.context() as m:
+            m.setattr(models, "_accumulate", reference_accumulate)
+            m.setattr(Adam, "update_rows", reference_update_rows)
+            ref_model, _, ref_log = self.train(tmp_path / "b", family)
+        assert log == ref_log
+        for a, b in zip(model.embeddings.arrays().values(), ref_model.embeddings.arrays().values()):
+            assert bits(a) == bits(b)
