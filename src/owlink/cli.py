@@ -197,14 +197,7 @@ def cmd_train_map(s: Settings) -> None:
 
     validator = None
     if graph.valid:
-        valid_config = evaluation.EvalConfig(filter_splits=("train", "valid"))
-
-        def validator(candidate):
-            report = evaluation.evaluate(
-                kgc, graph, valid_config, candidate, metadata, store, triples=graph.valid
-            )
-            return report.mrr_filtered if report.evaluated_count else 0.0
-
+        validator = evaluation.open_world_validator(kgc, graph, metadata, store)
     map_model = mapping.train_map(
         kgc, graph, metadata, store, kind, hp,
         seed=stage_seed(seed, "map"), validator=validator,

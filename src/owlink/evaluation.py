@@ -11,14 +11,15 @@ candidates scoring equal to the target count against it.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .graph import EntityText, KnowledgeGraph, Triple, build_filter_index
-from .mapping import MapModel, mapped_entity_embedding
+from .mapping import MapModel, map_text_vector, mapped_entity_embedding
 from .models import KgcModel, score_all_heads, score_all_tails
-from .text import NoTextError, WordEmbeddingStore
+from .text import NoTextError, WordEmbeddingStore, text_embedding
 
 SKIP_NO_METADATA = "no-metadata"
 SKIP_TARGET_FILTERING = "target-filtering"
@@ -51,6 +52,10 @@ class TripleResult:
     reason: str = ""
 
 
+def _mean(values: list) -> float:
+    return sum(values) / len(values) if values else float("nan")
+
+
 @dataclass
 class RankingReport:
     config: EvalConfig
@@ -74,29 +79,20 @@ class RankingReport:
 
     @property
     def mr(self) -> float:
-        ranks = self._ranks()
-        return sum(ranks) / len(ranks) if ranks else float("nan")
+        return _mean(self._ranks())
 
     @property
     def mrr_raw(self) -> float:
-        ev = self.evaluated
-        if not ev:
-            return float("nan")
-        return sum(1.0 / r.raw_rank for r in ev) / len(ev)
+        return _mean([1.0 / r.raw_rank for r in self.evaluated])
 
     @property
     def mrr_filtered(self) -> float:
-        ev = self.evaluated
-        if not ev:
-            return float("nan")
-        return sum(1.0 / r.filtered_rank for r in ev) / len(ev)
+        return _mean([1.0 / r.filtered_rank for r in self.evaluated])
 
     @property
     def hits(self) -> dict[int, float]:
         ranks = self._ranks()
-        if not ranks:
-            return {k: float("nan") for k in self.config.hits_k}
-        return {k: sum(1 for x in ranks if x <= k) / len(ranks) for k in self.config.hits_k}
+        return {k: _mean([x <= k for x in ranks]) for k in self.config.hits_k}
 
     def summary(self) -> dict[str, float | int]:
         out: dict[str, float | int] = {
@@ -235,18 +231,16 @@ def evaluate(
     def query_embedding(triple: Triple, query_id: int):
         if query_id < graph.num_entities:
             return emb.entity_embedding(query_id)
-        if query_id in cache:
-            return cache[query_id]
-        if map_model is None or word_store is None:
-            raise ValueError(
-                "open-world query entity encountered but map_model/word_store missing"
-            )
-        meta = (metadata or {}).get(query_id)
-        if meta is None or meta.is_empty():
-            raise NoTextError(f"no metadata for open entity {query_id}")
-        mapped = mapped_entity_embedding(kgc_model, map_model, meta, word_store)
-        cache[query_id] = mapped
-        return mapped
+        if query_id not in cache:
+            if map_model is None or word_store is None:
+                raise ValueError(
+                    "open-world query entity encountered but map_model/word_store missing"
+                )
+            meta = (metadata or {}).get(query_id)
+            if meta is None or meta.is_empty():
+                raise NoTextError(f"no metadata for open entity {query_id}")
+            cache[query_id] = mapped_entity_embedding(kgc_model, map_model, meta, word_store)
+        return cache[query_id]
 
     return _evaluate_core(kgc_model, graph, config, triples, filter_index, query_embedding)
 
@@ -256,6 +250,8 @@ def closed_world_validator(graph: KnowledgeGraph, max_triples: int | None = None
     (all when None) of ``graph.valid``, as a ``model -> score`` callable for
     ``models.train_kgc``. The train+valid filter index of those triples is built
     once, here."""
+    if max_triples is not None and max_triples < 1:
+        raise ValueError(f"valid max triples must be >= 1, got {max_triples}")
     triples = graph.valid[:max_triples]
     filter_index = build_filter_index(graph, ("train", "valid"), triples)
     configs = [EvalConfig(direction=d, filter_splits=("train", "valid")) for d in ("tail", "head")]
@@ -275,6 +271,38 @@ def closed_world_validator(graph: KnowledgeGraph, max_triples: int | None = None
         for tail, head in zip(tails.results, heads.results):
             total = total + 1.0 / tail.filtered_rank + 1.0 / head.filtered_rank
         return total / (2 * len(triples))
+
+    return validator
+
+
+def open_world_validator(kgc_model: KgcModel, graph: KnowledgeGraph,
+                         metadata: dict[int, EntityText], word_store: WordEmbeddingStore):
+    """Filtered tail MRR over ``graph.valid`` (0 when nothing is ranked), as
+    a ``map_model -> score`` callable for ``mapping.train_map``. The
+    train+valid filter index and the text vectors of the open query
+    entities are built once, here; a call maps each vector with the
+    candidate and ranks, as :func:`evaluate` would."""
+    config = EvalConfig(filter_splits=("train", "valid"))
+    filter_index = build_filter_index(graph, config.filter_splits, graph.valid)
+    emb = kgc_model.embeddings
+    vectors: dict[int, np.ndarray] = {}
+    for h in {h for h, _, _ in graph.valid if h >= graph.num_entities and h in metadata}:
+        with contextlib.suppress(NoTextError):  # no usable text: the triple is skipped
+            vectors[h] = text_embedding(metadata[h], word_store)
+
+    def validator(map_model: MapModel) -> float:
+        mapped = {q: map_text_vector(kgc_model, map_model, v) for q, v in vectors.items()}
+
+        def query_embedding(triple: Triple, query_id: int):
+            if query_id < graph.num_entities:
+                return emb.entity_embedding(query_id)
+            if query_id not in mapped:
+                raise NoTextError(f"no usable text for open entity {query_id}")
+            return mapped[query_id]
+
+        report = _evaluate_core(kgc_model, graph, config, graph.valid, filter_index,
+                                query_embedding)
+        return report.mrr_filtered if report.evaluated_count else 0.0
 
     return validator
 
@@ -319,8 +347,8 @@ def nearest_neighbors(
     else:
         query = np.asarray(query_embedding)
     table = kgc_model.embeddings.entity_real
-    if k > len(table):
-        raise ValueError(f"k={k} exceeds the number of entities {len(table)}")
+    if not 1 <= k <= len(table):
+        raise ValueError(f"k must be between 1 and the number of entities {len(table)}, got {k}")
     diff = table - query
     dist = np.sqrt((diff * diff).sum(axis=1))
     order = np.lexsort((np.arange(len(table)), dist))[:k]

@@ -49,6 +49,8 @@ class MapHyperparams:
             raise ConfigError(f"batch_size must be positive, got {self.batch_size}")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
+        if self.hidden_dim is not None and self.hidden_dim < 1:
+            raise ConfigError(f"hidden_dim must be >= 1, got {self.hidden_dim}")
         if self.loss not in LOSS_MODES:
             raise ConfigError(f"unknown loss mode {self.loss!r}")
         if self.valid_every < 0:
@@ -305,26 +307,20 @@ def build_training_pairs(
     metadata: dict[int, EntityText],
     word_store: WordEmbeddingStore,
 ):
-    """Token sequences and graph-embedding targets for training entities
-    that have usable text. Returns (entity_ids, sequences, U_real, U_imag)."""
+    """Word-vector row ids and graph-embedding targets for training entities
+    that have usable text. Returns (entity_ids, row_ids, U_real, U_imag)."""
     ids: list[int] = []
-    sequences: list[list[np.ndarray]] = []
+    row_ids: list[np.ndarray] = []
     for eid in range(graph.num_entities):
-        meta = metadata.get(eid)
-        if meta is None or meta.is_empty():
-            continue
-        seq, _ = entity_tokens(meta, word_store)
-        if not seq:
-            continue
-        ids.append(eid)
-        sequences.append(seq)
+        if eid in metadata:
+            rows, _ = entity_tokens(metadata[eid], word_store)
+            if len(rows):
+                ids.append(eid)
+                row_ids.append(rows)
     emb = kgc_model.embeddings
     idx = np.asarray(ids, dtype=np.int64)
-    u_real = emb.entity_real[idx] if len(idx) else np.zeros((0, emb.dim))
-    u_imag = None
-    if emb.is_complex:
-        u_imag = emb.entity_imag[idx] if len(idx) else np.zeros((0, emb.dim))
-    return ids, sequences, u_real, u_imag
+    u_imag = emb.entity_imag[idx] if emb.is_complex else None
+    return ids, row_ids, emb.entity_real[idx], u_imag
 
 
 def train_map(
@@ -346,17 +342,25 @@ def train_map(
     """
     hp = hyperparams if hyperparams is not None else MapHyperparams()
     hp.validate()
-    ids, sequences, u_real, u_imag = build_training_pairs(kgc_model, graph, metadata, word_store)
+    ids, row_ids, u_real, u_imag = build_training_pairs(kgc_model, graph, metadata, word_store)
     if not ids:
         raise ConfigError("no training entity has usable textual metadata")
 
-    if hp.dropout > 0:
-        def inputs(rng: np.random.Generator) -> np.ndarray:
-            return np.stack([aggregate(seq, hp.dropout, rng).vector for seq in sequences])
-    else:
-        inputs = np.stack([aggregate(seq).vector for seq in sequences])
+    def inputs(rng: np.random.Generator | None = None) -> np.ndarray:
+        return np.stack([aggregate(word_store.matrix[rows], hp.dropout, rng) for rows in row_ids])
 
-    return fit_map(inputs, u_real, u_imag, kind, hp, seed, validator, log_path)
+    return fit_map(inputs if hp.dropout > 0 else inputs(), u_real, u_imag, kind, hp, seed,
+                   validator, log_path)
+
+
+def map_text_vector(kgc_model: KgcModel, map_model: MapModel, v: np.ndarray):
+    """Mapped embedding of one text embedding, shaped for the KGC family."""
+    real, imag = map_vector(map_model, v)
+    if kgc_model.family == "complex":
+        if imag is None:
+            raise ValueError("ComplEx model requires a paired (real+imag) transformation")
+        return real, imag
+    return real
 
 
 def mapped_entity_embedding(
@@ -366,13 +370,7 @@ def mapped_entity_embedding(
     word_store: WordEmbeddingStore,
 ):
     """Text -> aggregated -> mapped embedding, shaped for the KGC family."""
-    v = text_embedding(meta, word_store).vector
-    real, imag = map_vector(map_model, v)
-    if kgc_model.family == "complex":
-        if imag is None:
-            raise ValueError("ComplEx model requires a paired (real+imag) transformation")
-        return real, imag
-    return real
+    return map_text_vector(kgc_model, map_model, text_embedding(meta, word_store))
 
 
 # Checkpoint format: models' checkpoint header and float32 blocks, with the

@@ -491,7 +491,7 @@ def write_checkpoint(path: str, magic: str, fields: dict[str, object], blocks) -
     with open(path, "wb") as fh:
         fh.write(f"{magic}\n{header}end\n".encode("ascii"))
         for arr in blocks:
-            fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+            fh.write(np.ascontiguousarray(arr, dtype="<f4"))  # through the buffer, no bytes copy
 
 
 def _positive_int(value: str) -> int:

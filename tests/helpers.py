@@ -8,13 +8,22 @@ import numpy as np
 from owlink.graph import EntityText, KnowledgeGraph, Triple, load_graph
 from owlink.models import EmbeddingTable, KgcHyperparams, KgcModel, score_all_heads, score_all_tails
 from owlink.mapping import mapped_entity_embedding
-from owlink.text import NoTextError
+from owlink.text import NoTextError, WordEmbeddingStore
 
 
 def write_triples(path, triples):
     with open(path, "w", encoding="utf-8") as fh:
         for h, r, t in triples:
             fh.write(f"{h}\t{r}\t{t}\n")
+
+
+def store_from_vectors(vectors, dim, phrase_template="{name}"):
+    """Store of an in-memory token -> vector dict, rows in dict order."""
+    matrix = np.zeros((len(vectors) + 1, dim))
+    for row, vec in enumerate(vectors.values()):
+        matrix[row] = vec
+    return WordEmbeddingStore(matrix, {tok: row for row, tok in enumerate(vectors)},
+                              phrase_template)
 
 
 def graph_from_triples(tmp_path, train, valid=None, test=None, open_world=False):

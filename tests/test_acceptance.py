@@ -30,13 +30,14 @@ from owlink.models import (
     train_kgc,
 )
 from owlink.sampler import SamplerConfig, SamplerError, sample_open_world, validate_split
-from owlink.text import WordEmbeddingStore, load_word_embeddings
+from owlink.text import load_word_embeddings
 from helpers import (
     assert_reports_equal,
     brute_force_report,
     graph_from_triples,
     random_graph,
     random_model,
+    store_from_vectors,
     write_triples,
 )
 from owlink.graph import Triple
@@ -266,7 +267,7 @@ class TestCriterion4:
         model = train_kgc(g, "distmult", hp, seed=7)
 
         dim = model.embeddings.dim
-        store = WordEmbeddingStore(
+        store = store_from_vectors(
             {f"tok{e}": model.embeddings.entity_real[e] for e in range(g.num_entities)},
             dim,
         )
@@ -363,7 +364,7 @@ class TestCriterion7:
                        str(tmp_path / "test.txt"), open_world=True)
 
         word_rng = np.random.default_rng(1)
-        store = WordEmbeddingStore(
+        store = store_from_vectors(
             {f"w{i}": word_rng.normal(size=6) for i in range(g.num_entities)}, 6
         )
         metadata = {}

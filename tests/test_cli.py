@@ -84,6 +84,14 @@ class TestTrainKgc:
         assert "valid_every must be >= 0" in capsys.readouterr().err
         assert not (assets / "o" / "kgc.ckpt").exists()
 
+    @pytest.mark.parametrize("cap", ["-25", "0"])
+    def test_valid_max_triples_below_one_rejected(self, assets, capsys, cap):
+        write_triples(assets / "valid_closed.txt", [("e0", "next", "e1"), ("e1", "skip", "e3")])
+        extra = ["--valid", assets / "valid_closed.txt", "--valid-max-triples", cap]
+        assert train_kgc(assets, assets / "o", extra) == 1
+        assert f"valid max triples must be >= 1, got {cap}" in capsys.readouterr().err
+        assert not (assets / "o" / "kgc.ckpt").exists()
+
     def test_config_file_with_flag_override(self, assets):
         cfg = assets / "run.cfg"
         cfg.write_text("family=transe\ndim=6\nepochs=2\nlearning-rate=0.01\n"
@@ -133,6 +141,18 @@ class TestPipeline:
         assert len(report) == 4  # header + 3 test triples
         summary = (eval_out / "summary.txt").read_text()
         assert "mrr_filtered=" in summary and "evaluated=3" in summary
+
+    def test_train_map_zero_hidden_dim_rejected(self, assets, capsys):
+        assert train_kgc(assets, assets / "kgc") == 0
+        code = run([
+            "train-map", "--train", assets / "train.txt",
+            "--kgc-checkpoint", assets / "kgc" / "kgc.ckpt",
+            "--metadata", assets / "metadata.tsv", "--embeddings", assets / "vectors.txt",
+            "--kind", "mlp", "--hidden-dim", "0", "--out", assets / "map",
+        ])
+        assert code == 1
+        assert "hidden_dim must be >= 1, got 0" in capsys.readouterr().err
+        assert not (assets / "map" / "map.ckpt").exists()
 
     def test_eval_without_map_on_closed_split(self, assets):
         kgc_out = assets / "kgc"
@@ -194,6 +214,18 @@ class TestPipeline:
         ])
         assert code == 1
         assert "unknown" in capsys.readouterr().err
+
+    def test_neighbors_k_below_one_rejected(self, assets, capsys):
+        assert train_kgc(assets, assets / "kgc") == 0
+        code = run([
+            "neighbors", "--train", assets / "train.txt",
+            "--kgc-checkpoint", assets / "kgc" / "kgc.ckpt",
+            "--entity", "e0", "-k", "-3", "--out", assets / "nn",
+        ])
+        assert code == 1
+        assert "k must be between 1 and the number of entities 8, got -3" in \
+            capsys.readouterr().err
+        assert not (assets / "nn" / "neighbors.tsv").exists()
 
     def test_robustness_sweep(self, assets, capsys):
         kgc_out = assets / "kgc"

@@ -9,6 +9,7 @@ from owlink.evaluation import (
     closed_world_validator,
     evaluate,
     nearest_neighbors,
+    open_world_validator,
     random_head_baseline,
     rank_target,
     write_report_tsv,
@@ -156,6 +157,51 @@ class TestClosedWorldValidator:
             assert closed_world_validator(g)(model) == total / (2 * len(g.valid))
             first = 1.0 / ranks[0][0] + 1.0 / ranks[1][0]
             assert closed_world_validator(g, max_triples=1)(model) == first / 2
+
+    def test_max_triples_below_one_rejected(self):
+        g = KnowledgeGraph(Vocab(), Vocab(), [], valid=[Triple(0, 0, 0)] * 3)
+        for cap in (0, -2):
+            with pytest.raises(ValueError, match="valid max triples must be >= 1"):
+                closed_world_validator(g, cap)
+
+
+class TestOpenWorldValidator:
+    @pytest.mark.parametrize("family", ["distmult", "complex"])
+    def test_matches_evaluate_on_valid(self, tmp_path, family):
+        train = [("a", "r", "b"), ("b", "r", "c"), ("c", "s", "a"), ("a", "s", "c")]
+        valid = [("new1", "r", "b"), ("new1", "r", "c"), ("new2", "s", "c"), ("new3", "r", "a"),
+                 ("a", "r", "c"), ("new1", "s", "new_tail"), ("new4", "s", "a")]
+        g = graph_from_triples(tmp_path, train, valid=valid, open_world=True)
+        model = random_model(family, g.num_entities, g.num_relations, 4,
+                             np.random.default_rng(8))
+        store = make_store(["alpha", "beta", "gamma", "delta"], dim=3, seed=9)
+        metadata = {
+            0: EntityText("a", "alpha"),
+            1: EntityText("b", "beta"),
+            2: EntityText("c", "gamma"),
+            g.entity_id("new1"): EntityText("new1", "alpha", "beta gamma"),
+            g.entity_id("new2"): EntityText("new2", "delta"),
+            g.entity_id("new3"): EntityText("new3", "", "..."),  # no usable text
+        }  # new4 has no metadata at all
+        validator = open_world_validator(model, g, metadata, store)
+        config = EvalConfig(filter_splits=("train", "valid"))
+        for seed in range(3):
+            mm = train_map(model, g, metadata, store, "affine",
+                           MapHyperparams(epochs=5, learning_rate=1e-2), seed=seed)
+            report = evaluate(model, g, config, mm, metadata, store, triples=g.valid)
+            assert validator(mm) == report.mrr_filtered
+        assert {r.reason for r in report.results} == {
+            "", SKIP_NO_METADATA, SKIP_OPEN_TARGET}
+
+    def test_nothing_ranked_scores_zero(self, tmp_path):
+        g = graph_from_triples(tmp_path, [("a", "r", "b")], valid=[("new", "r", "b")],
+                               open_world=True)
+        model = random_model("distmult", g.num_entities, g.num_relations, 3,
+                             np.random.default_rng(1))
+        store = make_store(["alpha"], dim=3)
+        mm = train_map(model, g, {0: EntityText("a", "alpha")}, store, "linear",
+                       MapHyperparams(epochs=1))
+        assert open_world_validator(model, g, {}, store)(mm) == 0.0
 
 
 class TestOpenWorldEvaluate:
@@ -316,6 +362,12 @@ class TestNearestNeighbors:
         model = random_model("distmult", 3, 1, 2, np.random.default_rng(13))
         with pytest.raises(ValueError):
             nearest_neighbors(model, np.zeros(2), 4)
+
+    @pytest.mark.parametrize("k", [0, -3])
+    def test_k_below_one(self, k):
+        model = random_model("distmult", 5, 1, 2, np.random.default_rng(13))
+        with pytest.raises(ValueError, match="between 1 and the number of entities 5, got"):
+            nearest_neighbors(model, np.zeros(2), k)
 
 
 class TestReportOutput:

@@ -266,6 +266,13 @@ class TestFit:
             MapHyperparams(valid_every=-1).validate()
         MapHyperparams(valid_every=0).validate()  # 0 means never
 
+    def test_hidden_dim_below_one_rejected(self):
+        for width in (0, -2):
+            with pytest.raises(ConfigError, match="hidden_dim must be >= 1"):
+                MapHyperparams(hidden_dim=width).validate()
+        MapHyperparams(hidden_dim=None).validate()  # None: the output dim
+        MapHyperparams(hidden_dim=1).validate()
+
 
 class TestTrainMapIntegration:
     def build(self, tmp_path, family="distmult"):
