@@ -175,12 +175,11 @@ def cmd_train_kgc(s: Settings) -> None:
     seed = s.get("seed")
     graph = _load_graph(s, open_world=False)
     hp = _build(s, models.KgcHyperparams)
-    valid_max_triples = s.get("valid-max-triples")
-    validator = None
-    if graph.valid:
-        validator = evaluation.closed_world_validator(graph, valid_max_triples)
+    # built without a valid split too, so a bad --valid-max-triples is rejected either way
+    validator = evaluation.closed_world_validator(graph, s.get("valid-max-triples"))
     model = models.train_kgc(graph, s.get("family"), hp, seed=stage_seed(seed, "kgc"),
-                             validator=validator, log_path=str(out / "train_log.tsv"))
+                             validator=validator if graph.valid else None,
+                             log_path=str(out / "train_log.tsv"))
     models.save_checkpoint(str(out / "kgc.ckpt"), model)
     write_manifest(out, "train-kgc", s.resolved)
 

@@ -11,15 +11,14 @@ candidates scoring equal to the target count against it.
 
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .graph import EntityText, KnowledgeGraph, Triple, build_filter_index
-from .mapping import MapModel, map_text_vector, mapped_entity_embedding
+from .mapping import MapModel, mapped_entity_embedding
 from .models import KgcModel, score_all_heads, score_all_tails
-from .text import NoTextError, WordEmbeddingStore, text_embedding
+from .text import NoTextError, WordEmbeddingStore
 
 SKIP_NO_METADATA = "no-metadata"
 SKIP_TARGET_FILTERING = "target-filtering"
@@ -52,10 +51,6 @@ class TripleResult:
     reason: str = ""
 
 
-def _mean(values: list) -> float:
-    return sum(values) / len(values) if values else float("nan")
-
-
 @dataclass
 class RankingReport:
     config: EvalConfig
@@ -79,20 +74,29 @@ class RankingReport:
 
     @property
     def mr(self) -> float:
-        return _mean(self._ranks())
+        ranks = self._ranks()
+        return sum(ranks) / len(ranks) if ranks else float("nan")
 
     @property
     def mrr_raw(self) -> float:
-        return _mean([1.0 / r.raw_rank for r in self.evaluated])
+        ev = self.evaluated
+        if not ev:
+            return float("nan")
+        return sum(1.0 / r.raw_rank for r in ev) / len(ev)
 
     @property
     def mrr_filtered(self) -> float:
-        return _mean([1.0 / r.filtered_rank for r in self.evaluated])
+        ev = self.evaluated
+        if not ev:
+            return float("nan")
+        return sum(1.0 / r.filtered_rank for r in ev) / len(ev)
 
     @property
     def hits(self) -> dict[int, float]:
         ranks = self._ranks()
-        return {k: _mean([x <= k for x in ranks]) for k in self.config.hits_k}
+        if not ranks:
+            return {k: float("nan") for k in self.config.hits_k}
+        return {k: sum(1 for x in ranks if x <= k) / len(ranks) for k in self.config.hits_k}
 
     def summary(self) -> dict[str, float | int]:
         out: dict[str, float | int] = {
@@ -231,16 +235,18 @@ def evaluate(
     def query_embedding(triple: Triple, query_id: int):
         if query_id < graph.num_entities:
             return emb.entity_embedding(query_id)
-        if query_id not in cache:
-            if map_model is None or word_store is None:
-                raise ValueError(
-                    "open-world query entity encountered but map_model/word_store missing"
-                )
-            meta = (metadata or {}).get(query_id)
-            if meta is None or meta.is_empty():
-                raise NoTextError(f"no metadata for open entity {query_id}")
-            cache[query_id] = mapped_entity_embedding(kgc_model, map_model, meta, word_store)
-        return cache[query_id]
+        if query_id in cache:
+            return cache[query_id]
+        if map_model is None or word_store is None:
+            raise ValueError(
+                "open-world query entity encountered but map_model/word_store missing"
+            )
+        meta = (metadata or {}).get(query_id)
+        if meta is None or meta.is_empty():
+            raise NoTextError(f"no metadata for open entity {query_id}")
+        mapped = mapped_entity_embedding(kgc_model, map_model, meta, word_store)
+        cache[query_id] = mapped
+        return mapped
 
     return _evaluate_core(kgc_model, graph, config, triples, filter_index, query_embedding)
 
@@ -278,30 +284,12 @@ def closed_world_validator(graph: KnowledgeGraph, max_triples: int | None = None
 def open_world_validator(kgc_model: KgcModel, graph: KnowledgeGraph,
                          metadata: dict[int, EntityText], word_store: WordEmbeddingStore):
     """Filtered tail MRR over ``graph.valid`` (0 when nothing is ranked), as
-    a ``map_model -> score`` callable for ``mapping.train_map``. The
-    train+valid filter index and the text vectors of the open query
-    entities are built once, here; a call maps each vector with the
-    candidate and ranks, as :func:`evaluate` would."""
+    a ``map_model -> score`` callable for ``mapping.train_map``."""
     config = EvalConfig(filter_splits=("train", "valid"))
-    filter_index = build_filter_index(graph, config.filter_splits, graph.valid)
-    emb = kgc_model.embeddings
-    vectors: dict[int, np.ndarray] = {}
-    for h in {h for h, _, _ in graph.valid if h >= graph.num_entities and h in metadata}:
-        with contextlib.suppress(NoTextError):  # no usable text: the triple is skipped
-            vectors[h] = text_embedding(metadata[h], word_store)
 
     def validator(map_model: MapModel) -> float:
-        mapped = {q: map_text_vector(kgc_model, map_model, v) for q, v in vectors.items()}
-
-        def query_embedding(triple: Triple, query_id: int):
-            if query_id < graph.num_entities:
-                return emb.entity_embedding(query_id)
-            if query_id not in mapped:
-                raise NoTextError(f"no usable text for open entity {query_id}")
-            return mapped[query_id]
-
-        report = _evaluate_core(kgc_model, graph, config, graph.valid, filter_index,
-                                query_embedding)
+        report = evaluate(kgc_model, graph, config, map_model, metadata, word_store,
+                          triples=graph.valid)
         return report.mrr_filtered if report.evaluated_count else 0.0
 
     return validator

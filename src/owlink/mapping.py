@@ -312,15 +312,21 @@ def build_training_pairs(
     ids: list[int] = []
     row_ids: list[np.ndarray] = []
     for eid in range(graph.num_entities):
-        if eid in metadata:
-            rows, _ = entity_tokens(metadata[eid], word_store)
-            if len(rows):
-                ids.append(eid)
-                row_ids.append(rows)
+        meta = metadata.get(eid)
+        if meta is None or meta.is_empty():
+            continue
+        rows, _ = entity_tokens(meta, word_store)
+        if not len(rows):
+            continue
+        ids.append(eid)
+        row_ids.append(rows)
     emb = kgc_model.embeddings
     idx = np.asarray(ids, dtype=np.int64)
-    u_imag = emb.entity_imag[idx] if emb.is_complex else None
-    return ids, row_ids, emb.entity_real[idx], u_imag
+    u_real = emb.entity_real[idx] if len(idx) else np.zeros((0, emb.dim))
+    u_imag = None
+    if emb.is_complex:
+        u_imag = emb.entity_imag[idx] if len(idx) else np.zeros((0, emb.dim))
+    return ids, row_ids, u_real, u_imag
 
 
 def train_map(
@@ -353,16 +359,6 @@ def train_map(
                    validator, log_path)
 
 
-def map_text_vector(kgc_model: KgcModel, map_model: MapModel, v: np.ndarray):
-    """Mapped embedding of one text embedding, shaped for the KGC family."""
-    real, imag = map_vector(map_model, v)
-    if kgc_model.family == "complex":
-        if imag is None:
-            raise ValueError("ComplEx model requires a paired (real+imag) transformation")
-        return real, imag
-    return real
-
-
 def mapped_entity_embedding(
     kgc_model: KgcModel,
     map_model: MapModel,
@@ -370,7 +366,13 @@ def mapped_entity_embedding(
     word_store: WordEmbeddingStore,
 ):
     """Text -> aggregated -> mapped embedding, shaped for the KGC family."""
-    return map_text_vector(kgc_model, map_model, text_embedding(meta, word_store))
+    v = text_embedding(meta, word_store)
+    real, imag = map_vector(map_model, v)
+    if kgc_model.family == "complex":
+        if imag is None:
+            raise ValueError("ComplEx model requires a paired (real+imag) transformation")
+        return real, imag
+    return real
 
 
 # Checkpoint format: models' checkpoint header and float32 blocks, with the

@@ -91,6 +91,10 @@ class TestTrainKgc:
         assert train_kgc(assets, assets / "o", extra) == 1
         assert f"valid max triples must be >= 1, got {cap}" in capsys.readouterr().err
         assert not (assets / "o" / "kgc.ckpt").exists()
+        # rejected without a valid split too, so no manifest records the bad value
+        assert train_kgc(assets, assets / "p", ["--valid-max-triples", cap]) == 1
+        assert f"valid max triples must be >= 1, got {cap}" in capsys.readouterr().err
+        assert not (assets / "p" / "manifest.txt").exists()
 
     def test_config_file_with_flag_override(self, assets):
         cfg = assets / "run.cfg"
