@@ -59,7 +59,8 @@ GRAPH = [Option("train", help="train triples TSV"), Option("valid", help="valida
 KGC = Option("kgc-checkpoint", help="model file written by train-kgc")
 MAP = Option("map-checkpoint", help="map file written by train-map")
 EMBEDDINGS = [Option("embeddings", help="word embedding text file"),
-              Option("phrase-template", default="{name}", help="vector key of a whole name")]
+              Option("phrase-template", text.check_phrase_template, "{name}",
+                     help="vector key of a whole name, with one {name} field")]
 TEXT = [Option("metadata", help="entity metadata TSV"), *EMBEDDINGS]
 KIND = Option("kind", default="affine", choices=mapping.KINDS)
 EVAL = [*_fields(evaluation.EvalConfig, "direction", "filter_splits", "target_filtering", "hits_k"),
@@ -144,15 +145,23 @@ def _load_graph(s: Settings, open_world: bool) -> graphmod.KnowledgeGraph:
                                _input_file(s, "test", False), open_world=open_world)
 
 
-def _word_vectors(s: Settings) -> text.WordEmbeddingStore:
-    return text.load_word_embeddings(_input_file(s, "embeddings"),
-                                     phrase_template=s.get("phrase-template"))
+def _word_vectors(s: Settings, metas) -> text.WordEmbeddingStore:
+    """The vectors of every key the text of ``metas`` can look up; the store
+    reuses the tokens collected for them."""
+    template = s.get("phrase-template")
+    keys, tokens = text.collect_keys(metas, template)
+    store = text.load_word_embeddings(_input_file(s, "embeddings"), template, keys)
+    store.tokens = tokens
+    return store
 
 
-def _load_text_assets(s: Settings, graph):
+def _load_text_assets(s: Settings, graph, open_only: bool = False):
+    """Raw and resolved metadata, and the vectors of every resolved entity
+    (of the open ones only with ``open_only``)."""
     raw_meta = graphmod.load_entity_text(_input_file(s, "metadata"))
-    store = _word_vectors(s)
-    return raw_meta, graphmod.resolve_metadata(raw_meta, graph), store
+    metadata = graphmod.resolve_metadata(raw_meta, graph)
+    metas = [m for e, m in metadata.items() if not open_only or graph.is_open(e)]
+    return raw_meta, metadata, _word_vectors(s, metas)
 
 
 def _load_kgc(s: Settings) -> models.KgcModel:
@@ -215,7 +224,7 @@ def cmd_eval(s: Settings) -> None:
     map_path = _input_file(s, "map-checkpoint", required=False)
     if map_path is not None:
         map_model = mapping.load_map(map_path)
-        _, metadata, store = _load_text_assets(s, graph)
+        _, metadata, store = _load_text_assets(s, graph, open_only=True)
     config = _eval_config(s)
     split = s.get("split")
     report = evaluation.evaluate(
@@ -286,9 +295,9 @@ def cmd_neighbors(s: Settings) -> None:
         query = kgc.embeddings.entity_embedding(eid)
     elif free_text is not None:
         map_path = _input_file(s, "map-checkpoint")
-        store = _word_vectors(s)
-        map_model = mapping.load_map(map_path)
         meta = graphmod.EntityText("query", free_text, description or "")
+        store = _word_vectors(s, [meta])
+        map_model = mapping.load_map(map_path)
         query = mapping.mapped_entity_embedding(kgc, map_model, meta, store)
     else:
         raise CliError("neighbors requires --entity or --text")

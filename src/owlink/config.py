@@ -43,7 +43,8 @@ class Items(tuple):
 
 @dataclass
 class Option:
-    """One option: its type (``int``, ``float``, ``str`` or ``bool``),
+    """One option: its type (``int``, ``float``, ``str`` or ``bool``, or a
+    function that returns a checked value or raises ``ValueError``),
     whether it is a comma list of that type, its choices and its default.
     A comma list's default is given as text and converted like a value."""
 
@@ -79,7 +80,9 @@ class Option:
         parts = [p for p in text.split(",") if p] if self.many else [text]
         try:
             values = [BOOL_WORDS[p.lower()] if self.type is bool else self.type(p) for p in parts]
-        except (KeyError, ValueError):
+        except (KeyError, ValueError) as exc:
+            if self.type not in _EXPECTED:  # a checking function says what is wrong
+                raise OptionError(str(exc)) from None
             raise OptionError(f"expected {self.expected()}, got {text!r}") from None
         if self.choices is not None and any(v not in self.choices for v in values):
             raise OptionError(f"expected {self.expected()}, got {text!r}")

@@ -22,7 +22,7 @@ import numpy as np
 from .graph import EntityText, KnowledgeGraph
 from .models import ConfigError, KgcModel, _flag, _positive_int, read_checkpoint, write_checkpoint
 from .optim import Adam
-from .text import WordEmbeddingStore, aggregate, entity_tokens, text_embedding
+from .text import WordEmbeddingStore, batch_mean, entity_tokens, text_embedding
 
 KINDS = ("linear", "affine", "mlp")
 LOSS_MODES = ("squared", "euclidean")
@@ -253,8 +253,8 @@ def fit_map(
     rng = np.random.default_rng(seed)
 
     resample = callable(inputs)
-    V0 = inputs(rng) if resample else np.asarray(inputs, dtype=np.float64)
-    m, in_dim = V0.shape
+    V = inputs(rng) if resample else np.asarray(inputs, dtype=np.float64)
+    m, in_dim = V.shape
     if m == 0:
         raise ConfigError("empty map training set")
     if len(targets_real) != m:
@@ -268,9 +268,9 @@ def fit_map(
     best_score = -np.inf
     best_params = None
     log_rows: list[str] = []
-    V = V0
     for epoch in range(1, hp.epochs + 1):
         if resample and epoch > 1:
+            del V  # the last epoch's inputs go before the next are averaged
             V = inputs(rng)
         perm = rng.permutation(m)
         epoch_loss = 0.0
@@ -342,9 +342,10 @@ def train_map(
 ) -> MapModel:
     """Train the text-to-graph transformation on training entities with text.
 
-    Word dropout (``hyperparams.dropout``) re-samples the aggregated text
-    embeddings every epoch. Raises :class:`ConfigError` when no training
-    entity has usable text.
+    The text embeddings of all training entities are averaged in one
+    :func:`text.batch_mean`; word dropout (``hyperparams.dropout``)
+    re-samples them every epoch. Raises :class:`ConfigError` when no
+    training entity has usable text.
     """
     hp = hyperparams if hyperparams is not None else MapHyperparams()
     hp.validate()
@@ -352,8 +353,11 @@ def train_map(
     if not ids:
         raise ConfigError("no training entity has usable textual metadata")
 
+    rows = np.concatenate(row_ids)
+    offsets = np.cumsum([0] + [len(r) for r in row_ids])
+
     def inputs(rng: np.random.Generator | None = None) -> np.ndarray:
-        return np.stack([aggregate(word_store.matrix[rows], hp.dropout, rng) for rows in row_ids])
+        return batch_mean(word_store.matrix, rows, offsets, hp.dropout, rng)
 
     return fit_map(inputs if hp.dropout > 0 else inputs(), u_real, u_imag, kind, hp, seed,
                    validator, log_path)

@@ -389,10 +389,18 @@ def gradients(
     return loss, flat
 
 
+# Entity rows per norm computation in normalize_entities; each row's sum is
+# the same reduction as over the whole table.
+NORM_BLOCK_ROWS = 1024
+
+
 def normalize_entities(emb: EmbeddingTable) -> None:
-    """L2-normalize entity rows in place (TransE convention); zero rows kept."""
-    norms = np.sqrt((emb.entity_real * emb.entity_real).sum(axis=1, keepdims=True))
-    np.divide(emb.entity_real, norms, out=emb.entity_real, where=norms > 0)
+    """L2-normalize entity rows in place (TransE convention); zero rows kept.
+    Rows go ``NORM_BLOCK_ROWS`` at a time, so no full-table temporary is made."""
+    for start in range(0, len(emb.entity_real), NORM_BLOCK_ROWS):
+        block = emb.entity_real[start:start + NORM_BLOCK_ROWS]
+        norms = np.sqrt((block * block).sum(axis=1, keepdims=True))
+        np.divide(block, norms, out=block, where=norms > 0)
 
 
 def train_kgc(

@@ -8,17 +8,36 @@ otherwise; description tokens after the name), and the mean of those
 rows is the text-based entity embedding. During training, word dropout
 replaces a random subset of the rows with zeros before averaging;
 dropped tokens still count in the denominator.
+
+A store need hold only the rows some metadata can look up: ``collect_keys``
+names them, and ``load_word_embeddings`` keeps those alone. ``batch_mean``
+averages many entities at once and is the one mean rule.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 import re
+import string
+from typing import Iterable
 
 import numpy as np
 
 from .graph import EntityText
 
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
+
+# Lines handed to numpy's text parser at a time by load_word_embeddings; the
+# chunk's text is held about three times over while it is parsed, and 1,024
+# lines were no faster.
+LOAD_CHUNK_LINES = 256
+# Vector rows (entities x positions) gathered at a time by batch_mean; at 300
+# columns a block stays in cache, and 2,048 rows were about 20 % slower.
+MEAN_BLOCK_ROWS = 512
+
+# ASCII characters numpy's parser reads as blanks that float() rejects.
+_PARSER_ONLY_BLANKS = "\x1c\x1d\x1e\x1f"
 
 
 class WordEmbeddingFormatError(ValueError):
@@ -27,6 +46,27 @@ class WordEmbeddingFormatError(ValueError):
 
 class NoTextError(ValueError):
     """Entity has no usable textual metadata."""
+
+
+def check_phrase_template(template: str) -> str:
+    """``template`` when its one replacement field is a bare ``{name}``.
+
+    Raises ``ValueError`` otherwise: a template without ``{name}`` would give
+    every name the same phrase key, and any other field cannot be filled.
+    """
+    try:
+        fields = [(f, spec, conv) for _, f, spec, conv in string.Formatter().parse(template)
+                  if f is not None]
+    except ValueError as exc:
+        raise ValueError(f"phrase template {template!r}: {exc}") from None
+    if fields != [("name", "", None)]:
+        raise ValueError(f"phrase template {template!r} must hold one {{name}} field "
+                         "and no other replacement field")
+    return template
+
+
+def _phrase_key(template: str, name: str) -> str:
+    return template.format(name="_".join(name.split()))
 
 
 class WordEmbeddingStore:
@@ -38,6 +78,11 @@ class WordEmbeddingStore:
     keyed for phrase lookup: ``{name}`` is replaced by the name's whitespace
     tokens joined with underscores (e.g. ``"ENTITY/{name}"`` for stores that
     prefix phrase keys).
+
+    The row ids of each name and description string are kept once looked up,
+    so a string is tokenized once per store; ``tokens`` holds ``tokenize``
+    results (by string) made before the store existed, such as those of
+    :func:`collect_keys`, to be used instead of tokenizing again.
     """
 
     def __init__(self, matrix: np.ndarray, rows: dict[str, int],
@@ -45,7 +90,9 @@ class WordEmbeddingStore:
         self.matrix = matrix
         self.rows = rows
         self.dim = matrix.shape[1]
-        self.phrase_template = phrase_template
+        self.phrase_template = check_phrase_template(phrase_template)
+        self.tokens: dict[str, list[str]] = {}
+        self._text_rows: dict[str, bytes] = {}
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -54,27 +101,142 @@ class WordEmbeddingStore:
         return token in self.rows
 
     def phrase_key(self, name: str) -> str:
-        return self.phrase_template.format(name="_".join(name.split()))
+        return _phrase_key(self.phrase_template, name)
+
+    def text_rows(self, text: str) -> bytes:
+        """The int64 row ids of the tokens of ``text`` (unknown tokens get the
+        zero row), as the bytes of the array: a kept string costs one small
+        object."""
+        rows = self._text_rows.get(text)
+        if rows is None:
+            tokens = self.tokens.pop(text, None)
+            if tokens is None:
+                tokens = tokenize(text)
+            unknown = len(self.rows)
+            rows = np.fromiter((self.rows.get(t, unknown) for t in tokens), np.int64,
+                               len(tokens)).tobytes()
+            self._text_rows[text] = rows
+        return rows
+
+    def name_rows(self, name: str) -> bytes:
+        """Like :meth:`text_rows`: the name's phrase row when the store has
+        one, else its token rows."""
+        phrase = self.rows.get(self.phrase_key(name))
+        return self.text_rows(name) if phrase is None else np.int64(phrase).tobytes()
 
 
-def load_word_embeddings(path: str, phrase_template: str = "{name}") -> WordEmbeddingStore:
+def collect_keys(metas: Iterable[EntityText], phrase_template: str = "{name}"
+                 ) -> tuple[set[str], dict[str, list[str]]]:
+    """Every store key the text of ``metas`` can look up, and the tokens of
+    each distinct name and description string.
+
+    The keys are each name's phrase key and the tokens of every name and
+    description; pass them to :func:`load_word_embeddings`, and the tokens
+    to the loaded store's ``tokens``, so no string is tokenized twice.
+    """
+    check_phrase_template(phrase_template)
+    tokens: dict[str, list[str]] = {}
+    keys: dict[str, str] = {}  # each key once, shared by every token list that holds it
+    for meta in metas:
+        for text in (meta.name, meta.description):
+            if text not in tokens:
+                tokens[text] = [keys.setdefault(t, t) for t in tokenize(text)]
+        if meta.name:
+            phrase = _phrase_key(phrase_template, meta.name)
+            keys[phrase] = phrase
+    return set(keys), tokens
+
+
+def _line_bound(path: str) -> int:
+    """At least the number of lines of the file (text mode ends a line at
+    "\\n", "\\r" or "\\r\\n"; the bytes up to "\\r" include all three)."""
+    with open(path, "rb") as fh:
+        return sum(np.count_nonzero(np.frombuffer(chunk, np.uint8) <= ord("\r"))
+                   for chunk in iter(lambda: fh.read(1 << 20), b""))
+
+
+def _parse_line(path: str, lineno: int, line: str, dim: int | None) -> tuple[str, list[float]]:
+    """One ``key value...`` line by the reference rule: fields split on single
+    spaces, empty fields ignored, each value read by ``float``."""
+    parts = line.split(" ")
+    try:
+        values = [float(x) for x in parts[1:] if x]
+    except ValueError as exc:
+        raise WordEmbeddingFormatError(f"{path}:{lineno}: {exc}") from None
+    if dim is None and not values:
+        raise WordEmbeddingFormatError(f"{path}:{lineno}: entry has no vector values")
+    if dim is not None and len(values) != dim:
+        raise WordEmbeddingFormatError(
+            f"{path}:{lineno}: vector length {len(values)} != expected {dim}")
+    if not all(map(math.isfinite, values)):
+        raise WordEmbeddingFormatError(f"{path}:{lineno}: non-finite vector value")
+    return parts[0], values
+
+
+def _parse_chunk(path: str, chunk: list[tuple[int, str]], dim: int
+                 ) -> tuple[list[str], np.ndarray]:
+    """Keys and (len, dim) values of a chunk's non-blank lines.
+
+    numpy's parser reads the chunk when every line is plain ASCII ``key
+    value...`` with single spaces; any chunk it rejects or mis-sizes is
+    read again line by line with :func:`_parse_line`, which names the line.
+    """
+    keys, bodies, linenos = [], [], []
+    for lineno, raw in chunk:
+        line = raw.rstrip("\n")
+        if line:
+            key, _, body = line.partition(" ")
+            keys.append(key)
+            bodies.append(body.strip(" "))
+            linenos.append(lineno)
+    if not bodies:
+        return keys, np.zeros((0, dim))
+    values = None
+    text = "\n".join(bodies)
+    if "" not in bodies and text.isascii() and not any(c in text for c in _PARSER_ONLY_BLANKS):
+        try:
+            values = np.loadtxt(bodies, dtype=np.float64, delimiter=" ", comments=None, ndmin=2)
+        except ValueError:
+            pass
+    if values is None or values.shape != (len(bodies), dim):
+        values = np.array([_parse_line(path, lineno, raw.rstrip("\n"), dim)[1]
+                           for lineno, raw in chunk if raw.rstrip("\n")], dtype=np.float64)
+    finite = np.isfinite(values).all(axis=1)
+    if not finite.all():
+        lineno = linenos[int(np.argmin(finite))]
+        raise WordEmbeddingFormatError(f"{path}:{lineno}: non-finite vector value")
+    return keys, values
+
+
+def load_word_embeddings(path: str, phrase_template: str = "{name}",
+                         keys: Iterable[str] | None = None) -> WordEmbeddingStore:
     """Load a text-format embedding file: token followed by decimals.
 
     A first line of exactly two integer fields ("count dim") is treated as
-    a header and consumed. A bound on the file's line count sizes the
-    matrix, and each vector is written into its row as it is parsed, so no
-    row is ever held twice. All vectors must share one dimension; a
-    mismatch raises :class:`WordEmbeddingFormatError` naming the line. A
-    repeated key keeps its first row and its last vector.
+    a header and consumed. Every line is parsed and checked, but only the
+    vectors of ``keys`` (all when None) are kept, so the store's memory
+    follows the rows a command can use, not the file. The matrix is sized
+    once, by the number of keys or a bound on the file's line count,
+    whichever is smaller, and each kept vector is written into its row as
+    it is parsed (the zero row last). The phrase template is checked before
+    the file is read. All vectors must share one dimension and be finite; a
+    bad line raises :class:`WordEmbeddingFormatError` naming it. A repeated
+    key keeps its first row and its last vector.
     """
+    check_phrase_template(phrase_template)
+    wanted = None if keys is None else set(keys)
+    bound = _line_bound(path) + 1
+    capacity = bound if wanted is None else min(len(wanted), bound)
     rows: dict[str, int] = {}
     matrix: np.ndarray | None = None
-    # Text mode ends a line at "\n", "\r" or "\r\n"; the bytes up to "\r" include both.
-    with open(path, "rb") as fh:
-        ends = sum(np.count_nonzero(np.frombuffer(chunk, np.uint8) <= ord("\r"))
-                   for chunk in iter(lambda: fh.read(1 << 20), b""))
+
+    def keep(key: str, vector) -> None:
+        if wanted is None or key in wanted:
+            matrix[rows.setdefault(key, len(rows))] = vector
+
     with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
+        numbered = enumerate(fh, 1)
+        for lineno, raw in numbered:  # up to the first vector, which sets the dimension
             line = raw.rstrip("\n")
             if not line:
                 continue
@@ -85,21 +247,16 @@ def load_word_embeddings(path: str, phrase_template: str = "{name}") -> WordEmbe
                     continue  # header "count dim"
                 except ValueError:
                     pass
-            try:
-                values = [float(x) for x in parts[1:] if x]
-            except ValueError as exc:
-                raise WordEmbeddingFormatError(f"{path}:{lineno}: {exc}") from None
-            if matrix is None:
-                if not values:
-                    raise WordEmbeddingFormatError(f"{path}:{lineno}: entry has no vector values")
-                matrix = np.empty((ends + 2, len(values)))  # every key's row and the zero row
-            elif len(values) != matrix.shape[1]:
-                raise WordEmbeddingFormatError(
-                    f"{path}:{lineno}: vector length {len(values)} != expected {matrix.shape[1]}"
-                )
-            matrix[rows.setdefault(parts[0], len(rows))] = values
-    if matrix is None:
-        raise WordEmbeddingFormatError(f"{path}: no embeddings found")
+            key, values = _parse_line(path, lineno, line, None)
+            matrix = np.empty((capacity + 1, len(values)))  # every kept row and the zero row
+            keep(key, values)
+            break
+        if matrix is None:
+            raise WordEmbeddingFormatError(f"{path}: no embeddings found")
+        for chunk in iter(lambda: list(itertools.islice(numbered, LOAD_CHUNK_LINES)), []):
+            chunk_keys, values = _parse_chunk(path, chunk, matrix.shape[1])
+            for key, vector in zip(chunk_keys, values):
+                keep(key, vector)
     matrix.resize((len(rows) + 1, matrix.shape[1]), refcheck=False)
     matrix[-1] = 0.0
     return WordEmbeddingStore(matrix, rows, phrase_template)
@@ -115,37 +272,70 @@ def entity_tokens(meta: EntityText, store: WordEmbeddingStore) -> tuple[np.ndarr
 
     The full name contributes a single phrase row when the store has one
     under the phrase key; otherwise the name is tokenized and looked up
-    token-wise. Returns the int64 row ids and the count of unknown tokens,
-    which get the zero row. Empty metadata yields no rows.
+    token-wise. Returns the int64 row ids (a read-only array) and the count
+    of unknown tokens, which get the zero row. Empty metadata yields no rows.
     """
-    keys: list[str] = []
-    if meta.name:
-        phrase = store.phrase_key(meta.name)
-        keys = [phrase] if phrase in store else tokenize(meta.name)
-    keys += tokenize(meta.description)
-    unknown = len(store)
-    rows = np.fromiter((store.rows.get(k, unknown) for k in keys), np.int64, len(keys))
-    return rows, int(np.count_nonzero(rows == unknown))
+    name = store.name_rows(meta.name) if meta.name else b""
+    rows = np.frombuffer(name + store.text_rows(meta.description), np.int64)
+    return rows, int(np.count_nonzero(rows == len(store)))
+
+
+def batch_mean(matrix: np.ndarray, rows: np.ndarray, offsets: np.ndarray,
+               dropout_rate: float = 0.0, rng: np.random.Generator | None = None) -> np.ndarray:
+    """Per entity i, the mean of ``matrix[rows[offsets[i]:offsets[i + 1]]]``,
+    where ``offsets`` runs from 0 to ``len(rows)``.
+
+    Word dropout replaces rows by zeros, one ``rng.random(len(rows))`` draw
+    per call (entity i's draws are those at its own offsets), but keeps each
+    denominator at the entity's row count; it is a training-time operation
+    and must be disabled (rate 0) at evaluation.
+
+    Entities of similar length are gathered together, about
+    ``MEAN_BLOCK_ROWS`` rows at a time, as an (entities, positions, dim)
+    block that is summed along positions. numpy adds those rows in order,
+    starting from +0.0, as ``matrix[rows_i].sum(axis=0)`` does, so each mean
+    is bit for bit that of the entity alone when rows have two or more
+    columns (numpy sums a single column pairwise). Dropped rows and the
+    padding after a shorter entity are set to +0.0: adding +0.0 leaves a sum
+    that starts at +0.0 unchanged, and a dropped finite row would only have
+    added a signed zero.
+    """
+    offsets = np.asarray(offsets, dtype=np.int64)
+    lengths = np.diff(offsets)
+    if not lengths.all():
+        raise NoTextError("cannot aggregate an empty embedding sequence")
+    if not 0.0 <= dropout_rate < 1.0:
+        raise ValueError(f"dropout_rate must be in [0, 1), got {dropout_rate}")
+    keep = None
+    if dropout_rate > 0.0:
+        if rng is None:
+            raise ValueError("dropout requires a random generator")
+        keep = rng.random(len(rows)) >= dropout_rate
+    out = np.empty((len(lengths), matrix.shape[1]))
+    if not len(lengths):
+        return out
+    order = np.argsort(lengths, kind="stable")
+    per_block = max(1, MEAN_BLOCK_ROWS // int(lengths.max()))
+    for start in range(0, len(order), per_block):
+        ids = order[start:start + per_block]
+        n = lengths[ids]  # ascending, so the last is the block's longest
+        at = offsets[ids, None] + np.arange(n[-1])
+        pad = at >= offsets[ids + 1, None]
+        at[pad] = 0
+        block = matrix[rows[at]]
+        block[pad if keep is None else pad | ~keep[at]] = 0.0
+        sums = block.sum(axis=1)
+        sums /= n[:, None]
+        out[ids] = sums
+    return out
 
 
 def aggregate(embeddings: np.ndarray, dropout_rate: float = 0.0,
               rng: np.random.Generator | None = None) -> np.ndarray:
-    """Mean of the rows of an (n, d) array, optionally with word dropout.
-
-    Dropout replaces rows by zeros, one ``rng.random(n)`` draw per call,
-    but keeps the denominator fixed at n; it is a training-time operation
-    and must be disabled (rate 0) at evaluation.
-    """
-    if not len(embeddings):
-        raise NoTextError("cannot aggregate an empty embedding sequence")
-    if not 0.0 <= dropout_rate < 1.0:
-        raise ValueError(f"dropout_rate must be in [0, 1), got {dropout_rate}")
-    if dropout_rate > 0.0:
-        if rng is None:
-            raise ValueError("dropout requires a random generator")
-        keep = rng.random(len(embeddings)) >= dropout_rate
-        embeddings = embeddings * keep[:, None]
-    return embeddings.sum(axis=0) / len(embeddings)
+    """Mean of the rows of an (n, d) array, optionally with word dropout:
+    :func:`batch_mean` of one entity, so one ``rng.random(n)`` draw per call."""
+    n = len(embeddings)
+    return batch_mean(embeddings, np.arange(n), np.array([0, n]), dropout_rate, rng)[0]
 
 
 def text_embedding(

@@ -30,7 +30,7 @@ from owlink.models import (
     train_kgc,
 )
 from owlink.sampler import SamplerConfig, SamplerError, sample_open_world, validate_split
-from owlink.text import load_word_embeddings
+from owlink.text import collect_keys, load_word_embeddings
 from helpers import (
     assert_reports_equal,
     brute_force_report,
@@ -418,7 +418,10 @@ def fb_assets():
     raw_meta = load_entity_text(os.path.join(DATASET_DIR, "metadata.tsv"))
     metadata = resolve_metadata(raw_meta, graph)
     template = os.environ.get("OWLINK_PHRASE_TEMPLATE", "{name}")
-    store = load_word_embeddings(EMBEDDING_PATH, phrase_template=template)
+    # only the vectors the metadata can use: the full Wikipedia2Vec file does not fit in memory
+    keys, tokens = collect_keys(metadata.values(), template)
+    store = load_word_embeddings(EMBEDDING_PATH, template, keys)
+    store.tokens = tokens
     hp = KgcHyperparams(dim=300, epochs=100, learning_rate=1e-3, batch_size=128)
     kgc = train_kgc(graph, "complex", hp, seed=0, validator=closed_world_validator(graph))
     return graph, kgc, raw_meta, metadata, store

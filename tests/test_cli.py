@@ -1,8 +1,10 @@
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import owlink.text as text
 from owlink.cli import DECLARED, OPTIONS, main
 from owlink.config import Option, Settings, load_config_file, stage_seed, write_manifest
 from helpers import write_triples
@@ -251,6 +253,22 @@ class TestPipeline:
         assert rows[-1].startswith("random-head-baseline")
 
 
+    def test_robustness_tokenizes_each_string_once(self, assets, monkeypatch):
+        kgc_out = assets / "kgc"
+        assert train_kgc(assets, kgc_out) == 0
+        calls = Counter()
+        tokenize = text.tokenize
+        monkeypatch.setattr(text, "tokenize", lambda s: calls.update([s]) or tokenize(s))
+        code = run([
+            "robustness", "--train", assets / "train.txt", "--test", assets / "test.txt",
+            "--kgc-checkpoint", kgc_out / "kgc.ckpt", "--metadata", assets / "metadata.tsv",
+            "--embeddings", assets / "vectors.txt", "--epochs", "2", "--dropout", "0.3",
+            "--fractions", "0,0.5", "--modes", "descriptions,all", "--out", assets / "r",
+        ])
+        assert code == 0
+        assert "w1 w2" in calls and max(calls.values()) == 1
+
+
 class TestSampleOwe:
     def test_writes_split_files(self, assets):
         out = assets / "owe"
@@ -378,6 +396,25 @@ class TestConfigChecks:
         code, err = self.run_with_config(assets, "kind=cubic\n", capsys)
         assert code == 1
         assert "run.cfg:1: kind: expected one of {linear,affine,mlp}" in err
+
+    def test_bad_phrase_template_names_file_line(self, assets, capsys):
+        code, err = self.run_with_config(assets, "phrase-template=ENTITY/\n", capsys)
+        assert code == 1
+        assert ("run.cfg:1: phrase-template: phrase template 'ENTITY/' must hold one "
+                "{name} field and no other replacement field") in err
+
+    @pytest.mark.parametrize("template", ["{nam}", "{0}", "ENTITY/", "{name"])
+    def test_bad_phrase_template_flag_is_a_usage_error(self, assets, capsys, template):
+        kgc_out = assets / "kgc"
+        assert train_kgc(assets, kgc_out) == 0
+        with pytest.raises(SystemExit) as exc:
+            run(["eval", "--train", assets / "train.txt", "--test", assets / "test.txt",
+                 "--kgc-checkpoint", kgc_out / "kgc.ckpt", "--metadata", assets / "metadata.tsv",
+                 "--embeddings", assets / "vectors.txt", "--out", assets / "e",
+                 "--phrase-template", template])
+        assert exc.value.code == 2
+        assert f"argument --phrase-template: phrase template {template!r}" in \
+            capsys.readouterr().err
 
     def test_bad_flag_value_is_a_usage_error(self, assets, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -8,6 +8,7 @@ from owlink.graph import Triple
 from owlink import models
 from owlink.models import (
     FAMILIES,
+    NORM_BLOCK_ROWS,
     SCORE_BLOCK_ROWS,
     ConfigError,
     EmbeddingTable,
@@ -16,6 +17,7 @@ from owlink.models import (
     gradients,
     init_embeddings,
     load_checkpoint,
+    normalize_entities,
     save_checkpoint,
     score,
     score_all_heads,
@@ -183,6 +185,19 @@ class TestScoreBlocks:
         better_or_tied = int((np.delete(scores, target) >= scores[target]).sum())
         assert rank_target(scores, target) == 1 + better_or_tied
         assert rank_target(scores, target) > rank_target(scores, target, exclude={last})
+
+
+class TestNormalizeBlocks:
+    @pytest.mark.parametrize("num_entities", [NORM_BLOCK_ROWS - 1, 2 * NORM_BLOCK_ROWS + 37])
+    def test_blocks_match_the_whole_table_bitwise(self, num_entities):
+        rng = np.random.default_rng(num_entities)
+        emb = random_model("transe", num_entities, 2, 7, rng).embeddings
+        emb.entity_real[[3, NORM_BLOCK_ROWS - 2, -1]] = 0.0  # zero rows stay zero
+        table = emb.entity_real.copy()
+        norms = np.sqrt((table * table).sum(axis=1, keepdims=True))
+        np.divide(table, norms, out=table, where=norms > 0)
+        normalize_entities(emb)
+        assert emb.entity_real.tobytes() == table.tobytes()
 
 
 class TestInvariants:

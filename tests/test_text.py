@@ -1,13 +1,20 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
 import owlink.mapping as mapping
+import owlink.text as text
 from owlink.graph import EntityText
 from owlink.mapping import MapHyperparams, train_map
 from owlink.text import (
+    LOAD_CHUNK_LINES,
     NoTextError,
     WordEmbeddingFormatError,
+    WordEmbeddingStore,
     aggregate,
+    batch_mean,
+    collect_keys,
     entity_tokens,
     load_word_embeddings,
     text_embedding,
@@ -64,6 +71,26 @@ class TestLoader:
         path.write_text("cat 1 oops 3\n")
         with pytest.raises(WordEmbeddingFormatError, match="vec.txt:1"):
             load_word_embeddings(str(path))
+
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan", "NaN", "1e400", "-Infinity"])
+    def test_non_finite_value_names_line(self, tmp_path, value):
+        path = tmp_path / "vec.txt"
+        path.write_text(f"cat 1 2 3\ndog 4 {value} 6\nemu 7 8 9\n")
+        with pytest.raises(WordEmbeddingFormatError, match=r"vec.txt:2: non-finite"):
+            load_word_embeddings(str(path))
+
+    @pytest.mark.parametrize("keys", [None, ["k0"]])
+    @pytest.mark.parametrize("tidy", [True, False])  # parsed in bulk, or line by line
+    def test_non_finite_value_names_line_in_any_chunk(self, tmp_path, keys, tidy):
+        lines = [f"k{i} {i} 1 2" for i in range(2 * LOAD_CHUNK_LINES + 5)]
+        lines[LOAD_CHUNK_LINES + 3] = "bad 1 nan 2"
+        if not tidy:
+            lines[LOAD_CHUNK_LINES + 1] = "k  1  2 3"
+        path = tmp_path / "vec.txt"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(WordEmbeddingFormatError,
+                           match=rf"vec.txt:{LOAD_CHUNK_LINES + 4}: non-finite"):
+            load_word_embeddings(str(path), keys=keys)
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "vec.txt"
@@ -132,6 +159,175 @@ class TestLoaderMatrix:
         path.write_text("ENTITY/Bram_Stoker 1\n")
         store = load_word_embeddings(str(path), phrase_template="ENTITY/{name}")
         assert store.phrase_key("Bram  Stoker") in store
+
+
+# ---------------------------------------------------------------------------
+# Reference: the per-line rule of the loader. Every load, with or without
+# keys, gives its rows bit for bit or its file:line error.
+
+
+def reference_load(path):
+    """Key -> vector in first-seen key order (a repeated key: first place,
+    last vector), or the WordEmbeddingFormatError of the first bad line."""
+    vectors = {}
+    dim = None
+    with open(path, encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, 1):
+            line = raw.rstrip("\n")
+            if not line:
+                continue
+            parts = line.split(" ")
+            if lineno == 1 and len(parts) == 2:
+                try:
+                    int(parts[0]), int(parts[1])
+                    continue
+                except ValueError:
+                    pass
+            try:
+                values = [float(x) for x in parts[1:] if x]
+            except ValueError as exc:
+                raise WordEmbeddingFormatError(f"{path}:{lineno}: {exc}") from None
+            if dim is None:
+                if not values:
+                    raise WordEmbeddingFormatError(f"{path}:{lineno}: entry has no vector values")
+                dim = len(values)
+            elif len(values) != dim:
+                raise WordEmbeddingFormatError(
+                    f"{path}:{lineno}: vector length {len(values)} != expected {dim}")
+            vectors[parts[0]] = values
+    if dim is None:
+        raise WordEmbeddingFormatError(f"{path}: no embeddings found")
+    return vectors
+
+
+# One odd line, written in place of the data line of key "s".
+ODD_LINES = {
+    "double_spaces": "s  1.5 -2.25  3",
+    "leading_space": " s 1 2 3",
+    "trailing_space": "s 1 2 3 ",
+    "trailing_spaces": "s 1 2 3   ",
+    "underscores": "s 1_0 2_5.0 3",
+    "tab_after_value": "s 1\t 2 3",
+    "exponents_and_signs": "s 1e-3 -2E+2 +.5",
+    "negative_zero": "s -0.0 0 -0",
+    "arabic_digits": "s \u0661 2 3",
+    "fullwidth_digit": "s \uff11 2 3",
+    "file_separator": "s 1\x1c 2 3",
+    "bad_value": "s 1 oops 3",
+    "hash": "s 1 2 #3",
+    "short_row": "s 1 2",
+    "long_row": "s 1 2 3 4",
+    "key_only": "s",
+    "key_and_space": "s ",
+    "blank": "",
+    "spaces_only": "   ",
+    "duplicate_key": "k0 9 8 7",
+    "header_like": "3 3",
+}
+LOADABLE = {"double_spaces", "trailing_space", "trailing_spaces", "underscores",
+            "tab_after_value", "exponents_and_signs", "negative_zero", "arabic_digits",
+            "fullwidth_digit", "blank", "duplicate_key"}
+
+
+def odd_file(path, odd, position, n_lines, header, end, trailing=""):
+    rng = np.random.default_rng(position)
+    lines = [f"k{i} " + " ".join(repr(x) for x in rng.normal(size=3).tolist()) + trailing
+             for i in range(n_lines)]
+    lines[position] = odd
+    if header:
+        lines.insert(0, f"{n_lines} 3")
+    path.write_bytes(end.join(lines + [""]).encode())
+
+
+def assert_load_matches_reference(path, keys) -> bool:
+    """Whether the file loads; either way the loader agrees with the reference."""
+    try:
+        expected = reference_load(str(path))
+    except WordEmbeddingFormatError as exc:
+        with pytest.raises(WordEmbeddingFormatError) as got:
+            load_word_embeddings(str(path), keys=keys)
+        assert str(got.value) == str(exc)
+        return False
+    if keys is not None:
+        expected = {k: v for k, v in expected.items() if k in keys}
+    store = load_word_embeddings(str(path), keys=keys)
+    assert list(store.rows) == list(expected)
+    table = np.asarray(list(expected.values()) + [[0.0] * 3], dtype=np.float64)
+    assert bits(store.matrix) == bits(table)
+    return True
+
+
+class TestLoaderEquivalence:
+    """Bulk parsing, its line-by-line fallback and the keys subset against
+    the per-line rule, with the odd line on both sides of chunk edges."""
+
+    @pytest.mark.parametrize("odd", sorted(ODD_LINES))
+    def test_odd_line_anywhere(self, tmp_path, monkeypatch, odd):
+        path = tmp_path / "vec.txt"
+        monkeypatch.setattr(text, "LOAD_CHUNK_LINES", 4)
+        n = 14  # chunks of 4 after the first vector line
+        loaded = []
+        for header in (False, True):
+            for end in ("\n", "\r\n"):
+                for position in (0, 1, 4, 5, 8, n - 1):
+                    odd_file(path, ODD_LINES[odd], position, n, header, end)
+                    # the odd line's key "s" is never asked for
+                    for keys in (None, {f"k{i}" for i in range(0, n, 3)} | {"missing"}):
+                        loaded.append(assert_load_matches_reference(path, keys))
+        if odd in LOADABLE:
+            assert all(loaded)
+        elif odd != "header_like":  # a header only on the first line
+            assert not any(loaded)
+
+    @pytest.mark.parametrize("odd", ["double_spaces", "bad_value", "short_row", "blank",
+                                     "trailing_space"])
+    def test_odd_line_at_a_real_chunk_edge(self, tmp_path, odd):
+        path = tmp_path / "vec.txt"
+        for position in (LOAD_CHUNK_LINES, LOAD_CHUNK_LINES + 1):
+            odd_file(path, ODD_LINES[odd], position, 2 * LOAD_CHUNK_LINES + 3, False, "\n")
+            for keys in (None, {"k1", "k2000"}):
+                assert assert_load_matches_reference(path, keys) == (odd in LOADABLE)
+
+    def test_every_line_with_a_trailing_space(self, tmp_path, monkeypatch):
+        path = tmp_path / "vec.txt"
+        calls = Counter()
+        parse_line = text._parse_line
+        monkeypatch.setattr(text, "_parse_line",
+                            lambda *a: calls.update(["line"]) or parse_line(*a))
+        odd_file(path, "k3 1 2 3 ", 3, 3000, True, "\n", trailing=" ")
+        for keys in (None, {"k7", "k2999"}):
+            assert assert_load_matches_reference(path, keys)
+        # word2vec's layout is read in bulk: only the first vector line goes line by line
+        store = load_word_embeddings(str(path))
+        assert len(store) == 3000 and calls["line"] == 3
+
+    def test_keys_keep_the_file_order_and_size_the_matrix(self, tmp_path):
+        path = tmp_path / "vec.txt"
+        path.write_text("emu 1 1\ncat 2 2\ndog 3 3\ncat 4 4\nyak 5 5\n")
+        store = load_word_embeddings(str(path), keys=["dog", "cat", "gnu"])
+        assert store.rows == {"cat": 0, "dog": 1}
+        np.testing.assert_array_equal(store.matrix, [[4, 4], [3, 3], [0, 0]])
+        assert load_word_embeddings(str(path), keys=[]).matrix.shape == (1, 2)
+
+
+class TestPhraseTemplate:
+    @pytest.mark.parametrize("template", ["{nam}", "{0}", "{}", "ENTITY/", "{name}{name}",
+                                          "{name}/{x}", "{name!r}", "{name:>9}", "{name.x}",
+                                          "{{name}}", "{name", "name}"])
+    def test_rejected_by_store_loader_and_collector(self, tmp_path, template):
+        path = tmp_path / "vec.txt"
+        path.write_text("cat 1\n")
+        with pytest.raises(ValueError, match="phrase template"):
+            WordEmbeddingStore(np.zeros((1, 1)), {}, template)
+        with pytest.raises(ValueError, match="phrase template"):
+            load_word_embeddings(str(path), phrase_template=template)
+        with pytest.raises(ValueError, match="phrase template"):
+            collect_keys([EntityText("E", "Bram Stoker")], template)
+
+    @pytest.mark.parametrize("template", ["{name}", "ENTITY/{name}", "{name}_(film)"])
+    def test_accepted(self, template):
+        store = WordEmbeddingStore(np.zeros((1, 1)), {}, template)
+        assert store.phrase_key("Bram  Stoker") == template.replace("{name}", "Bram_Stoker")
 
 
 class TestTokenize:
@@ -412,3 +608,64 @@ class TestReferenceMean:
         for _ in range(3):  # one re-sample per epoch, sharing the fit's generator
             expected = np.stack([reference_mean(s, dropout, rng_ref) for s in seqs])
             assert bits(inputs(rng_new)) == bits(expected)
+
+    def test_batch_mean_across_blocks_bitwise(self, monkeypatch):
+        vectors, metadata = seeded_text(3, n_entities=60)
+        store = store_from_vectors(vectors, 5)
+        seqs = [reference_sequence(m, vectors, "{name}", 5) for m in metadata.values()]
+        row_ids = [entity_tokens(m, store)[0] for m in metadata.values()]
+        kept = [i for i, s in enumerate(seqs) if s]
+        rows = np.concatenate([row_ids[i] for i in kept])
+        offsets = np.cumsum([0] + [len(row_ids[i]) for i in kept])
+        monkeypatch.setattr(text, "MEAN_BLOCK_ROWS", 24)  # a few entities per block
+        for rate in (0.0, 0.3, 0.7):
+            rng_new, rng_ref = np.random.default_rng(9), np.random.default_rng(9)
+            for _ in range(2):
+                out = batch_mean(store.matrix, rows, offsets, rate, rng_new)
+                expected = np.stack([reference_mean(seqs[i], rate, rng_ref) for i in kept])
+                assert bits(out) == bits(expected)
+
+    def test_batch_mean_rejects_an_entity_without_rows(self):
+        with pytest.raises(NoTextError):
+            batch_mean(np.ones((3, 2)), np.array([0, 1]), np.array([0, 2, 2]))
+        assert batch_mean(np.ones((3, 2)), np.zeros(0, np.int64), np.array([0])).shape == (0, 2)
+
+
+class TestCollectKeys:
+    """A store of only the collected keys gives every entity the same text."""
+
+    @pytest.mark.parametrize("template", ["{name}", "P/{name}"])
+    def test_subset_store_means_bitwise(self, tmp_path, template):
+        vectors, metadata = seeded_text(4)
+        vectors = {template.format(name=k) if i % 3 == 0 else k: v
+                   for i, (k, v) in enumerate(vectors.items())}
+        vectors.update({f"unused{i}": np.full(5, float(i)) for i in range(50)})
+        path = tmp_path / "vec.txt"
+        path.write_text("".join(f"{k} " + " ".join(repr(x) for x in v.tolist()) + "\n"
+                                for k, v in vectors.items()))
+        full = load_word_embeddings(str(path), template)
+        keys, tokens = collect_keys(metadata.values(), template)
+        subset = load_word_embeddings(str(path), template, keys)
+        subset.tokens = tokens
+        assert set(subset.rows) <= keys and len(subset) < len(full)
+        assert not any(k.startswith("unused") for k in subset.rows)
+        for meta in metadata.values():
+            rows_full, unknown_full = entity_tokens(meta, full)
+            rows_sub, unknown_sub = entity_tokens(meta, subset)
+            assert len(rows_sub) == len(rows_full) and unknown_sub == unknown_full
+            if len(rows_full):
+                assert bits(text_embedding(meta, subset)) == bits(text_embedding(meta, full))
+
+    def test_each_string_is_tokenized_once(self, monkeypatch):
+        vectors, metadata = seeded_text(2)
+        metas = list(metadata.values()) * 2
+        metas.append(EntityText("dup", metas[0].description, metas[0].name))
+        calls = Counter()
+        monkeypatch.setattr(text, "tokenize",
+                            lambda s: calls.update([s]) or tokenize(s))
+        keys, tokens = collect_keys(metas)
+        store = store_from_vectors({k: v for k, v in vectors.items() if k in keys}, 5)
+        store.tokens = tokens
+        for meta in metas:
+            entity_tokens(meta, store)
+        assert calls and max(calls.values()) == 1
