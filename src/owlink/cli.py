@@ -187,7 +187,7 @@ def cmd_train_kgc(s: Settings) -> None:
     # built without a valid split too, so a bad --valid-max-triples is rejected either way
     validator = evaluation.closed_world_validator(graph, s.get("valid-max-triples"))
     model = models.train_kgc(graph, s.get("family"), hp, seed=stage_seed(seed, "kgc"),
-                             validator=validator if graph.valid else None,
+                             validator=validator if len(graph.valid) else None,
                              log_path=str(out / "train_log.tsv"))
     models.save_checkpoint(str(out / "kgc.ckpt"), model)
     write_manifest(out, "train-kgc", s.resolved)
@@ -204,7 +204,7 @@ def cmd_train_map(s: Settings) -> None:
     kind = s.get("kind")
 
     validator = None
-    if graph.valid:
+    if len(graph.valid):
         validator = evaluation.open_world_validator(kgc, graph, metadata, store)
     map_model = mapping.train_map(
         kgc, graph, metadata, store, kind, hp,
@@ -217,6 +217,8 @@ def cmd_train_map(s: Settings) -> None:
 
 def cmd_eval(s: Settings) -> None:
     """Rank test triples and report metrics."""
+    split = s.get("split")
+    _require(s, split)  # the ranked file; an empty one ranks nothing
     out = _out_dir(s)
     graph = _load_graph(s, open_world=True)
     kgc = _load_kgc(s)
@@ -226,7 +228,6 @@ def cmd_eval(s: Settings) -> None:
         map_model = mapping.load_map(map_path)
         _, metadata, store = _load_text_assets(s, graph, open_only=True)
     config = _eval_config(s)
-    split = s.get("split")
     report = evaluation.evaluate(
         kgc, graph, config, map_model, metadata, store, triples=graph.split(split)
     )
@@ -238,6 +239,7 @@ def cmd_eval(s: Settings) -> None:
 
 def cmd_robustness(s: Settings) -> None:
     """Metadata-dropping robustness sweep."""
+    _require(s, "test")
     out = _out_dir(s)
     seed = s.get("seed")
     graph = _load_graph(s, open_world=True)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import EntityText, KnowledgeGraph, Triple, build_filter_index
+from .graph import EntityText, KnowledgeGraph, as_triples, build_filter_index, distinct
 from .mapping import MapModel, mapped_entity_embedding
 from .models import KgcModel, score_all_heads, score_all_tails
 from .text import NoTextError, WordEmbeddingStore
@@ -44,7 +44,7 @@ class EvalConfig:
 
 @dataclass
 class TripleResult:
-    triple: Triple
+    triple: list[int]  # head, rel, tail
     raw_rank: int | None = None
     filtered_rank: int | None = None
     skipped: bool = False
@@ -155,20 +155,22 @@ def _evaluate_core(
     kgc_model: KgcModel,
     graph: KnowledgeGraph,
     config: EvalConfig,
-    triples: list[Triple],
+    triples,
     filter_index,
     query_embedding,
 ) -> RankingReport:
-    """Shared ranking loop; ``query_embedding(triple, query_id)`` returns an
-    embedding (or pair), or raises NoTextError to skip the triple."""
+    """Shared ranking loop over the ``(head, rel, tail)`` rows of ``triples``;
+    ``query_embedding(triple, query_id)`` returns an embedding (or pair), or
+    raises NoTextError to skip the triple."""
     tail_direction = config.direction == "tail"
     num_e = graph.num_entities
     report = RankingReport(config)
 
-    known = graph.known_tails if tail_direction else graph.known_heads
+    if config.target_filtering:  # the known sets are built on first use
+        known = graph.known_tails if tail_direction else graph.known_heads
     cand_masks: dict[int, np.ndarray] = {}
 
-    for triple in triples:
+    for triple in as_triples(triples).tolist():
         h, r, t = triple
         query_id, target = (h, t) if tail_direction else (t, h)
         result = TripleResult(triple)
@@ -180,15 +182,13 @@ def _evaluate_core(
 
         candidate_mask = None
         if config.target_filtering:
-            allowed = known.get(r, set())
-            if target not in allowed:
+            candidate_mask = cand_masks.get(r)
+            if candidate_mask is None:
+                candidate_mask = cand_masks[r] = np.zeros(num_e, dtype=bool)
+                candidate_mask[known[r]] = True
+            if not candidate_mask[target]:
                 result.skipped, result.reason = True, SKIP_TARGET_FILTERING
                 continue
-            if r not in cand_masks:
-                m = np.zeros(num_e, dtype=bool)
-                m[list(allowed)] = True
-                cand_masks[r] = m
-            candidate_mask = cand_masks[r]
 
         try:
             embedding = query_embedding(triple, query_id)
@@ -216,7 +216,7 @@ def evaluate(
     map_model: MapModel | None = None,
     metadata: dict[int, EntityText] | None = None,
     word_store: WordEmbeddingStore | None = None,
-    triples: list[Triple] | None = None,
+    triples=None,
 ) -> RankingReport:
     """Rank every test triple and aggregate MR / MRR / Hits@k.
 
@@ -232,7 +232,7 @@ def evaluate(
     emb = kgc_model.embeddings
     cache: dict[int, object] = {}
 
-    def query_embedding(triple: Triple, query_id: int):
+    def query_embedding(triple, query_id: int):
         if query_id < graph.num_entities:
             return emb.entity_embedding(query_id)
         if query_id in cache:
@@ -263,10 +263,10 @@ def closed_world_validator(graph: KnowledgeGraph, max_triples: int | None = None
     configs = [EvalConfig(direction=d, filter_splits=("train", "valid")) for d in ("tail", "head")]
 
     def validator(kgc_model: KgcModel) -> float:
-        if not triples:
+        if len(triples) == 0:
             return 0.0
 
-        def query_embedding(triple: Triple, query_id: int):
+        def query_embedding(triple, query_id: int):
             return kgc_model.embeddings.entity_embedding(query_id)
 
         tails, heads = [
@@ -300,7 +300,7 @@ def random_head_baseline(
     graph: KnowledgeGraph,
     config: EvalConfig | None = None,
     seed: int = 0,
-    triples: list[Triple] | None = None,
+    triples=None,
 ) -> RankingReport:
     """Evaluation with each query entity's embedding replaced by that of a
     uniformly sampled training head (tail direction) or tail (head
@@ -313,12 +313,11 @@ def random_head_baseline(
     rng = np.random.default_rng(seed)
 
     position = 0 if config.direction == "tail" else 2
-    pool = sorted({trip[position] for trip in graph.train})
-    if not pool:
+    pool_arr = distinct(graph.train[:, position])
+    if len(pool_arr) == 0:
         raise ValueError("empty training split")
-    pool_arr = np.asarray(pool, dtype=np.int64)
 
-    def query_embedding(triple: Triple, query_id: int):
+    def query_embedding(triple, query_id: int):
         replacement = int(pool_arr[rng.integers(0, len(pool_arr))])
         return emb.entity_embedding(replacement)
 

@@ -10,17 +10,30 @@ On-disk formats:
 Entity and relation ids are interned to dense integers (first occurrence
 wins, file order). Open-world entities (unseen in train) get ids starting
 at ``num_entities``, so a single integer id space covers both vocabularies.
+
+Each split is an ``(n, 3)`` int64 array of ``(head, rel, tail)`` rows,
+read ``LOAD_CHUNK_LINES`` lines at a time. The train entities seen per
+relation (``known_tails``/``known_heads``) are sorted id arrays in CSR
+form, and the filter index is built from packed integer keys.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import logging
 import re
-from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, NoReturn
+
+import numpy as np
 
 logger = logging.getLogger(__name__)
+
+# Lines of a triple file split and interned at a time. A chunk's field
+# strings are freed before the next is read, so only the names the
+# vocabularies keep stay resident.
+LOAD_CHUNK_LINES = 4096
 
 
 class ParseError(ValueError):
@@ -41,6 +54,27 @@ class Triple(NamedTuple):
     tail: int
 
 
+def as_triples(rows) -> np.ndarray:
+    """``rows`` (an array or an iterable of ``(head, rel, tail)``; none when
+    None) as an ``(n, 3)`` int64 array."""
+    if rows is None:
+        return np.empty((0, 3), dtype=np.int64)
+    if not isinstance(rows, np.ndarray):
+        rows = list(rows)
+    return np.asarray(rows, dtype=np.int64).reshape(-1, 3)
+
+
+def distinct(values: np.ndarray) -> np.ndarray:
+    """The sorted distinct entries of an integer array. Same as ``np.unique``
+    without its hash table, which took 16 ms against 0.7 ms on 77k packed
+    keys, and without the import of ``numpy.ma`` (about 15 ms) on its first
+    call in a process."""
+    values = np.sort(values, axis=None)
+    keep = np.ones(len(values), dtype=bool)
+    np.not_equal(values[1:], values[:-1], out=keep[1:])
+    return values[keep]
+
+
 class Vocab:
     """Interns string ids to dense contiguous indices, first occurrence wins."""
 
@@ -49,16 +83,18 @@ class Vocab:
     def __init__(self, names: Iterable[str] = ()) -> None:
         self._index: dict[str, int] = {}
         self._names: list[str] = []
-        for name in names:
-            self.intern(name)
+        self.extend(names)
 
-    def intern(self, name: str) -> int:
-        idx = self._index.get(name)
-        if idx is None:
-            idx = len(self._names)
-            self._index[name] = idx
-            self._names.append(name)
-        return idx
+    def extend(self, names: Iterable[str]) -> None:
+        """Intern every name not yet present, in first-occurrence order."""
+        fresh = list(itertools.filterfalse(self._index.__contains__, dict.fromkeys(names)))
+        self._index.update(zip(fresh, range(len(self._names), len(self._names) + len(fresh))))
+        self._names.extend(fresh)
+
+    def ids(self, names: list[str]) -> np.ndarray:
+        """The ids of ``names`` as int64, -1 where a name is not interned."""
+        return np.fromiter(map(self._index.get, names, itertools.repeat(-1)),
+                           dtype=np.int64, count=len(names))
 
     def get(self, name: str) -> int | None:
         return self._index.get(name)
@@ -92,9 +128,30 @@ class EntityText:
         return not self.name and not self.description
 
 
+class RelationIds:
+    """Sorted distinct entity ids per relation, in CSR form: relation ``r``
+    holds ``ids[offsets[r]:offsets[r + 1]]``; a relation past the last
+    holds none."""
+
+    __slots__ = ("ids", "offsets")
+
+    def __init__(self, relations: np.ndarray, entities: np.ndarray) -> None:
+        base = int(entities.max(initial=0)) + 1
+        keys = distinct(relations * base + entities)
+        self.ids = keys % base
+        num_relations = int(relations.max(initial=-1)) + 1
+        self.offsets = np.searchsorted(keys // base, np.arange(num_relations + 1))
+
+    def __getitem__(self, rel: int) -> np.ndarray:
+        if not 0 <= rel < len(self.offsets) - 1:
+            return self.ids[:0]
+        return self.ids[self.offsets[rel]:self.offsets[rel + 1]]
+
+
 class KnowledgeGraph:
     """Immutable interned triple store with train/valid/test splits.
 
+    Each split is an ``(n, 3)`` int64 array of ``(head, rel, tail)`` rows.
     Ids below ``num_entities`` are closed-world (seen in train); ids at or
     above it index the separate open-entity vocabulary.
     """
@@ -103,25 +160,27 @@ class KnowledgeGraph:
         self,
         entities: Vocab,
         relations: Vocab,
-        train: list[Triple],
-        valid: list[Triple] | None = None,
-        test: list[Triple] | None = None,
+        train,
+        valid=None,
+        test=None,
         open_entities: Vocab | None = None,
     ) -> None:
         self.entities = entities
         self.relations = relations
         self.open_entities = open_entities if open_entities is not None else Vocab()
-        self.train = list(train)
-        self.valid = list(valid) if valid else []
-        self.test = list(test) if test else []
+        self.train = as_triples(train)
+        self.valid = as_triples(valid)
+        self.test = as_triples(test)
 
-        self.known_tails: dict[int, set[int]] = defaultdict(set)
-        self.known_heads: dict[int, set[int]] = defaultdict(set)
-        for h, r, t in self.train:
-            self.known_tails[r].add(t)
-            self.known_heads[r].add(h)
-        self.known_tails = dict(self.known_tails)
-        self.known_heads = dict(self.known_heads)
+    @functools.cached_property
+    def known_tails(self) -> RelationIds:
+        """The tails each relation has in train."""
+        return RelationIds(self.train[:, 1], self.train[:, 2])
+
+    @functools.cached_property
+    def known_heads(self) -> RelationIds:
+        """The heads each relation has in train."""
+        return RelationIds(self.train[:, 1], self.train[:, 0])
 
     @property
     def num_entities(self) -> int:
@@ -153,20 +212,11 @@ class KnowledgeGraph:
             return len(self.entities) + open_idx
         return None
 
-    def split(self, name: str) -> list[Triple]:
+    def split(self, name: str) -> np.ndarray:
         try:
             return {"train": self.train, "valid": self.valid, "test": self.test}[name]
         except KeyError:
             raise ValueError(f"unknown split {name!r}") from None
-
-
-def _parse_triple_line(line: str, path: str, lineno: int) -> tuple[str, str, str]:
-    fields = line.split("\t")
-    if len(fields) != 3:
-        raise ParseError(
-            f"{path}:{lineno}: expected 3 tab-separated fields, got {len(fields)}"
-        )
-    return fields[0], fields[1], fields[2]
 
 
 def _read_split(
@@ -177,51 +227,96 @@ def _read_split(
     split: str,
     extend_vocab: bool,
     open_world: bool,
-) -> list[Triple]:
-    triples: list[Triple] = []
-    seen: set[Triple] = set()
-    duplicates = 0
+) -> np.ndarray:
+    chunks = []
+    with open(path, encoding="utf-8") as fh:
+        for raw in iter(lambda: list(itertools.islice(fh, LOAD_CHUNK_LINES)), []):
+            rows = _chunk_triples("".join(raw).split("\n"), entities, relations,
+                                  open_entities, extend_vocab, open_world)
+            if rows is None:
+                _raise_first_bad_line(path, entities, relations, extend_vocab, open_world)
+            chunks.append(rows)
+    triples = np.concatenate(chunks) if chunks else as_triples(None)
+    first = _first_occurrences(triples)
+    duplicates = len(triples) - len(first)
+    if duplicates:
+        logger.warning("%s: dropped %d duplicate triples in %s split", path, duplicates, split)
+        triples = triples[first]
+    return triples
+
+
+def _chunk_triples(
+    lines: list[str],
+    entities: Vocab,
+    relations: Vocab,
+    open_entities: Vocab,
+    extend_vocab: bool,
+    open_world: bool,
+) -> np.ndarray | None:
+    """The triples of the non-blank ``lines``, interned in line order, or
+    None (with nothing interned) when a line fails a check."""
+    lines = list(filter(None, lines))
+    if set(map(str.count, lines, itertools.repeat("\t"))) - {2}:
+        return None
+    fields = "\t".join(lines).split("\t") if lines else []
+    rels = fields[1::3]
+    del fields[1::3]  # heads and tails, interleaved in line order
+    if extend_vocab:
+        entities.extend(fields)
+        relations.extend(rels)
+    rel_ids = relations.ids(rels)
+    ent_ids = entities.ids(fields)
+    unknown = np.flatnonzero(ent_ids < 0)
+    if (rel_ids < 0).any() or (len(unknown) and not open_world):
+        return None
+    if len(unknown):
+        names = [fields[i] for i in unknown.tolist()]
+        open_entities.extend(names)
+        ent_ids[unknown] = len(entities) + open_entities.ids(names)
+    rows = np.empty((len(rels), 3), dtype=np.int64)
+    rows[:, 0] = ent_ids[0::2]
+    rows[:, 1] = rel_ids
+    rows[:, 2] = ent_ids[1::2]
+    return rows
+
+
+def _raise_first_bad_line(
+    path: str, entities: Vocab, relations: Vocab, extend_vocab: bool, open_world: bool
+) -> NoReturn:
+    """Raise the error of the first line of ``path`` that fails the line rule:
+    three fields, then (unless the vocabulary is being built) a known
+    relation, then a known head and tail (unless ``open_world``)."""
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.rstrip("\r\n")
             if not line:
                 continue
-            h, r, t = _parse_triple_line(line, path, lineno)
+            fields = line.split("\t")
+            if len(fields) != 3:
+                raise ParseError(
+                    f"{path}:{lineno}: expected 3 tab-separated fields, got {len(fields)}")
+            h, r, t = fields
             if extend_vocab:
-                hid = entities.intern(h)
-                rid = relations.intern(r)
-                tid = entities.intern(t)
-            else:
-                rid = relations.get(r)
-                if rid is None:
-                    raise VocabularyError(f"{path}:{lineno}: unknown relation {r!r}")
-                hid = _resolve_entity(h, entities, open_entities, open_world, path, lineno)
-                tid = _resolve_entity(t, entities, open_entities, open_world, path, lineno)
-            triple = Triple(hid, rid, tid)
-            if triple in seen:
-                duplicates += 1
                 continue
-            seen.add(triple)
-            triples.append(triple)
-    if duplicates:
-        logger.warning("%s: dropped %d duplicate triples in %s split", path, duplicates, split)
-    return triples
+            if r not in relations:
+                raise VocabularyError(f"{path}:{lineno}: unknown relation {r!r}")
+            for name in (h, t):
+                if not open_world and name not in entities:
+                    raise VocabularyError(
+                        f"{path}:{lineno}: unknown entity {name!r} in closed-world mode")
+    raise AssertionError(f"{path}: a chunk failed a check that none of its lines fails")
 
 
-def _resolve_entity(
-    name: str,
-    entities: Vocab,
-    open_entities: Vocab,
-    open_world: bool,
-    path: str,
-    lineno: int,
-) -> int:
-    idx = entities.get(name)
-    if idx is not None:
-        return idx
-    if not open_world:
-        raise VocabularyError(f"{path}:{lineno}: unknown entity {name!r} in closed-world mode")
-    return len(entities) + open_entities.intern(name)
+def _first_occurrences(triples: np.ndarray) -> np.ndarray:
+    """Sorted row indices of the first occurrence of each distinct triple."""
+    if not len(triples):
+        return np.arange(0)
+    entity_base = int(max(triples[:, 0].max(), triples[:, 2].max())) + 1
+    rel_base = int(triples[:, 1].max()) + 1
+    packed = (triples[:, 0] * rel_base + triples[:, 1]) * entity_base + triples[:, 2]
+    _, first = np.unique(packed, return_index=True)
+    first.sort()
+    return first
 
 
 def load_graph(
@@ -237,18 +332,18 @@ def load_graph(
     interned into a separate open-entity vocabulary (ids offset by
     ``num_entities``); otherwise they raise :class:`VocabularyError`.
     Unknown relations are always an error. Duplicate triples within a split
-    are dropped with a warning.
+    are dropped with a warning; the first occurrence of each is kept.
     """
     entities = Vocab()
     relations = Vocab()
     open_entities = Vocab()
     train = _read_split(train_path, entities, relations, open_entities,
                         "train", extend_vocab=True, open_world=False)
-    valid = []
+    valid = None
     if valid_path is not None:
         valid = _read_split(valid_path, entities, relations, open_entities,
                             "valid", extend_vocab=False, open_world=open_world)
-    test = []
+    test = None
     if test_path is not None:
         test = _read_split(test_path, entities, relations, open_entities,
                            "test", extend_vocab=False, open_world=open_world)
@@ -280,7 +375,7 @@ class FilterIndex:
 def build_filter_index(
     graph: KnowledgeGraph,
     splits: Iterable[str] = ("train", "valid", "test"),
-    triples: Iterable[Triple] | None = None,
+    triples=None,
 ) -> FilterIndex:
     """Index (h, r) -> {t} and (r, t) -> {h} over the chosen splits.
 
@@ -290,18 +385,40 @@ def build_filter_index(
     """
     splits = tuple(splits)
     indexed = [graph.split(name) for name in splits]
-    queried = [trip for rows in indexed for trip in rows] if triples is None else list(triples)
-    true_tails = {key: set() for key in {(h, r) for h, r, _ in queried}}
-    true_heads = {key: set() for key in {(r, t) for _, r, t in queried}}
+    if triples is None:
+        queried = np.concatenate([as_triples(None), *indexed])
+    else:
+        queried = as_triples(triples)
+    base = 1 + max(int(rows.max(initial=0)) for rows in [queried, *indexed])
+    return FilterIndex(_true_sets(indexed, queried, base, (0, 1), 2),
+                       _true_sets(indexed, queried, base, (1, 2), 0), splits)
+
+
+def _true_sets(indexed: list[np.ndarray], queried: np.ndarray, base: int,
+               key: tuple[int, int], value: int) -> dict[tuple[int, int], set[int]]:
+    """For each distinct pair of ``key`` columns in ``queried``, the set of
+    ``value`` column entries of the ``indexed`` rows with that pair. A pair
+    is packed as ``first * base + second``."""
+    a, b = key
+    wanted = distinct(queried[:, a] * base + queried[:, b])
+    if not len(wanted):
+        return {}
+    # A binary search into the few queried keys: np.isin compares every row
+    # with each of them when they are few (4-7 ms against 1.4-1.8 ms per
+    # split and direction on owe-complex's 72k train rows and 87 keys).
+    slots, values = [], []
     for rows in indexed:
-        for h, r, t in rows:
-            tails = true_tails.get((h, r))
-            if tails is not None:
-                tails.add(t)
-            heads = true_heads.get((r, t))
-            if heads is not None:
-                heads.add(h)
-    return FilterIndex(true_tails, true_heads, splits)
+        packed = rows[:, a] * base + rows[:, b]
+        slot = np.searchsorted(wanted, packed)
+        hit = wanted[np.minimum(slot, len(wanted) - 1)] == packed
+        slots.append(slot[hit])
+        values.append(rows[hit, value])
+    slot = np.concatenate(slots)
+    order = np.argsort(slot)
+    bounds = np.searchsorted(slot[order], np.arange(len(wanted) + 1)).tolist()
+    values = np.concatenate(values)[order].tolist()
+    return {divmod(k, base): set(values[bounds[i]:bounds[i + 1]])
+            for i, k in enumerate(wanted.tolist())}
 
 
 _ESCAPED = re.compile(r"\\([tn\\])")

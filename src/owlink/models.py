@@ -424,7 +424,7 @@ def train_kgc(
     hp.validate()
     if family not in FAMILIES:
         raise ConfigError(f"unknown model family {family!r}")
-    if not graph.train:
+    if len(graph.train) == 0:
         raise ConfigError("cannot train on an empty train split")
 
     rng = np.random.default_rng(seed)
@@ -432,7 +432,7 @@ def train_kgc(
     model = KgcModel(family, emb, hp)
     adam = Adam(lr=hp.learning_rate)
 
-    train = np.asarray(graph.train, dtype=np.int64)
+    train = graph.train
     n = len(train)
     num_e = graph.num_entities
     K = hp.num_negatives

@@ -76,7 +76,7 @@ def sample_open_world(graph: KnowledgeGraph, config: SamplerConfig) -> OwSplit:
     config.validate()
     rng = np.random.default_rng(config.seed)
 
-    train = list(graph.train)
+    train = list(map(Triple, *graph.train.T.tolist()))
     heads = sorted({h for h, _, _ in train})
     if config.head_count is not None:
         n_extract = min(config.head_count, len(heads))

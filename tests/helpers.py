@@ -3,9 +3,12 @@ independent brute-force ranking oracle (explicit candidate lists, sorted)."""
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 
-from owlink.graph import EntityText, KnowledgeGraph, Triple, load_graph
+from owlink.graph import (EntityText, KnowledgeGraph, ParseError, Triple, VocabularyError,
+                          load_graph)
 from owlink.models import EmbeddingTable, KgcHyperparams, KgcModel, score_all_heads, score_all_tails
 from owlink.mapping import mapped_entity_embedding
 from owlink.text import NoTextError, WordEmbeddingStore
@@ -41,6 +44,61 @@ def graph_from_triples(tmp_path, train, valid=None, test=None, open_world=False)
         str(test_path) if test_path else None,
         open_world=open_world,
     )
+
+
+def reference_load_graph(train_path, valid_path=None, test_path=None, open_world=False):
+    """Independent line-by-line loader, the oracle of ``load_graph``: one
+    ``Triple`` and one set lookup per line, known sets as per-relation sets.
+    Returns the vocabularies (name -> id dicts), each split's triples, each
+    split's duplicate count and the train tails and heads of each relation."""
+    entities, relations, open_entities = {}, {}, {}
+
+    def entity(name, path, lineno):
+        idx = entities.get(name)
+        if idx is not None:
+            return idx
+        if not open_world:
+            raise VocabularyError(f"{path}:{lineno}: unknown entity {name!r} in closed-world mode")
+        return len(entities) + open_entities.setdefault(name, len(open_entities))
+
+    def read(path, extend_vocab):
+        triples, seen, duplicates = [], set(), 0
+        with open(path, encoding="utf-8") as fh:
+            for lineno, raw in enumerate(fh, 1):
+                line = raw.rstrip("\r\n")
+                if not line:
+                    continue
+                fields = line.split("\t")
+                if len(fields) != 3:
+                    raise ParseError(
+                        f"{path}:{lineno}: expected 3 tab-separated fields, got {len(fields)}")
+                h, r, t = fields
+                if extend_vocab:
+                    triple = Triple(entities.setdefault(h, len(entities)),
+                                    relations.setdefault(r, len(relations)),
+                                    entities.setdefault(t, len(entities)))
+                else:
+                    rid = relations.get(r)
+                    if rid is None:
+                        raise VocabularyError(f"{path}:{lineno}: unknown relation {r!r}")
+                    triple = Triple(entity(h, path, lineno), rid, entity(t, path, lineno))
+                if triple in seen:
+                    duplicates += 1
+                    continue
+                seen.add(triple)
+                triples.append(triple)
+        return triples, duplicates
+
+    splits, duplicates = {}, {}
+    for name, path in (("train", train_path), ("valid", valid_path), ("test", test_path)):
+        splits[name], duplicates[name] = read(path, name == "train") if path else ([], 0)
+    known_tails, known_heads = {}, {}
+    for h, r, t in splits["train"]:
+        known_tails.setdefault(r, set()).add(t)
+        known_heads.setdefault(r, set()).add(h)
+    return SimpleNamespace(entities=entities, relations=relations, open_entities=open_entities,
+                           splits=splits, duplicates=duplicates,
+                           known_tails=known_tails, known_heads=known_heads)
 
 
 def random_model(family, num_entities, num_relations, dim, rng, scale=1.0):

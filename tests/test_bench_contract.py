@@ -10,6 +10,7 @@ scores, and scores once per evaluated query.
 
 import importlib
 import importlib.util
+import logging
 import sys
 from pathlib import Path
 
@@ -95,3 +96,61 @@ def test_eval_loads_filter_index_before_scoring(assets, direction, monkeypatch, 
     evaluated = int(summary.split("evaluated=")[1].split()[0])
     assert evaluated > 0
     assert calls.count(scoring) == evaluated
+
+
+# Graph internals the benchmark reads: perfbench/child.py parses the
+# duplicate warning, perfbench/spans.py sizes the filter index, and
+# perfbench/checks.py and run.py call the sampler and the baseline.
+
+CHECKS = load_perfbench("checks")
+
+
+def test_duplicate_warning_carries_the_count(tmp_path, caplog):
+    from helpers import write_triples
+    from owlink.graph import load_graph
+
+    write_triples(tmp_path / "train.txt", [("a", "r", "b"), ("a", "r", "b"), ("b", "r", "a"),
+                                           ("b", "r", "a"), ("a", "r", "b")])
+    with caplog.at_level(logging.WARNING, logger="owlink.graph"):
+        load_graph(str(tmp_path / "train.txt"))
+    (record,) = caplog.records
+    assert record.msg == "%s: dropped %d duplicate triples in %s split"
+    assert "duplicate triples" in record.msg and record.args[1] == 3
+    assert record.getMessage().endswith("dropped 3 duplicate triples in train split")
+
+
+def test_filter_index_holds_one_sized_set_per_queried_key(assets):
+    from owlink.graph import build_filter_index, load_graph
+
+    graph = load_graph(str(assets / "train.txt"), str(assets / "valid.txt"),
+                       str(assets / "test.txt"), open_world=True)
+    queried = [*graph.test, *graph.test[:1]]  # a repeated key counts once
+    index = build_filter_index(graph, ("train", "valid", "test"), queried)
+    assert len(index.true_tails) == len({(h, r) for h, r, _ in graph.test.tolist()})
+    assert len(index.true_heads) == len({(r, t) for _, r, t in graph.test.tolist()})
+    for h, r, t in graph.test.tolist():
+        assert isinstance(index.tails(h, r), set) and t in index.tails(h, r)
+        assert isinstance(index.heads(r, t), set) and h in index.heads(r, t)
+    assert len(index.tails(10 ** 6, 0)) == 0 and len(index.heads(0, 10 ** 6)) == 0
+
+
+def test_validate_split_accepts_split_rebuilt_from_files(assets, capsys):
+    argv = ["sample-owe", "--train", assets / "train.txt", "--head-fraction", "0.25",
+            "--seed", "2", "--out", assets / "owe"]
+    assert main([str(a) for a in argv]) == 0, capsys.readouterr().err
+    assert CHECKS.split_is_valid(assets / "owe") == []
+
+
+def test_random_head_baseline_on_a_slice_of_test(assets, capsys):
+    from test_cli import train_kgc
+
+    from owlink.evaluation import EvalConfig, random_head_baseline
+    from owlink.graph import load_graph
+    from owlink.models import load_checkpoint
+
+    assert train_kgc(assets, assets / "kgc") == 0, capsys.readouterr().err
+    graph = load_graph(str(assets / "train.txt"), test_path=str(assets / "train.txt"))
+    kgc = load_checkpoint(str(assets / "kgc" / "kgc.ckpt"))
+    report = random_head_baseline(kgc, graph, EvalConfig(), seed=1, triples=graph.test[:5])
+    assert [res.triple for res in report.results] == graph.test[:5].tolist()
+    assert report.evaluated_count == 5

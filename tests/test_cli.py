@@ -98,6 +98,13 @@ class TestTrainKgc:
         assert f"valid max triples must be >= 1, got {cap}" in capsys.readouterr().err
         assert not (assets / "p" / "manifest.txt").exists()
 
+    def test_blank_train_file_rejected(self, assets, capsys):
+        (assets / "blank.txt").write_text("\n\n\r\n\n")
+        code = run(["train-kgc", "--train", assets / "blank.txt", "--out", assets / "o"])
+        assert code == 1
+        assert "cannot train on an empty train split" in capsys.readouterr().err
+        assert not (assets / "o" / "kgc.ckpt").exists()
+
     def test_config_file_with_flag_override(self, assets):
         cfg = assets / "run.cfg"
         cfg.write_text("family=transe\ndim=6\nepochs=2\nlearning-rate=0.01\n"
@@ -147,6 +154,19 @@ class TestPipeline:
         assert len(report) == 4  # header + 3 test triples
         summary = (eval_out / "summary.txt").read_text()
         assert "mrr_filtered=" in summary and "evaluated=3" in summary
+
+    def test_train_map_with_empty_valid_file_runs_without_validator(self, assets, capsys):
+        assert train_kgc(assets, assets / "kgc") == 0
+        (assets / "empty.txt").write_text("")
+        code = run([
+            "train-map", "--train", assets / "train.txt", "--valid", assets / "empty.txt",
+            "--kgc-checkpoint", assets / "kgc" / "kgc.ckpt",
+            "--metadata", assets / "metadata.tsv", "--embeddings", assets / "vectors.txt",
+            "--epochs", "3", "--valid-every", "1", "--batch-size", "4", "--out", assets / "map",
+        ])
+        assert code == 0, capsys.readouterr().err
+        rows = (assets / "map" / "map_log.tsv").read_text().splitlines()
+        assert len(rows) == 4 and all(row.endswith("\t") for row in rows[1:])  # no valid_score
 
     def test_train_map_zero_hidden_dim_rejected(self, assets, capsys):
         assert train_kgc(assets, assets / "kgc") == 0
@@ -267,6 +287,43 @@ class TestPipeline:
         ])
         assert code == 0
         assert "w1 w2" in calls and max(calls.values()) == 1
+
+
+class TestRankedSplitRequired:
+    """eval ranks the file of --split and robustness that of --test: a
+    missing flag is an error, an empty file ranks nothing."""
+
+    def command(self, assets, name, *drop):
+        assert train_kgc(assets, assets / "kgc") == 0
+        files = {"--train": assets / "train.txt", "--valid": assets / "valid.txt",
+                 "--test": assets / "test.txt"}
+        argv = [name, "--kgc-checkpoint", assets / "kgc" / "kgc.ckpt", "--out", assets / name]
+        for flag, path in files.items():
+            if flag not in drop:
+                argv += [flag, path]
+        return argv
+
+    @pytest.mark.parametrize("split", ["valid", "test"])
+    def test_eval_without_the_split_file(self, assets, capsys, split):
+        argv = self.command(assets, "eval", f"--{split}") + ["--split", split]
+        assert run(argv) == 1
+        assert f"missing required option --{split}" in capsys.readouterr().err
+        assert not (assets / "eval").exists()
+
+    def test_robustness_without_test_file(self, assets, capsys):
+        argv = self.command(assets, "robustness", "--test") + [
+            "--metadata", assets / "metadata.tsv", "--embeddings", assets / "vectors.txt"]
+        assert run(argv) == 1
+        assert "missing required option --test" in capsys.readouterr().err
+        assert not (assets / "robustness").exists()
+
+    def test_eval_of_an_empty_file_ranks_nothing(self, assets, capsys):
+        (assets / "empty.txt").write_text("")
+        argv = self.command(assets, "eval", "--valid") + [
+            "--valid", assets / "empty.txt", "--split", "valid"]
+        assert run(argv) == 0, capsys.readouterr().err
+        summary = (assets / "eval" / "summary.txt").read_text()
+        assert "evaluated=0" in summary and "mrr_filtered=nan" in summary
 
 
 class TestSampleOwe:

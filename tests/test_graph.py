@@ -1,9 +1,11 @@
 import logging
 import random
+import re
 
 import numpy as np
 import pytest
 
+import owlink.graph as graphmod
 from owlink.graph import (
     EntityText,
     KnowledgeGraph,
@@ -21,7 +23,7 @@ from owlink.graph import (
     save_triples,
     unescape_field,
 )
-from helpers import graph_from_triples, write_triples
+from helpers import graph_from_triples, reference_load_graph, write_triples
 
 
 TRAIN = [("a", "r", "b"), ("a", "r", "c"), ("b", "s", "c")]
@@ -32,11 +34,11 @@ class TestLoadGraph:
         g = graph_from_triples(tmp_path, TRAIN)
         assert g.entities.names == ["a", "b", "c"]
         assert g.relations.names == ["r", "s"]
-        assert g.train == [Triple(0, 0, 1), Triple(0, 0, 2), Triple(1, 1, 2)]
+        assert np.array_equal(g.train, [Triple(0, 0, 1), Triple(0, 0, 2), Triple(1, 1, 2)])
 
     def test_empty_test_file_loads(self, tmp_path):
         g = graph_from_triples(tmp_path, TRAIN, test=[])
-        assert g.test == []
+        assert g.test.shape == (0, 3)
 
     def test_duplicate_dropped_and_reported(self, tmp_path, caplog):
         with caplog.at_level(logging.WARNING, logger="owlink.graph"):
@@ -62,7 +64,7 @@ class TestLoadGraph:
                                open_world=True)
         assert g.num_entities == 3
         assert g.num_open_entities == 2
-        assert g.test[0].head == 3 and g.test[1].head == 4
+        assert g.test[0, 0] == 3 and g.test[1, 0] == 4
         assert g.is_open(3) and not g.is_open(0)
         assert g.entity_name(3) == "new1"
         assert g.entity_id("new2") == 4
@@ -74,15 +76,123 @@ class TestLoadGraph:
         g = graph_from_triples(tmp_path, TRAIN)
         for r in range(g.num_relations):
             expected = {t for (_, rr, t) in g.train if rr == r}
-            assert g.known_tails.get(r, set()) == expected
+            assert g.known_tails[r].tolist() == sorted(expected)
 
     def test_round_trip(self, tmp_path):
         g = graph_from_triples(tmp_path, TRAIN)
         save_triples(str(tmp_path / "out.txt"), g, g.train)
         g2 = load_graph(str(tmp_path / "out.txt"))
-        assert g2.train == g.train
+        assert np.array_equal(g2.train, g.train)
         assert g2.entities == g.entities
         assert g2.relations == g.relations
+
+
+def write_lines(path, lines, rng):
+    """``lines`` with a random mix of LF and CRLF endings; sometimes none
+    after the last line."""
+    text = "".join(line + rng.choice(["\n", "\r\n"]) for line in lines)
+    if lines and rng.random() < 0.3:
+        text = text.rstrip("\r\n")
+    path.write_bytes(text.encode("utf-8"))
+    return str(path)
+
+
+class TestLoaderMatchesLineLoop:
+    """``load_graph`` reads chunks of ``LOAD_CHUNK_LINES`` lines; a few-line
+    chunk puts blank lines, duplicates and bad lines on both sides of many
+    chunk boundaries. The oracle is the line loop in helpers.py."""
+
+    @staticmethod
+    def random_files(rng, tmp_path, open_world):
+        entities = [f"e{i}" for i in range(rng.randint(2, 9))] + ["é\u00fc"]
+        relations = [f"r{i}" for i in range(rng.randint(1, 4))]
+
+        def lines(count, heads, rels, tails):
+            out = []
+            for _ in range(count):
+                roll = rng.random()
+                if roll < 0.15:
+                    out.append("")
+                elif roll < 0.35 and out:
+                    out.append(rng.choice(out))  # a duplicate, near or far
+                else:
+                    out.append(f"{rng.choice(heads)}\t{rng.choice(rels)}\t{rng.choice(tails)}")
+            return out
+
+        train = lines(rng.randint(1, 40), entities, relations, entities)
+        used = [f for line in train if line for f in line.split("\t")]
+        known = [e for e in entities if e in used] or entities[:1]
+        known_rels = [r for r in relations if r in used] or relations[:1]
+        if not any(train):
+            train.append(f"{known[0]}\t{known_rels[0]}\t{known[0]}")
+        opens = [f"o{i}" for i in range(rng.randint(1, 4))] if open_world else []
+        paths = [write_lines(tmp_path / "train.txt", train, rng)]
+        for name in ("valid", "test"):
+            split = lines(rng.randint(0, 15), known + opens, known_rels, known + opens)
+            paths.append(write_lines(tmp_path / f"{name}.txt", split, rng))
+        return paths
+
+    def test_same_graph_as_line_loop(self, tmp_path, monkeypatch, caplog):
+        rng = random.Random(808)
+        for case in range(300):
+            monkeypatch.setattr(graphmod, "LOAD_CHUNK_LINES", rng.randint(3, 7))
+            open_world = rng.random() < 0.5
+            paths = self.random_files(rng, tmp_path, open_world)
+            ref = reference_load_graph(*paths, open_world=open_world)
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="owlink.graph"):
+                g = load_graph(*paths, open_world=open_world)
+            assert g.entities.names == list(ref.entities), case
+            assert g.relations.names == list(ref.relations), case
+            assert g.open_entities.names == list(ref.open_entities), case
+            for name in ("train", "valid", "test"):
+                assert g.split(name).dtype == np.int64 and g.split(name).shape[1:] == (3,)
+                assert g.split(name).tolist() == [list(t) for t in ref.splits[name]], (case, name)
+            dropped = {rec.args[2]: rec.args[1] for rec in caplog.records}
+            assert dropped == {k: v for k, v in ref.duplicates.items() if v}, case
+            for r in range(g.num_relations):
+                assert g.known_tails[r].tolist() == sorted(ref.known_tails.get(r, ())), case
+                assert g.known_heads[r].tolist() == sorted(ref.known_heads.get(r, ())), case
+
+    BAD = {
+        "malformed": lambda rng: rng.choice(["e0\tr0", "e0\tr0\te1\te0", "e0", "\t\t\t"]),
+        "relation": lambda rng: rng.choice(["e0\tnope\te1", "zz\tnope\tyy"]),
+        "entity": lambda rng: rng.choice(["zz\tr0\te1", "e0\tr0\tzz", "zz\tr0\tyy"]),
+    }
+
+    @pytest.mark.parametrize("where", ["first", "middle", "last", "two-in-one-chunk"])
+    @pytest.mark.parametrize("file, kind", [("train", "malformed"), ("test", "malformed"),
+                                            ("test", "relation"), ("test", "entity")])
+    def test_bad_line_raises_line_loop_error(self, tmp_path, monkeypatch, file, kind, where):
+        rng = random.Random(f"{file}-{kind}-{where}")
+        for _ in range(20):
+            chunk = rng.randint(3, 7)
+            monkeypatch.setattr(graphmod, "LOAD_CHUNK_LINES", chunk)
+            good = [f"e{rng.randint(0, 3)}\tr{rng.randint(0, 1)}\te{rng.randint(0, 3)}"
+                    for _ in range(rng.randint(2 * chunk, 5 * chunk))]
+            good += ["e0\tr0\te1", "e2\tr1\te3", ""]
+            rng.shuffle(good)
+            bad = [self.BAD[kind](rng)]
+            if where == "two-in-one-chunk":
+                bad.append(self.BAD[rng.choice(list(self.BAD))](rng))
+            size = len(good) + len(bad)
+            first_of_chunk = {"first": 0, "middle": (size // chunk // 2) * chunk,
+                              "last": (size - 1) // chunk * chunk}.get(where)
+            if first_of_chunk is None:
+                first_of_chunk = rng.randrange(0, size - chunk + 1, chunk)
+            spots = sorted(rng.sample(range(first_of_chunk, min(first_of_chunk + chunk, size)),
+                                      len(bad)))
+            lines = list(good)
+            for spot, line in zip(spots, bad):
+                lines.insert(spot, line)
+            files = {"train": good, "test": ["e1\tr0\te2"]}
+            files[file] = lines
+            paths = [write_lines(tmp_path / "train.txt", files["train"], rng), None,
+                     write_lines(tmp_path / "test.txt", files["test"], rng)]
+            with pytest.raises((ParseError, VocabularyError)) as expected:
+                reference_load_graph(*paths)
+            with pytest.raises(type(expected.value), match=re.escape(str(expected.value))):
+                load_graph(*paths)
 
 
 class TestFilterIndex:
@@ -133,7 +243,7 @@ class TestRestrictedFilterIndex:
             g, n_ids, n_r = self.random_split_graph(rng)
             splits = split_choices[int(rng.integers(len(split_choices)))]
             # queried triples: some from the splits, some with keys no split holds
-            pool = g.train + g.valid + g.test
+            pool = [*g.train, *g.valid, *g.test]
             queried = [pool[int(i)] for i in rng.integers(len(pool), size=int(rng.integers(0, 8)))]
             queried += [Triple(int(rng.integers(n_ids + 2)), int(rng.integers(n_r)),
                                int(rng.integers(n_ids + 2))) for _ in range(int(rng.integers(0, 4)))]

@@ -81,7 +81,7 @@ class TestHandVerified:
         cfg = SamplerConfig(seed=1, head_fraction=0.0,
                             closed_valid_fraction=0.0, open_valid_fraction=0.0)
         split = sample_open_world(g, cfg)
-        assert split.train == g.train
+        assert split.train == [Triple(*row) for row in g.train.tolist()]
         assert split.test_tail == [] and split.test_head == []
         assert split.open_entities == []
 
@@ -108,7 +108,7 @@ class TestInvariants:
         kept = (set(split.train) | set(split.valid_closed) | set(split.test_tail)
                 | set(split.test_head) | set(split.valid_open_tail)
                 | set(split.valid_open_head))
-        assert kept <= set(g.train)
+        assert kept <= {Triple(*row) for row in g.train.tolist()}
 
     def test_closed_valid_entities_stay_represented(self, tmp_path):
         g = chain_graph(tmp_path)
