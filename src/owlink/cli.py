@@ -78,8 +78,8 @@ OPTIONS = {command: {o.name: o for o in COMMON + options} for command, options i
     "robustness": [*GRAPH, KGC, *TEXT, KIND, *EVAL,
                    *_fields(mapping.MapHyperparams, "epochs", "learning_rate", "batch_size",
                             "dropout"),
-                   Option("fractions", float, "0,0.2,0.4,0.6,0.8,0.9,1.0", many=True,
-                          help="drop fractions"),
+                   Option("fractions", sampler.check_fraction, "0,0.2,0.4,0.6,0.8,0.9,1.0",
+                          many=True, help="comma list of metadata drop fractions in [0, 1]"),
                    Option("modes", default="descriptions,all", choices=sampler.MODES, many=True)],
     "neighbors": [*GRAPH, KGC, MAP, *EMBEDDINGS, Option("entity", help="external entity id"),
                   Option("text", help="free-text entity name"),
@@ -87,7 +87,8 @@ OPTIONS = {command: {o.name: o for o in COMMON + options} for command, options i
                   Option("k", int, 10, help="number of neighbors")],
     "sample-owe": [GRAPH[0], *_fields(sampler.SamplerConfig)],
     "drop-metadata": [TEXT[0], Option("mode", default="descriptions", choices=sampler.MODES),
-                      Option("fraction", float, 0.0)],
+                      Option("fraction", sampler.check_fraction, 0.0,
+                             help="fraction of entities to corrupt, in [0, 1]")],
 }.items()}
 DECLARED = {name: o for options in OPTIONS.values() for name, o in options.items()}
 
@@ -315,9 +316,10 @@ def cmd_neighbors(s: Settings) -> None:
 
 def cmd_sample_owe(s: Settings) -> None:
     """Construct an open-world split."""
+    config = _build(s, sampler.SamplerConfig)
+    config.validate()
     out = _out_dir(s)
     graph = graphmod.load_graph(_input_file(s, "train"))
-    config = _build(s, sampler.SamplerConfig)
     split = sampler.sample_open_world(graph, config)
     violations = sampler.validate_split(split)
     if violations:
@@ -334,7 +336,7 @@ def cmd_sample_owe(s: Settings) -> None:
     for name, triples in files.items():
         graphmod.save_triples(str(out / name), graph, triples)
     (out / "open_entities.txt").write_text(
-        "".join(graph.entity_name(e) + "\n" for e in split.open_entities), encoding="utf-8"
+        "".join(name + "\n" for name in graph.entity_names[split.open_entities]), encoding="utf-8"
     )
     resolved = dict(s.resolved)
     resolved.update({f"count_{k}": v for k, v in split.manifest.items()})

@@ -197,10 +197,14 @@ class KnowledgeGraph:
     def is_open(self, entity_id: int) -> bool:
         return entity_id >= len(self.entities)
 
+    @functools.cached_property
+    def entity_names(self) -> np.ndarray:
+        """The external id of every entity as an object array indexed by
+        entity id: the closed-world names, then the open ones."""
+        return np.array(self.entities.names + self.open_entities.names, dtype=object)
+
     def entity_name(self, entity_id: int) -> str:
-        if self.is_open(entity_id):
-            return self.open_entities.name(entity_id - len(self.entities))
-        return self.entities.name(entity_id)
+        return self.entity_names[entity_id]
 
     def entity_id(self, name: str) -> int | None:
         """Resolve an external string id against both vocabularies."""
@@ -350,11 +354,13 @@ def load_graph(
     return KnowledgeGraph(entities, relations, train, valid, test, open_entities)
 
 
-def save_triples(path: str, graph: KnowledgeGraph, triples: list[Triple]) -> None:
-    """Write triples back to TSV using external string ids."""
+def save_triples(path: str, graph: KnowledgeGraph, triples: np.ndarray) -> None:
+    """Write ``(n, 3)`` triples back to TSV using external string ids."""
+    names = graph.entity_names
+    relation_names = np.array(graph.relations.names, dtype=object)
     with open(path, "w", encoding="utf-8") as fh:
-        for h, r, t in triples:
-            fh.write(f"{graph.entity_name(h)}\t{graph.relations.name(r)}\t{graph.entity_name(t)}\n")
+        fh.writelines(map("{}\t{}\t{}\n".format, names[triples[:, 0]].tolist(),
+                          relation_names[triples[:, 1]].tolist(), names[triples[:, 2]].tolist()))
 
 
 @dataclass

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import KnowledgeGraph, Triple
+from .graph import KnowledgeGraph
 from .optim import Adam
 
 FAMILIES = ("transe", "distmult", "complex")
@@ -369,7 +369,7 @@ def _logistic_batch(family, emb, hp, pos, neg, d):
 
 
 def gradients(
-    model: KgcModel, positive: Triple, negatives: list[Triple]
+    model: KgcModel, positive: tuple[int, int, int], negatives: list[tuple[int, int, int]]
 ) -> tuple[float, dict[GradKey, np.ndarray]]:
     """Loss and per-row gradients for a single positive with its negatives.
 

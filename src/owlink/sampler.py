@@ -10,16 +10,20 @@ and relation are still represented in the reduced train set. Two
 validation splits are carved out: a closed-world one from train and an
 open-world one from each test pool.
 
+The triple fields of :class:`OwSplit` are ``(n, 3)`` int64 arrays, the
+format of the graph's splits: the sampler works on ``graph.train`` with
+masks. :func:`validate_split` accepts any ``(head, rel, tail)`` rows.
+
 Outputs are deterministic: same graph + config gives byte-identical files.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .graph import EntityText, KnowledgeGraph, Triple
+from .graph import EntityText, KnowledgeGraph, _first_occurrences, as_triples, distinct
 
 MODES = ("descriptions", "all")
 
@@ -51,24 +55,33 @@ class SamplerConfig:
 
 @dataclass
 class OwSplit:
-    train: list[Triple]
-    test_tail: list[Triple]              # open head, known relation, known tail
-    test_head: list[Triple]              # known head, known relation, open tail
-    valid_closed: list[Triple]
-    valid_open_tail: list[Triple]
-    valid_open_head: list[Triple]
+    train: np.ndarray
+    test_tail: np.ndarray                # open head, known relation, known tail
+    test_head: np.ndarray                # known head, known relation, open tail
+    valid_closed: np.ndarray
+    valid_open_tail: np.ndarray
+    valid_open_head: np.ndarray
     open_entities: list[int]
     manifest: dict[str, object] = field(default_factory=dict)
 
 
-def _entity_and_relation_sets(triples) -> tuple[set[int], set[int]]:
-    entities: set[int] = set()
-    relations: set[int] = set()
-    for h, r, t in triples:
-        entities.add(h)
-        entities.add(t)
-        relations.add(r)
-    return entities, relations
+_TRIPLE_FIELDS = ("train", "test_tail", "test_head", "valid_closed",
+                  "valid_open_tail", "valid_open_head")
+
+
+def _presence(ids, size: int) -> np.ndarray:
+    """A boolean array of ``size`` that is True at each of ``ids``."""
+    present = np.zeros(size, dtype=bool)
+    present[ids] = True
+    return present
+
+
+def _rows_in_order(rows: np.ndarray, order: np.ndarray):
+    """``(index, [head, rel, tail])`` for the rows at ``order``, converted a few
+    thousand at a time, so that no Python list per row of all of train is held."""
+    for start in range(0, len(order), 4096):
+        block = order[start:start + 4096]
+        yield from zip(block.tolist(), rows[block].tolist())
 
 
 def sample_open_world(graph: KnowledgeGraph, config: SamplerConfig) -> OwSplit:
@@ -76,163 +89,137 @@ def sample_open_world(graph: KnowledgeGraph, config: SamplerConfig) -> OwSplit:
     config.validate()
     rng = np.random.default_rng(config.seed)
 
-    train = list(map(Triple, *graph.train.T.tolist()))
-    heads = sorted({h for h, _, _ in train})
+    train = graph.train
+    heads = distinct(train[:, 0])
     if config.head_count is not None:
         n_extract = min(config.head_count, len(heads))
     else:
         n_extract = int(round(config.head_fraction * len(heads)))
-    sampled = [heads[i] for i in rng.choice(len(heads), size=n_extract, replace=False)]
-    open_set = set(sampled)
+    sampled = heads[rng.choice(len(heads), size=n_extract, replace=False)]
 
-    # One pass: a triple leaves train with whichever of its head and tail
-    # comes first in ``sampled`` (the head when both are the same entity),
-    # into that entity's tail-pool bucket if it is the head, else its dropped
-    # bucket. The pools are the buckets in ``sampled`` order; the final
-    # filters below drop the triples whose other end is no longer in train.
-    position = {x: i for i, x in enumerate(sampled)}
-    moved: list[list[Triple]] = [[] for _ in sampled]
-    dropped: list[list[Triple]] = [[] for _ in sampled]
-    remaining = []
-    for trip in train:
-        i = position.get(trip.head, n_extract)
-        j = position.get(trip.tail, n_extract)
-        if i < n_extract and i <= j:
-            moved[i].append(trip)
-        elif j < n_extract:
-            dropped[j].append(trip)
-        else:
-            remaining.append(trip)
-    train = remaining
-    tail_pool = [trip for bucket in moved for trip in bucket]
-    dropped_pool = [trip for bucket in dropped for trip in bucket]
+    # A triple leaves train with whichever of its head and tail comes first
+    # in ``sampled`` (the head when both are the same entity): into the tail
+    # pool if it is the head, else into the dropped pool. A pool holds the
+    # rows of each entity in ``sampled`` order, in train order within one
+    # entity; the final filters below drop the triples whose other end is
+    # no longer in train.
+    size = int(train.max(initial=-1)) + 1  # past every entity and relation id
+    position = np.full(size, n_extract)
+    position[sampled] = np.arange(n_extract)
+    i, j = position[train[:, 0]], position[train[:, 2]]
+    to_tail = (i < n_extract) & (i <= j)
+    to_drop = ~to_tail & (j < n_extract)
+    tail_pool = train[to_tail][np.argsort(i[to_tail], kind="stable")]
+    dropped_pool = train[to_drop][np.argsort(j[to_drop], kind="stable")]
+    train = train[~(to_tail | to_drop)]
 
-    if not train:
+    if not len(train):
         raise SamplerError("sampling would empty the train set")
 
     # Closed-world validation: random train triples, moved out of train, but
     # only when every id they mention stays represented elsewhere in train.
-    valid_closed: list[Triple] = []
+    valid_closed = train[:0]
     n_valid = int(round(config.closed_valid_fraction * len(train)))
     if n_valid:
-        ent_count: dict[int, int] = {}
-        rel_count: dict[int, int] = {}
-        for h, r, t in train:
-            ent_count[h] = ent_count.get(h, 0) + 1
-            ent_count[t] = ent_count.get(t, 0) + 1
-            rel_count[r] = rel_count.get(r, 0) + 1
-        order = rng.permutation(len(train))
-        chosen: set[int] = set()
-        for i in order:
-            if len(chosen) >= n_valid:
-                break
-            h, r, t = train[i]
+        ent_count = np.bincount(train[:, ::2].ravel()).tolist()
+        rel_count = np.bincount(train[:, 1]).tolist()
+        chosen = []
+        for idx, (h, r, t) in _rows_in_order(train, rng.permutation(len(train))):
             ok = rel_count[r] > 1 and (ent_count[h] > 2 if h == t else ent_count[h] > 1 and ent_count[t] > 1)
             if ok:
                 ent_count[h] -= 1
                 ent_count[t] -= 1
                 rel_count[r] -= 1
-                chosen.add(i)
-        valid_closed = [train[i] for i in sorted(chosen)]
-        train = [trip for i, trip in enumerate(train) if i not in chosen]
+                chosen.append(idx)
+                if len(chosen) == n_valid:
+                    break
+        is_valid = _presence(chosen, len(train))
+        valid_closed, train = train[is_valid], train[~is_valid]
 
-    final_entities, final_relations = _entity_and_relation_sets(train)
+    # Every sampled entity left train whole, so the heads of the tail pool
+    # and the tails of the dropped pool are open; their other end and their
+    # relation must still occur in train.
+    entity_known = _presence(train[:, ::2], size)
+    relation_known = _presence(train[:, 1], size)
+    tail_pool = tail_pool[_first_occurrences(tail_pool)]
+    test_tail = tail_pool[relation_known[tail_pool[:, 1]] & entity_known[tail_pool[:, 2]]]
+    dropped_pool = dropped_pool[_first_occurrences(dropped_pool)]
+    test_head = dropped_pool[entity_known[dropped_pool[:, 0]] & relation_known[dropped_pool[:, 1]]]
 
-    test_tail = [
-        trip
-        for trip in dict.fromkeys(tail_pool)
-        if trip.head in open_set
-        and trip.head not in final_entities
-        and trip.rel in final_relations
-        and trip.tail in final_entities
-    ]
-    test_head = [
-        trip
-        for trip in dict.fromkeys(dropped_pool)
-        if trip.head in final_entities
-        and trip.rel in final_relations
-        and trip.tail in open_set
-        and trip.tail not in final_entities
-    ]
-
-    def carve_valid(pool: list[Triple]) -> tuple[list[Triple], list[Triple]]:
+    def carve_valid(pool: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         n = int(round(config.open_valid_fraction * len(pool)))
-        if not n:
-            return [], pool
-        idx = set(rng.choice(len(pool), size=n, replace=False).tolist())
-        valid = [pool[i] for i in sorted(idx)]
-        rest = [trip for i, trip in enumerate(pool) if i not in idx]
-        return valid, rest
+        is_valid = np.zeros(len(pool), dtype=bool)
+        if n:
+            is_valid[rng.choice(len(pool), size=n, replace=False)] = True
+        return pool[is_valid], pool[~is_valid]
 
     valid_open_tail, test_tail = carve_valid(test_tail)
     valid_open_head, test_head = carve_valid(test_head)
 
-    open_entities = sorted(open_set)
-    manifest = {
-        "seed": config.seed,
-        "head_fraction": config.head_fraction,
-        "head_count": config.head_count,
-        "closed_valid_fraction": config.closed_valid_fraction,
-        "open_valid_fraction": config.open_valid_fraction,
-        "sampled_heads": n_extract,
-        "train_triples": len(train),
-        "valid_closed_triples": len(valid_closed),
-        "test_tail_triples": len(test_tail),
-        "valid_open_tail_triples": len(valid_open_tail),
-        "test_head_triples": len(test_head),
-        "valid_open_head_triples": len(valid_open_head),
-        "open_entities": len(open_entities),
-    }
-    return OwSplit(
-        train, test_tail, test_head, valid_closed,
-        valid_open_tail, valid_open_head, open_entities, manifest,
-    )
+    split = OwSplit(train, test_tail, test_head, valid_closed, valid_open_tail,
+                    valid_open_head, np.sort(sampled).tolist())
+    split.manifest = {**asdict(config), "sampled_heads": n_extract,
+                      **{f"{name}_triples": len(getattr(split, name)) for name in _TRIPLE_FIELDS},
+                      "open_entities": len(split.open_entities)}
+    return split
+
+
+# validate_split's checks of each triple, in message order: a column, and
+# whether its id must occur in train or must not (the entity is open).
+_FAILURES = {(0, True): "head unknown in train", (1, True): "relation unknown in train",
+             (2, True): "tail unknown in train", (0, False): "head is not open",
+             (2, False): "tail is not open"}
+_OPEN_HEAD, _OPEN_TAIL = ((0, False), (1, True), (2, True)), ((0, True), (2, False), (1, True))
+_ROW_CHECKS = {"test_tail": _OPEN_HEAD, "valid_open_tail": _OPEN_HEAD,
+               "test_head": _OPEN_TAIL, "valid_open_head": _OPEN_TAIL,
+               "valid_closed": ((0, True), (1, True), (2, True))}
 
 
 def validate_split(split: OwSplit) -> list[str]:
-    """Check every OwSplit invariant; empty list means the split is valid."""
-    violations: list[str] = []
-    train_entities, train_relations = _entity_and_relation_sets(split.train)
-    open_set = set(split.open_entities)
+    """Check every OwSplit invariant; empty list means the split is valid.
 
-    for ent in sorted(open_set & train_entities):
-        violations.append(f"open entity {ent} occurs in train")
+    The triple fields may be ``(n, 3)`` arrays or sequences of ``(head, rel,
+    tail)`` rows; a violating row prints as ``graph.Triple`` prints it.
+    """
+    pools = {name: as_triples(getattr(split, name)) for name in _TRIPLE_FIELDS}
+    open_ids = distinct(np.asarray(split.open_entities, dtype=np.int64))
+    size = 1 + max(int(ids.max(initial=0)) for ids in [open_ids, *pools.values()])
+    train = pools["train"]
+    entity_known = _presence(train[:, ::2], size)
+    known = (entity_known, _presence(train[:, 1], size), entity_known)  # by column
 
-    for name, pool in (
-        ("test_tail", split.test_tail),
-        ("valid_open_tail", split.valid_open_tail),
-    ):
-        for trip in pool:
-            if trip.head in train_entities:
-                violations.append(f"{name} {trip}: head is not open")
-            if trip.rel not in train_relations:
-                violations.append(f"{name} {trip}: relation unknown in train")
-            if trip.tail not in train_entities:
-                violations.append(f"{name} {trip}: tail unknown in train")
+    violations = [f"open entity {ent} occurs in train"
+                  for ent in open_ids[entity_known[open_ids]].tolist()]
 
-    for name, pool in (
-        ("test_head", split.test_head),
-        ("valid_open_head", split.valid_open_head),
-    ):
-        for trip in pool:
-            if trip.head not in train_entities:
-                violations.append(f"{name} {trip}: head unknown in train")
-            if trip.tail in train_entities:
-                violations.append(f"{name} {trip}: tail is not open")
-            if trip.rel not in train_relations:
-                violations.append(f"{name} {trip}: relation unknown in train")
+    for name, checks in _ROW_CHECKS.items():
+        pool = pools[name]
+        failed = np.column_stack([known[col][pool[:, col]] != must_be_known
+                                  for col, must_be_known in checks])
+        bad = failed.any(axis=1)
+        for (h, r, t), fails in zip(pool[bad].tolist(), failed[bad].tolist()):
+            violations += [f"{name} Triple(head={h}, rel={r}, tail={t}): {_FAILURES[check]}"
+                           for check, fail in zip(checks, fails) if fail]
 
-    seen: set[Triple] = set()
-    for name in ("train", "test_tail", "test_head", "valid_closed",
-                 "valid_open_tail", "valid_open_head"):
-        pool = getattr(split, name)
-        if len(set(pool)) != len(pool):
+    rel_base = 1 + max(int(pool[:, 1].max(initial=0)) for pool in pools.values())
+    seen = np.empty(0, dtype=np.int64)  # sorted packed keys of the earlier splits
+    for name, pool in pools.items():
+        keys = distinct((pool[:, 0] * rel_base + pool[:, 1]) * size + pool[:, 2])
+        if len(keys) != len(pool):
             violations.append(f"{name}: contains duplicate triples")
-        overlap = seen & set(pool)
+        union = distinct(np.concatenate([seen, keys]))
+        overlap = len(seen) + len(keys) - len(union)
         if overlap:
-            violations.append(f"{name}: {len(overlap)} triples overlap earlier splits")
-        seen |= set(pool)
+            violations.append(f"{name}: {overlap} triples overlap earlier splits")
+        seen = union
     return violations
+
+
+def check_fraction(value) -> float:
+    """``value`` as a float when it is in [0, 1]; raises ``ValueError`` otherwise."""
+    fraction = float(value)
+    if not 0.0 <= fraction <= 1.0:
+        raise ValueError(f"fraction must be in [0, 1], got {value}")
+    return fraction
 
 
 def corrupt_metadata(
@@ -248,8 +235,7 @@ def corrupt_metadata(
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    if not 0.0 <= fraction <= 1.0:
-        raise ValueError(f"fraction must be in [0, 1], got {fraction}")
+    check_fraction(fraction)
     rng = np.random.default_rng(seed)
     keys = sorted(metadata)
     n_hit = int(round(fraction * len(keys)))

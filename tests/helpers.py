@@ -1,5 +1,6 @@
-"""Shared test utilities: tiny graph builders, random models, and an
-independent brute-force ranking oracle (explicit candidate lists, sorted)."""
+"""Shared test utilities: tiny graph builders, random models, an
+independent brute-force ranking oracle (explicit candidate lists, sorted)
+and line-loop oracles of the loader and the open-world sampler."""
 
 from __future__ import annotations
 
@@ -11,6 +12,7 @@ from owlink.graph import (EntityText, KnowledgeGraph, ParseError, Triple, Vocabu
                           load_graph)
 from owlink.models import EmbeddingTable, KgcHyperparams, KgcModel, score_all_heads, score_all_tails
 from owlink.mapping import mapped_entity_embedding
+from owlink.sampler import OwSplit, SamplerError
 from owlink.text import NoTextError, WordEmbeddingStore
 
 
@@ -239,3 +241,133 @@ def assert_reports_equal(report, oracle):
         assert report.mrr_raw == oracle["mrr_raw"]
         assert report.mrr_filtered == oracle["mrr_filtered"]
         assert report.hits == oracle["hits"]
+
+
+def _reference_sets(triples):
+    entities: set[int] = set()
+    relations: set[int] = set()
+    for h, r, t in triples:
+        entities.add(h)
+        entities.add(t)
+        relations.add(r)
+    return entities, relations
+
+
+def reference_sample_open_world(graph, config):
+    """The sampler as a loop over ``Triple`` rows with Python sets and dicts,
+    the oracle of ``sample_open_world``: the same rng draws in the same
+    order, so both give the same split or raise the same error."""
+    config.validate()
+    rng = np.random.default_rng(config.seed)
+
+    train = list(map(Triple, *graph.train.T.tolist()))
+    heads = sorted({h for h, _, _ in train})
+    if config.head_count is not None:
+        n_extract = min(config.head_count, len(heads))
+    else:
+        n_extract = int(round(config.head_fraction * len(heads)))
+    sampled = [heads[i] for i in rng.choice(len(heads), size=n_extract, replace=False)]
+    open_set = set(sampled)
+
+    # One pass: a triple leaves train with whichever of its head and tail
+    # comes first in ``sampled`` (the head when both are the same entity),
+    # into that entity's tail-pool bucket if it is the head, else its dropped
+    # bucket. The pools are the buckets in ``sampled`` order; the final
+    # filters below drop the triples whose other end is no longer in train.
+    position = {x: i for i, x in enumerate(sampled)}
+    moved: list[list[Triple]] = [[] for _ in sampled]
+    dropped: list[list[Triple]] = [[] for _ in sampled]
+    remaining = []
+    for trip in train:
+        i = position.get(trip.head, n_extract)
+        j = position.get(trip.tail, n_extract)
+        if i < n_extract and i <= j:
+            moved[i].append(trip)
+        elif j < n_extract:
+            dropped[j].append(trip)
+        else:
+            remaining.append(trip)
+    train = remaining
+    tail_pool = [trip for bucket in moved for trip in bucket]
+    dropped_pool = [trip for bucket in dropped for trip in bucket]
+
+    if not train:
+        raise SamplerError("sampling would empty the train set")
+
+    # Closed-world validation: random train triples, moved out of train, but
+    # only when every id they mention stays represented elsewhere in train.
+    valid_closed: list[Triple] = []
+    n_valid = int(round(config.closed_valid_fraction * len(train)))
+    if n_valid:
+        ent_count: dict[int, int] = {}
+        rel_count: dict[int, int] = {}
+        for h, r, t in train:
+            ent_count[h] = ent_count.get(h, 0) + 1
+            ent_count[t] = ent_count.get(t, 0) + 1
+            rel_count[r] = rel_count.get(r, 0) + 1
+        order = rng.permutation(len(train))
+        chosen: set[int] = set()
+        for i in order:
+            if len(chosen) >= n_valid:
+                break
+            h, r, t = train[i]
+            ok = rel_count[r] > 1 and (ent_count[h] > 2 if h == t else ent_count[h] > 1 and ent_count[t] > 1)
+            if ok:
+                ent_count[h] -= 1
+                ent_count[t] -= 1
+                rel_count[r] -= 1
+                chosen.add(i)
+        valid_closed = [train[i] for i in sorted(chosen)]
+        train = [trip for i, trip in enumerate(train) if i not in chosen]
+
+    final_entities, final_relations = _reference_sets(train)
+
+    test_tail = [
+        trip
+        for trip in dict.fromkeys(tail_pool)
+        if trip.head in open_set
+        and trip.head not in final_entities
+        and trip.rel in final_relations
+        and trip.tail in final_entities
+    ]
+    test_head = [
+        trip
+        for trip in dict.fromkeys(dropped_pool)
+        if trip.head in final_entities
+        and trip.rel in final_relations
+        and trip.tail in open_set
+        and trip.tail not in final_entities
+    ]
+
+    def carve_valid(pool: list[Triple]) -> tuple[list[Triple], list[Triple]]:
+        n = int(round(config.open_valid_fraction * len(pool)))
+        if not n:
+            return [], pool
+        idx = set(rng.choice(len(pool), size=n, replace=False).tolist())
+        valid = [pool[i] for i in sorted(idx)]
+        rest = [trip for i, trip in enumerate(pool) if i not in idx]
+        return valid, rest
+
+    valid_open_tail, test_tail = carve_valid(test_tail)
+    valid_open_head, test_head = carve_valid(test_head)
+
+    open_entities = sorted(open_set)
+    manifest = {
+        "seed": config.seed,
+        "head_fraction": config.head_fraction,
+        "head_count": config.head_count,
+        "closed_valid_fraction": config.closed_valid_fraction,
+        "open_valid_fraction": config.open_valid_fraction,
+        "sampled_heads": n_extract,
+        "train_triples": len(train),
+        "valid_closed_triples": len(valid_closed),
+        "test_tail_triples": len(test_tail),
+        "valid_open_tail_triples": len(valid_open_tail),
+        "test_head_triples": len(test_head),
+        "valid_open_head_triples": len(valid_open_head),
+        "open_entities": len(open_entities),
+    }
+    return OwSplit(
+        train, test_tail, test_head, valid_closed,
+        valid_open_tail, valid_open_head, open_entities, manifest,
+    )

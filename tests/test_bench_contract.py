@@ -141,6 +141,17 @@ def test_validate_split_accepts_split_rebuilt_from_files(assets, capsys):
     assert CHECKS.split_is_valid(assets / "owe") == []
 
 
+def test_validate_split_flags_open_entity_put_back_in_train(assets, capsys):
+    argv = golden_commands(assets)["sample-owe"]
+    assert main([str(a) for a in argv]) == 0, capsys.readouterr().err
+    split = assets / "owe"
+    opened = (split / "open_entities.txt").read_text().split()[0]
+    with open(split / "train.txt", "a", encoding="utf-8") as fh:
+        fh.write(f"{opened}\tnext\te0\n")
+    violations = CHECKS.split_is_valid(split)
+    assert any("occurs in train" in v for v in violations), violations
+
+
 def test_random_head_baseline_on_a_slice_of_test(assets, capsys):
     from test_cli import train_kgc
 

@@ -1,3 +1,4 @@
+import hashlib
 from collections import Counter
 from pathlib import Path
 
@@ -353,6 +354,67 @@ class TestSampleOwe:
                     "--out", assets / "owe_bad"])
         assert code == 1
         assert "head_fraction" in capsys.readouterr().err
+        assert not (assets / "owe_bad").exists()
+
+    def test_config_checked_before_the_graph_is_read(self, assets, capsys):
+        code = run(["sample-owe", "--train", assets / "missing.txt", "--head-fraction", "1.5",
+                    "--out", assets / "owe_bad"])
+        assert code == 1
+        assert "head_fraction must be in [0, 1), got 1.5" in capsys.readouterr().err
+        assert not (assets / "owe_bad").exists()
+
+    SPLIT_FILES = ("train.txt", "valid.txt", "test_tail.txt", "test_head.txt",
+                   "valid_tail.txt", "valid_head.txt", "open_entities.txt")
+
+    @pytest.mark.parametrize("variant, digests", [
+        ("golden", ("6e22418ec3a768a6d993ca5d7ee34a0d4de4bf344a5ef2076ca91d71d3ae4f6f",
+                    "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+                    "36fe36f2d844c3147af7a45e86fe5252f874dbd772917e8159f41eea31bf21f7",
+                    "8b2dbb5bea7db7e8b1f044ae49e90ab1e82a16d1710144adfefc624ea2482688",
+                    "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+                    "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+                    "be47ada30b5b8752c69dbc8d09ab16e3bce905f764bf0aea4b0758fd5ad6d92e")),
+        ("every-file-nonempty",
+         ("8618bbcf1fde13e6def268f21295869563932651583c37ca52f4345fc42fc8e2",
+          "2bab0068413112d3865cd72e5d9783ec85e3f8123a278b97dcbe314c92c51c72",
+          "81f62c71b7cb7e0664acae8dbb723a45cd71dddea5616c804dabea8506d635e4",
+          "ecd9aa061691b28af13e57f43cfa58f122bb81b024b76e5f3b46de502d24a858",
+          "d5c421b5fe839aecde8f813ffe54a883efd14e0047162bcb3c63805849c1bf26",
+          "332d55a0c82fc23a2d07de0ca98559d26f6da1863eb0f0fbeafda4a06ae4a3fd",
+          "1c01cca997634c2e27da169d7a69ed52044915ea114022e2c30dde1287ffbdf2")),
+    ])
+    def test_golden_split_bytes(self, assets, capsys, variant, digests):
+        argv = golden_commands(assets)["sample-owe"]
+        if variant == "every-file-nonempty":
+            argv = ["sample-owe", "--train", assets / "train.txt", "--head-count", "3",
+                    "--closed-valid-fraction", "0.2", "--open-valid-fraction", "0.5",
+                    "--seed", "3", "--out", assets / "owe"]
+        assert run(argv) == 0, capsys.readouterr().err
+        written = [hashlib.sha256((assets / "owe" / name).read_bytes()).hexdigest()
+                   for name in self.SPLIT_FILES]
+        assert dict(zip(self.SPLIT_FILES, written)) == dict(zip(self.SPLIT_FILES, digests))
+
+
+class TestFractionChecks:
+    """A drop fraction outside [0, 1] is rejected as its value is read,
+    before any input is loaded or output directory made."""
+
+    CASES = [("robustness", "fractions", "0,1.5"), ("drop-metadata", "fraction", "1.5")]
+
+    @pytest.mark.parametrize("command, key, value", CASES)
+    def test_bad_flag_is_a_usage_error(self, assets, capsys, command, key, value):
+        with pytest.raises(SystemExit) as exc:
+            run([command, f"--{key}", value, "--out", assets / "o"])
+        assert exc.value.code == 2
+        assert f"argument --{key}: fraction must be in [0, 1], got 1.5" in capsys.readouterr().err
+        assert not (assets / "o").exists()
+
+    @pytest.mark.parametrize("command, key, value", CASES)
+    def test_bad_config_value_names_file_line(self, assets, capsys, command, key, value):
+        (assets / "run.cfg").write_text(f"# sweep\n{key}={value}\n")
+        assert run([command, "--config", assets / "run.cfg", "--out", assets / "o"]) == 1
+        assert f"run.cfg:2: {key}: fraction must be in [0, 1], got 1.5" in capsys.readouterr().err
+        assert not (assets / "o").exists()
 
 
 class TestDropMetadata:

@@ -3,7 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from owlink.graph import EntityText, Triple
+from owlink.graph import EntityText, KnowledgeGraph, Triple, Vocab
 from owlink.sampler import (
     OwSplit,
     SamplerConfig,
@@ -12,7 +12,16 @@ from owlink.sampler import (
     sample_open_world,
     validate_split,
 )
-from helpers import graph_from_triples
+from helpers import graph_from_triples, reference_sample_open_world
+
+
+TRIPLE_FIELDS = ("train", "test_tail", "test_head", "valid_closed",
+                 "valid_open_tail", "valid_open_head")
+
+
+def rows(triples):
+    """The rows of an ``(n, 3)`` array as a set of tuples."""
+    return set(map(tuple, triples.tolist()))
 
 
 def chain_graph(tmp_path, n=30, relations=("r", "s")):
@@ -64,16 +73,16 @@ class TestHandVerified:
                 break
         else:
             pytest.fail("no seed sampled head 'a'")
-        assert set(split.train) == {
+        assert rows(split.train) == {
             Triple(g.entity_id("b"), 0, g.entity_id("c")),
             Triple(g.entity_id("c"), 0, g.entity_id("b")),
             Triple(g.entity_id("c"), 1, g.entity_id("c")),
         }
-        assert set(split.test_tail) == {
+        assert rows(split.test_tail) == {
             Triple(a, 0, g.entity_id("b")),
             Triple(a, 0, g.entity_id("c")),
         }
-        assert set(split.test_head) == {Triple(g.entity_id("b"), 0, a)}
+        assert rows(split.test_head) == {Triple(g.entity_id("b"), 0, a)}
         assert validate_split(split) == []
 
     def test_fraction_zero_is_noop(self, tmp_path):
@@ -81,8 +90,8 @@ class TestHandVerified:
         cfg = SamplerConfig(seed=1, head_fraction=0.0,
                             closed_valid_fraction=0.0, open_valid_fraction=0.0)
         split = sample_open_world(g, cfg)
-        assert split.train == [Triple(*row) for row in g.train.tolist()]
-        assert split.test_tail == [] and split.test_head == []
+        assert split.train.tolist() == g.train.tolist()
+        assert len(split.test_tail) == 0 and len(split.test_head) == 0
         assert split.open_entities == []
 
     def test_emptying_train_raises(self, tmp_path):
@@ -98,17 +107,17 @@ class TestInvariants:
         cfg = SamplerConfig(seed=seed, head_fraction=0.2)
         split = sample_open_world(g, cfg)
         assert validate_split(split) == []
-        assert split.test_tail, "expected a nonempty tail-prediction pool"
+        assert len(split.test_tail), "expected a nonempty tail-prediction pool"
 
     def test_conservation(self, tmp_path):
         # every source train triple lands in exactly one bucket or is filtered
         g = chain_graph(tmp_path, n=20)
         cfg = SamplerConfig(seed=7, head_fraction=0.15)
         split = sample_open_world(g, cfg)
-        kept = (set(split.train) | set(split.valid_closed) | set(split.test_tail)
-                | set(split.test_head) | set(split.valid_open_tail)
-                | set(split.valid_open_head))
-        assert kept <= {Triple(*row) for row in g.train.tolist()}
+        kept = (rows(split.train) | rows(split.valid_closed) | rows(split.test_tail)
+                | rows(split.test_head) | rows(split.valid_open_tail)
+                | rows(split.valid_open_head))
+        assert kept <= rows(g.train)
 
     def test_closed_valid_entities_stay_represented(self, tmp_path):
         g = chain_graph(tmp_path)
@@ -126,7 +135,7 @@ class TestInvariants:
         assert validate_split(split) == []
         # put an open entity back into train
         bad = OwSplit(
-            split.train + [Triple(split.open_entities[0], 0, split.train[0].tail)],
+            np.vstack([split.train, [[split.open_entities[0], 0, split.train[0, 2]]]]),
             split.test_tail, split.test_head, split.valid_closed,
             split.valid_open_tail, split.valid_open_head, split.open_entities,
         )
@@ -136,7 +145,7 @@ class TestInvariants:
     def test_validator_flags_duplicates(self, tmp_path):
         g = chain_graph(tmp_path)
         split = sample_open_world(g, SamplerConfig(seed=2, head_fraction=0.2))
-        dup = OwSplit(split.train + [split.train[0]], split.test_tail,
+        dup = OwSplit(np.vstack([split.train, split.train[:1]]), split.test_tail,
                       split.test_head, split.valid_closed, split.valid_open_tail,
                       split.valid_open_head, split.open_entities)
         assert any("duplicate" in m for m in validate_split(dup))
@@ -168,11 +177,104 @@ class TestInvariants:
         assert m["open_entities"] == len(split.open_entities)
 
 
+class TestMatchesReference:
+    """The array sampler gives the split of the ``Triple``-row loop kept in
+    ``tests/helpers.py``, or raises the same error."""
+
+    @staticmethod
+    def random_graph(rng):
+        # few entities and many rows, so that some graphs lose their whole
+        # train set; rows may repeat, which the loader would not allow
+        n_e, n_r = int(rng.integers(2, 25)), int(rng.integers(1, 5))
+        train = rng.integers(0, [n_e, n_r, n_e], size=(int(rng.integers(1, 80)), 3))
+        return KnowledgeGraph(Vocab(f"e{i}" for i in range(n_e)),
+                              Vocab(f"r{i}" for i in range(n_r)), train)
+
+    @pytest.mark.parametrize("open_valid", [0.0, 0.1, 0.5])
+    @pytest.mark.parametrize("closed_valid", [0.0, 0.05, 0.3])
+    def test_random_graphs(self, closed_valid, open_valid):
+        rng = np.random.default_rng([int(closed_valid * 100), int(open_valid * 10)])
+        outcomes = {"split": 0, "empty": 0}
+        for trial in range(40):
+            graph = self.random_graph(rng)
+            selector = ({"head_count": 0} if trial % 4 == 0 else
+                        {"head_count": int(rng.integers(1, 12))} if trial % 4 == 1 else
+                        {"head_fraction": float(rng.uniform(0.0, 0.9))})
+            cfg = SamplerConfig(seed=trial, closed_valid_fraction=closed_valid,
+                                open_valid_fraction=open_valid, **selector)
+            try:
+                want = reference_sample_open_world(graph, cfg)
+            except SamplerError as exc:
+                with pytest.raises(SamplerError, match=str(exc)):
+                    sample_open_world(graph, cfg)
+                outcomes["empty"] += 1
+                continue
+            got = sample_open_world(graph, cfg)
+            for name in TRIPLE_FIELDS:
+                rows_got = getattr(got, name)
+                assert rows_got.dtype == np.int64 and rows_got.shape[1:] == (3,), name
+                assert rows_got.tolist() == [list(t) for t in getattr(want, name)], name
+            assert got.open_entities == want.open_entities
+            assert got.manifest == want.manifest
+            outcomes["split"] += 1
+        assert outcomes["split"] >= 20 and outcomes["empty"] >= 1, outcomes
+
+
+class TestValidateSplit:
+    """Every kind of violation, planted once, with its exact message."""
+
+    SPLIT = dict(
+        train=[(0, 0, 1), (1, 0, 2), (2, 1, 0), (9, 0, 0), (0, 0, 1)],
+        test_tail=[(8, 0, 1), (1, 0, 2), (8, 3, 1), (8, 0, 7)],
+        test_head=[(0, 1, 8), (5, 1, 8), (0, 1, 2), (0, 2, 8)],
+        valid_closed=[(6, 0, 1), (0, 3, 1), (0, 0, 6), (0, 1, 1), (0, 1, 1)],
+        valid_open_tail=[(8, 3, 7)],
+        valid_open_head=[(5, 2, 1)],
+        open_entities=[8, 9],
+    )
+    MESSAGES = [
+        "open entity 9 occurs in train",
+        "test_tail Triple(head=1, rel=0, tail=2): head is not open",
+        "test_tail Triple(head=8, rel=3, tail=1): relation unknown in train",
+        "test_tail Triple(head=8, rel=0, tail=7): tail unknown in train",
+        "valid_open_tail Triple(head=8, rel=3, tail=7): relation unknown in train",
+        "valid_open_tail Triple(head=8, rel=3, tail=7): tail unknown in train",
+        "test_head Triple(head=5, rel=1, tail=8): head unknown in train",
+        "test_head Triple(head=0, rel=1, tail=2): tail is not open",
+        "test_head Triple(head=0, rel=2, tail=8): relation unknown in train",
+        "valid_open_head Triple(head=5, rel=2, tail=1): head unknown in train",
+        "valid_open_head Triple(head=5, rel=2, tail=1): tail is not open",
+        "valid_open_head Triple(head=5, rel=2, tail=1): relation unknown in train",
+        "valid_closed Triple(head=6, rel=0, tail=1): head unknown in train",
+        "valid_closed Triple(head=0, rel=3, tail=1): relation unknown in train",
+        "valid_closed Triple(head=0, rel=0, tail=6): tail unknown in train",
+        "train: contains duplicate triples",
+        "test_tail: 1 triples overlap earlier splits",
+        "valid_closed: contains duplicate triples",
+    ]
+
+    def test_arrays_and_triple_lists_give_the_same_messages(self):
+        as_lists = {k: v if k == "open_entities" else [Triple(*t) for t in v]
+                    for k, v in self.SPLIT.items()}
+        as_arrays = {k: v if k == "open_entities" else np.array(v, dtype=np.int64)
+                     for k, v in self.SPLIT.items()}
+        assert validate_split(OwSplit(**as_lists)) == self.MESSAGES
+        assert validate_split(OwSplit(**as_arrays)) == self.MESSAGES
+
+    @pytest.mark.parametrize("planted, message", [
+        ((5, 0, 1), "head unknown in train"),
+        ((0, 0, 5), "tail unknown in train"),
+        ((0, 2, 1), "relation unknown in train"),
+    ])
+    def test_closed_valid_ids_must_stay_in_train(self, planted, message):
+        train = np.array([(0, 0, 1), (1, 1, 0)])
+        empty = train[:0]
+        split = OwSplit(train, empty, empty, np.array([planted]), empty, empty, [])
+        assert validate_split(split) == [f"valid_closed {Triple(*planted)}: {message}"]
+
+
 class TestGolden:
     """Splits pinned to digests: any change to what the sampler produces shows."""
-
-    SPLIT_FIELDS = ("train", "test_tail", "test_head", "valid_closed",
-                    "valid_open_tail", "valid_open_head", "open_entities")
 
     @pytest.mark.parametrize("graph_seed, n_e, n_r, n_t, head_count, seed, digest", [
         (0, 12, 2, 40, 3, 0, "353439e4b1252253"),
@@ -188,8 +290,8 @@ class TestGolden:
         split = sample_open_world(g, SamplerConfig(seed=seed, head_count=head_count,
                                                    closed_valid_fraction=0.1))
         assert validate_split(split) == []
-        body = repr([[tuple(x) if isinstance(x, tuple) else x for x in getattr(split, name)]
-                     for name in self.SPLIT_FIELDS])
+        body = repr([[tuple(x) for x in getattr(split, name).tolist()]
+                     for name in TRIPLE_FIELDS] + [split.open_entities])
         assert hashlib.sha256(body.encode()).hexdigest()[:16] == digest
 
 
@@ -199,9 +301,8 @@ class TestDeterminism:
         cfg = SamplerConfig(seed=11, head_fraction=0.2)
         a = sample_open_world(g, cfg)
         b = sample_open_world(g, cfg)
-        for name in ("train", "test_tail", "test_head", "valid_closed",
-                     "valid_open_tail", "valid_open_head", "open_entities"):
-            assert getattr(a, name) == getattr(b, name)
+        for name in (*TRIPLE_FIELDS, "open_entities"):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
 
     def test_different_seed_differs(self, tmp_path):
         g = chain_graph(tmp_path)
