@@ -1,12 +1,17 @@
 """Learned transformation from text embedding space to graph embedding space.
 
-Three kinds are supported: linear (W v), affine (W v + b), and a four
-layer MLP (three ReLU hidden layers, affine output). When the target
-link prediction model is ComplEx, an independent second parameter set
-maps to the imaginary part and the regression loss is summed over both
-parts. Training minimizes Euclidean regression loss between mapped text
-embeddings and the trained graph embeddings with mini-batch Adam; neither
-the graph nor the word embeddings are fine-tuned.
+A map is one stack of affine layers with widths
+``(in_dim, *hidden_dims, out_dim)``; every layer but the last is followed
+by a ReLU. The three kinds differ only in that stack: linear (``W v``, one
+layer without a bias), affine (``W v + b``) and a four layer MLP (three
+ReLU hidden layers, affine output). When the target link prediction model
+is ComplEx, an independent second parameter set (the imaginary branch)
+maps to the imaginary part; every function runs the same code over each
+branch in turn, real first, and the regression loss is summed over both.
+Training minimizes Euclidean regression loss between mapped text
+embeddings and the trained graph embeddings with mini-batch Adam and the
+trainers' shared :class:`optim.EpochPolicy`; neither the graph nor the word
+embeddings are fine-tuned.
 
 The loss mode is configurable: "squared" (default, mean squared L2) or
 "euclidean" (mean unsquared L2, with a 1e-12 guard inside the square
@@ -15,13 +20,13 @@ root); the two differ only in gradient weighting.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .graph import EntityText, KnowledgeGraph
 from .models import ConfigError, KgcModel, _flag, _positive_int, read_checkpoint, write_checkpoint
-from .optim import Adam
+from .optim import Adam, EpochPolicy
 from .text import WordEmbeddingStore, batch_mean, entity_tokens, text_embedding
 
 KINDS = ("linear", "affine", "mlp")
@@ -70,26 +75,37 @@ class MapModel:
     def is_complex(self) -> bool:
         return self.imag is not None
 
+    def branches(self) -> dict[str, dict[str, np.ndarray]]:
+        """The parameter sets by branch name, real first."""
+        return {"real": self.real} if self.imag is None else {"real": self.real, "imag": self.imag}
+
+    def param_shapes(self) -> dict[str, tuple[int, ...]]:
+        """Each parameter's shape, layer by layer from the input: ``W`` then
+        ``b``, or ``W{i}`` and ``b{i}`` when there are hidden layers. A linear
+        map has no ``b``."""
+        widths = (self.in_dim, *self.hidden_dims, self.out_dim)
+        shapes: dict[str, tuple[int, ...]] = {}
+        for i, (fan_in, fan_out) in enumerate(zip(widths, widths[1:]), 1):
+            tag = str(i) if self.hidden_dims else ""
+            shapes[f"W{tag}"] = (fan_out, fan_in)
+            if self.kind != "linear":
+                shapes[f"b{tag}"] = (fan_out,)
+        return shapes
+
     def param_names(self) -> list[str]:
-        if self.kind == "linear":
-            return ["W"]
-        if self.kind == "affine":
-            return ["W", "b"]
-        n = len(self.hidden_dims) + 1
-        names = []
-        for i in range(1, n + 1):
-            names += [f"W{i}", f"b{i}"]
-        return names
+        return list(self.param_shapes())
 
     def copy(self) -> "MapModel":
-        return MapModel(
-            self.kind,
-            self.in_dim,
-            self.out_dim,
-            self.hidden_dims,
-            {k: v.copy() for k, v in self.real.items()},
-            None if self.imag is None else {k: v.copy() for k, v in self.imag.items()},
-        )
+        return replace(self, **{branch: {k: v.copy() for k, v in params.items()}
+                                for branch, params in self.branches().items()})
+
+
+def _init_param(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
+    """Xavier-uniform for a weight of shape (fan_out, fan_in), zeros for a bias."""
+    if len(shape) == 1:
+        return np.zeros(shape)
+    bound = np.sqrt(6.0 / sum(shape))
+    return rng.uniform(-bound, bound, size=shape)
 
 
 def init_map(
@@ -100,76 +116,55 @@ def init_map(
     hidden_dim: int | None = None,
     complex_pair: bool = False,
 ) -> MapModel:
-    """Xavier-uniform weights, zero biases; seeded via ``rng``."""
+    """Xavier-uniform weights, zero biases; seeded via ``rng``, real branch first."""
     if kind not in KINDS:
         raise ConfigError(f"unknown transformation kind {kind!r}")
     if in_dim <= 0 or out_dim <= 0:
         raise ConfigError(f"dims must be positive, got {in_dim} -> {out_dim}")
-    hidden: tuple[int, ...] = ()
-    if kind == "mlp":
-        h = hidden_dim if hidden_dim is not None else out_dim
-        hidden = (h, h, h)
-
-    def branch() -> dict[str, np.ndarray]:
-        params: dict[str, np.ndarray] = {}
-        if kind in ("linear", "affine"):
-            bound = np.sqrt(6.0 / (in_dim + out_dim))
-            params["W"] = rng.uniform(-bound, bound, size=(out_dim, in_dim))
-            if kind == "affine":
-                params["b"] = np.zeros(out_dim)
-            return params
-        widths = (in_dim,) + hidden + (out_dim,)
-        for i in range(len(widths) - 1):
-            fan_in, fan_out = widths[i], widths[i + 1]
-            bound = np.sqrt(6.0 / (fan_in + fan_out))
-            params[f"W{i + 1}"] = rng.uniform(-bound, bound, size=(fan_out, fan_in))
-            params[f"b{i + 1}"] = np.zeros(fan_out)
-        return params
-
-    real = branch()
-    imag = branch() if complex_pair else None
-    return MapModel(kind, in_dim, out_dim, hidden, real, imag)
+    h = hidden_dim if hidden_dim is not None else out_dim
+    hidden = (h, h, h) if kind == "mlp" else ()
+    shapes = MapModel(kind, in_dim, out_dim, hidden).param_shapes()
+    branches = [{name: _init_param(rng, shape) for name, shape in shapes.items()}
+                for _ in range(1 + complex_pair)]
+    return MapModel(kind, in_dim, out_dim, hidden, *branches)
 
 
-def _forward(kind: str, params: dict[str, np.ndarray], V: np.ndarray):
-    """Batch forward pass; returns (output, cache for backprop)."""
-    if kind == "linear":
-        return V @ params["W"].T, (V,)
-    if kind == "affine":
-        return V @ params["W"].T + params["b"], (V,)
-    a = V
-    cache = [V]
-    n_layers = sum(1 for k in params if k.startswith("W"))
-    for i in range(1, n_layers + 1):
-        z = a @ params[f"W{i}"].T + params[f"b{i}"]
-        if i < n_layers:
-            a = np.maximum(z, 0.0)
-            cache += [z, a]
-        else:
-            return z, tuple(cache)
-    raise AssertionError("unreachable")
+def _layers(params: dict[str, np.ndarray]) -> list[tuple[str, str | None]]:
+    """Each layer's (weight, bias) names in ``params``' order, input layer
+    first; the bias is None in a linear map."""
+    return [(w, f"b{w[1:]}" if f"b{w[1:]}" in params else None) for w in params if w[0] == "W"]
 
 
-def _backward(
-    kind: str, params: dict[str, np.ndarray], cache, grad_out: np.ndarray
-) -> dict[str, np.ndarray]:
-    """Parameter gradients given d(loss)/d(output)."""
-    if kind == "linear":
-        (V,) = cache
-        return {"W": grad_out.T @ V}
-    if kind == "affine":
-        (V,) = cache
-        return {"W": grad_out.T @ V, "b": grad_out.sum(axis=0)}
-    n_layers = sum(1 for k in params if k.startswith("W"))
+def _affine(params: dict[str, np.ndarray], layer: tuple[str, str | None], a: np.ndarray):
+    w, b = layer
+    z = a @ params[w].T
+    return z if b is None else z + params[b]
+
+
+def _forward(params: dict[str, np.ndarray], V: np.ndarray):
+    """Batch forward pass through one branch; returns (output, cache) with
+    the cache holding V, then z and ReLU(z) for each hidden layer."""
+    *hidden, last = _layers(params)
+    a, cache = V, [V]
+    for layer in hidden:
+        z = _affine(params, layer, a)
+        a = np.maximum(z, 0.0)
+        cache += [z, a]
+    return _affine(params, last, a), tuple(cache)
+
+
+def _backward(params: dict[str, np.ndarray], cache, grad_out: np.ndarray) -> dict[str, np.ndarray]:
+    """Parameter gradients of one branch given d(loss)/d(output)."""
     grads: dict[str, np.ndarray] = {}
     g = grad_out
-    for i in range(n_layers, 0, -1):
-        a_prev = cache[2 * (i - 1)]
-        grads[f"W{i}"] = g.T @ a_prev
-        grads[f"b{i}"] = g.sum(axis=0)
-        if i > 1:
-            z_prev = cache[2 * i - 3]
-            g = (g @ params[f"W{i}"]) * (z_prev > 0)
+    layers = _layers(params)
+    for i in range(len(layers) - 1, -1, -1):
+        w, b = layers[i]
+        grads[w] = g.T @ cache[2 * i]  # the layer's input
+        if b is not None:
+            grads[b] = g.sum(axis=0)
+        if i > 0:
+            g = (g @ params[w]) * (cache[2 * i - 1] > 0)  # through the ReLU before it
     return grads
 
 
@@ -178,11 +173,8 @@ def map_vector(model: MapModel, v: np.ndarray) -> tuple[np.ndarray, np.ndarray |
     v = np.asarray(v, dtype=np.float64)
     if v.shape != (model.in_dim,):
         raise ValueError(f"input has shape {v.shape}, expected ({model.in_dim},)")
-    out_r, _ = _forward(model.kind, model.real, v[None, :])
-    if model.imag is None:
-        return out_r[0], None
-    out_i, _ = _forward(model.kind, model.imag, v[None, :])
-    return out_r[0], out_i[0]
+    out = [_forward(params, v[None, :])[0][0] for params in model.branches().values()]
+    return out[0], out[1] if model.is_complex else None
 
 
 def _loss_and_grad_out(out: np.ndarray, targets: np.ndarray, mode: str):
@@ -209,24 +201,17 @@ def map_loss_and_gradients(
     """
     if mode not in LOSS_MODES:
         raise ConfigError(f"unknown loss mode {mode!r}")
-    out_r, cache_r = _forward(model.kind, model.real, V)
-    loss, g_out = _loss_and_grad_out(out_r, targets_real, mode)
-    grads = {f"real/{k}": g for k, g in _backward(model.kind, model.real, cache_r, g_out).items()}
-    if model.imag is not None:
-        if targets_imag is None:
-            raise ValueError("paired map model requires imaginary targets")
-        out_i, cache_i = _forward(model.kind, model.imag, V)
-        loss_i, g_out_i = _loss_and_grad_out(out_i, targets_imag, mode)
-        loss += loss_i
-        grads.update(
-            {f"imag/{k}": g for k, g in _backward(model.kind, model.imag, cache_i, g_out_i).items()}
-        )
+    if model.is_complex and targets_imag is None:
+        raise ValueError("paired map model requires imaginary targets")
+    targets = {"real": targets_real, "imag": targets_imag}
+    loss = 0.0
+    grads: dict[str, np.ndarray] = {}
+    for branch, params in model.branches().items():
+        out, cache = _forward(params, V)
+        part, g_out = _loss_and_grad_out(out, targets[branch], mode)
+        loss += part
+        grads.update({f"{branch}/{k}": g for k, g in _backward(params, cache, g_out).items()})
     return loss, grads
-
-
-def _param(model: MapModel, key: str) -> np.ndarray:
-    branch, name = key.split("/", 1)
-    return (model.real if branch == "real" else model.imag)[name]
 
 
 def fit_map(
@@ -242,11 +227,10 @@ def fit_map(
     """Fit a transformation on (text embedding, graph embedding) pairs.
 
     ``inputs`` is either an (m, d') array or a callable ``rng -> array``
-    re-sampled every epoch (used for word dropout). When a ``validator``
-    callable is given, it is invoked every ``valid_every`` epochs and the
-    best-scoring epoch's parameters are returned; otherwise the final
-    epoch's. A non-finite epoch loss raises ``FloatingPointError`` naming
-    the epoch. Deterministic for a fixed seed.
+    re-sampled every epoch (used for word dropout). Epochs end in an
+    :class:`optim.EpochPolicy`: with a ``validator`` the best-scoring
+    epoch's parameters are returned, otherwise the final epoch's.
+    Deterministic for a fixed seed.
     """
     hp = hyperparams if hyperparams is not None else MapHyperparams()
     hp.validate()
@@ -264,10 +248,8 @@ def fit_map(
     model = init_map(kind, in_dim, out_dim, rng, hp.hidden_dim,
                      complex_pair=targets_imag is not None)
     adam = Adam(lr=hp.learning_rate)
-
-    best_score = -np.inf
-    best_params = None
-    log_rows: list[str] = []
+    policy = EpochPolicy(validator, hp.valid_every, "valid_score", loss_digits=8)
+    best = None
     for epoch in range(1, hp.epochs + 1):
         if resample and epoch > 1:
             del V  # the last epoch's inputs go before the next are averaged
@@ -281,24 +263,13 @@ def fit_map(
             epoch_loss += loss * len(idx)
             if hp.learning_rate > 0:
                 adam.begin_step()
-                for key, g in grads.items():
-                    adam.update(key, _param(model, key), g)
-        if not np.isfinite(epoch_loss):
-            raise FloatingPointError(f"non-finite loss {epoch_loss} at epoch {epoch}")
-        valid_score = ""
-        if validator is not None and hp.valid_every > 0 and epoch % hp.valid_every == 0:
-            s = float(validator(model))
-            valid_score = f"{s:.6f}"
-            if s > best_score:
-                best_score = s
-                best_params = model.copy()
-        log_rows.append(f"{epoch}\t{epoch_loss / m:.8f}\t{valid_score}")
-
-    if log_path is not None:
-        with open(log_path, "w", encoding="utf-8") as fh:
-            fh.write("epoch\tloss\tvalid_score\n")
-            fh.write("\n".join(log_rows) + ("\n" if log_rows else ""))
-    return best_params if best_params is not None else model
+                for branch, params in model.branches().items():
+                    for name, param in params.items():
+                        adam.update(f"{branch}/{name}", param, grads[f"{branch}/{name}"])
+        if policy.end_epoch(epoch, epoch_loss / m, model):
+            best = model.copy()
+    policy.write_log(log_path)
+    return best if best is not None else model
 
 
 def build_training_pairs(
@@ -322,11 +293,8 @@ def build_training_pairs(
         row_ids.append(rows)
     emb = kgc_model.embeddings
     idx = np.asarray(ids, dtype=np.int64)
-    u_real = emb.entity_real[idx] if len(idx) else np.zeros((0, emb.dim))
-    u_imag = None
-    if emb.is_complex:
-        u_imag = emb.entity_imag[idx] if len(idx) else np.zeros((0, emb.dim))
-    return ids, row_ids, u_real, u_imag
+    u_imag = emb.entity_imag[idx] if emb.is_complex else None
+    return ids, row_ids, emb.entity_real[idx], u_imag
 
 
 def train_map(
@@ -370,8 +338,7 @@ def mapped_entity_embedding(
     word_store: WordEmbeddingStore,
 ):
     """Text -> aggregated -> mapped embedding, shaped for the KGC family."""
-    v = text_embedding(meta, word_store)
-    real, imag = map_vector(map_model, v)
+    real, imag = map_vector(map_model, text_embedding(meta, word_store))
     if kgc_model.family == "complex":
         if imag is None:
             raise ValueError("ComplEx model requires a paired (real+imag) transformation")
@@ -390,9 +357,8 @@ def save_map(path: str, model: MapModel) -> None:
         "complex": int(model.is_complex),
         "hidden": ",".join(str(h) for h in model.hidden_dims),
     }
-    branches = [b for b in (model.real, model.imag) if b is not None]
-    write_checkpoint(path, "map v1", fields,
-                     [branch[name] for branch in branches for name in model.param_names()])
+    write_checkpoint(path, "map v1", fields, [params[name] for params in model.branches().values()
+                                              for name in model.param_names()])
 
 
 def _hidden_dims(value: str) -> tuple[int, ...]:
@@ -407,14 +373,10 @@ def load_map(path: str) -> MapModel:
     kind, in_dim, out_dim, hidden = meta["kind"], meta["in_dim"], meta["out_dim"], meta["hidden"]
     if kind not in KINDS:
         raise ValueError(f"{path}: unknown transformation kind {kind!r}")
-    model = MapModel(kind, in_dim, out_dim, hidden)
-    names = model.param_names()
-    widths = (in_dim,) + hidden + (out_dim,)
-    # (W, b) per layer in param_names() order; a linear map has no b
-    shapes = [shape for fan_in, fan_out in zip(widths, widths[1:])
-              for shape in ((fan_out, fan_in), (fan_out,))][:len(names)]
-    arrays = blocks(shapes * (2 if meta["complex"] else 1))
-    model.real = dict(zip(names, arrays))
-    if meta["complex"]:
-        model.imag = dict(zip(names, arrays[len(names):]))
-    return model
+    if bool(hidden) != (kind == "mlp"):
+        raise ValueError(f"{path}: hidden={','.join(map(str, hidden))} contradicts kind={kind}")
+    shapes = MapModel(kind, in_dim, out_dim, hidden).param_shapes()
+    n_branches = 1 + meta["complex"]
+    arrays = iter(blocks(list(shapes.values()) * n_branches))
+    branches = [dict(zip(shapes, arrays)) for _ in range(n_branches)]
+    return MapModel(kind, in_dim, out_dim, hidden, *branches)

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graph import KnowledgeGraph
-from .optim import Adam
+from .optim import Adam, EpochPolicy
 
 FAMILIES = ("transe", "distmult", "complex")
 
@@ -413,12 +413,10 @@ def train_kgc(
 ) -> KgcModel:
     """Train a link prediction model with uniform negative sampling.
 
-    Deterministic for a fixed seed in this single-threaded mode. When a
-    ``validator`` callable (model -> score, higher is better, such as
-    ``evaluation.closed_world_validator``) is given, it is invoked every
-    ``valid_every`` epochs and the best-scoring epoch's embeddings are
-    returned; otherwise the final epoch's. A non-finite epoch loss raises
-    ``FloatingPointError`` naming the epoch.
+    Deterministic for a fixed seed in this single-threaded mode. Epochs end
+    in an :class:`optim.EpochPolicy`: with a ``validator`` (such as
+    ``evaluation.closed_world_validator``) the best-scoring epoch's
+    embeddings are returned, otherwise the final epoch's.
     """
     hp = hyperparams if hyperparams is not None else KgcHyperparams()
     hp.validate()
@@ -437,9 +435,8 @@ def train_kgc(
     num_e = graph.num_entities
     K = hp.num_negatives
 
-    best_mrr = -1.0
+    policy = EpochPolicy(validator, hp.valid_every, "valid_mrr", loss_digits=6)
     best_emb = None
-    log_rows: list[str] = []
 
     for epoch in range(1, hp.epochs + 1):
         perm = rng.permutation(n)
@@ -462,26 +459,13 @@ def train_kgc(
                     adam.update_rows(name, tables[name], rows, grad_rows)
         if family == "transe" and hp.learning_rate > 0:
             normalize_entities(emb)
-        if not np.isfinite(epoch_loss):
-            raise FloatingPointError(f"non-finite loss {epoch_loss} at epoch {epoch}")
-
-        valid_mrr = ""
-        if validator is not None and hp.valid_every > 0 and epoch % hp.valid_every == 0:
-            mrr = float(validator(model))
-            valid_mrr = f"{mrr:.6f}"
-            if mrr > best_mrr:
-                best_mrr = mrr
-                if best_emb is None:
-                    best_emb = emb.copy()
-                else:  # in place: a new table-sized copy each epoch fragments the heap
-                    for best, now in zip(best_emb.arrays().values(), emb.arrays().values()):
-                        best[...] = now
-        log_rows.append(f"{epoch}\t{epoch_loss / n:.6f}\t{valid_mrr}")
-
-    if log_path is not None:
-        with open(log_path, "w", encoding="utf-8") as fh:
-            fh.write("epoch\tloss\tvalid_mrr\n")
-            fh.write("\n".join(log_rows) + ("\n" if log_rows else ""))
+        if policy.end_epoch(epoch, epoch_loss / n, model):
+            if best_emb is None:
+                best_emb = emb.copy()
+            else:  # in place: a new table-sized copy each epoch fragments the heap
+                for best, now in zip(best_emb.arrays().values(), emb.arrays().values()):
+                    best[...] = now
+    policy.write_log(log_path)
 
     if best_emb is not None:
         model = KgcModel(family, best_emb, hp)
@@ -521,7 +505,8 @@ def read_checkpoint(path: str, magic: str, fields: dict):
     ``fields`` maps each required header key to a parser. Returns the parsed
     fields and a reader ``blocks(shapes)`` that yields one float64 array per
     shape and requires the payload to hold exactly those blocks. Every
-    malformed file raises ValueError naming ``path``.
+    malformed file raises ValueError naming ``path``, including a header
+    line that is not ``key=value`` and a key given twice.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -531,7 +516,14 @@ def read_checkpoint(path: str, magic: str, fields: dict):
     magic_line, *lines = data[:marker].decode("ascii", "replace").split("\n")
     if magic_line != magic:
         raise ValueError(f"{path}: not a {magic} checkpoint")
-    raw = dict(line.split("=", 1) for line in lines if "=" in line)
+    raw: dict[str, str] = {}
+    for line in lines:
+        key, eq, value = line.partition("=")
+        if not eq:
+            raise ValueError(f"{path}: checkpoint header line {line!r} is not key=value")
+        if key in raw:
+            raise ValueError(f"{path}: checkpoint header repeats {key}=")
+        raw[key] = value
     meta = {}
     for key, parse in fields.items():
         if key not in raw:

@@ -1,13 +1,15 @@
-"""Adam optimizer with dense and sparse (row-wise) update modes.
+"""Adam optimizer with dense and sparse (row-wise) update modes, and the
+end-of-epoch policy (:class:`EpochPolicy`).
 
-Shared by the embedding trainer (sparse row updates on large tables) and
-the transformation trainer (dense updates on small parameter blocks).
-Sparse mode is the usual lazy variant: first/second moment rows are only
-updated for rows that received a gradient; the bias-correction step counter
-is global per optimizer step. One in-place step serves both modes, so a
-dense update and a row update over every row give bitwise the same result.
-The embedding trainer sums a row's gradient contributions in batch order
-(``models._accumulate``) before handing them to :meth:`Adam.update_rows`.
+Both are shared by the embedding trainer (sparse row updates on large
+tables) and the transformation trainer (dense updates on small parameter
+blocks). Sparse mode is the usual lazy variant: first/second moment rows
+are only updated for rows that received a gradient; the bias-correction
+step counter is global per optimizer step. One in-place step serves both
+modes, so a dense update and a row update over every row give bitwise the
+same result. The embedding trainer sums a row's gradient contributions in
+batch order (``models._accumulate``) before handing them to
+:meth:`Adam.update_rows`.
 """
 
 from __future__ import annotations
@@ -80,3 +82,41 @@ class Adam:
         m[rows] = m_r
         v[rows] = v_r
         param[rows] -= step
+
+
+class EpochPolicy:
+    """What both trainers do at the end of an epoch: stop at a non-finite
+    loss, run the ``validator`` (model -> score, higher is better) every
+    ``valid_every`` epochs (never when 0), tell the caller when the score is
+    the best so far (the caller keeps its own snapshot), and log the epoch,
+    its mean loss to ``loss_digits`` decimals and the score (``score_column``).
+    """
+
+    def __init__(self, validator, valid_every: int, score_column: str, loss_digits: int) -> None:
+        self.validator = validator
+        self.valid_every = valid_every
+        self.loss_digits = loss_digits
+        self.best_score = -np.inf
+        self.log = [f"epoch\tloss\t{score_column}"]
+
+    def end_epoch(self, epoch: int, loss: float, model) -> bool:
+        """Close ``epoch`` with mean ``loss``; True when ``model`` scores best
+        so far. A non-finite loss raises ``FloatingPointError`` naming the
+        epoch, before any validation."""
+        if not np.isfinite(loss):
+            raise FloatingPointError(f"non-finite loss {loss} at epoch {epoch}")
+        score = ""
+        best = False
+        if self.validator is not None and self.valid_every > 0 and epoch % self.valid_every == 0:
+            s = float(self.validator(model))
+            score = f"{s:.6f}"
+            best = s > self.best_score
+            if best:
+                self.best_score = s
+        self.log.append(f"{epoch}\t{loss:.{self.loss_digits}f}\t{score}")
+        return best
+
+    def write_log(self, path: str | None) -> None:
+        if path is not None:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write("".join(line + "\n" for line in self.log))

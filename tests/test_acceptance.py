@@ -333,7 +333,12 @@ class TestCriterion6:
 
             if trial < 10:
                 twin = sample_open_world(g, cfg)
-                assert repr(twin.__dict__) == repr(split.__dict__)
+                assert twin.__dict__.keys() == split.__dict__.keys()
+                for name, value in split.__dict__.items():
+                    if isinstance(value, np.ndarray):  # the triple arrays
+                        assert np.array_equal(getattr(twin, name), value), name
+                    else:  # open_entities and manifest
+                        assert getattr(twin, name) == value, name
         report_line(6, "split invariants hold and sampling is deterministic",
                     valid_count >= 90, f"{valid_count}/100 graphs sampled")
 

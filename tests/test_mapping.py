@@ -1,3 +1,4 @@
+import hashlib
 import zlib
 
 import numpy as np
@@ -33,7 +34,7 @@ def relu_pattern(model, V):
     pattern = []
     for branch in (model.real, model.imag):
         if branch is not None and model.kind == "mlp":
-            _, cache = _forward(model.kind, branch, V)
+            _, cache = _forward(branch, V)
             pattern += [z > 0 for z in cache[1::2]]  # cache is V, z1, a1, z2, a2, ...
     return pattern
 
@@ -346,7 +347,14 @@ class TestCheckpoint:
         (lambda data: data.replace(b"kind=affine", b"kind=bogus"), "unknown transformation kind"),
         (lambda data: data.replace(b"in_dim=3\n", b""), "lacks in_dim="),
         (lambda data: data.replace(b"\nend\n", b"\n"), "no end line"),
-    ], ids=["truncated", "trailing", "kind", "no-in-dim", "no-end"])
+        (lambda data: data.replace(b"in_dim=3\n", b"in_dim=3\ngarbage line\n"),
+         "is not key=value"),
+        (lambda data: data.replace(b"in_dim=3\n", b"in_dim=3\nin_dim=4\n"), "repeats in_dim="),
+        (lambda data: data.replace(b"hidden=\n", b"hidden=2\n"),
+         "hidden=2 contradicts kind=affine"),
+        (lambda data: data.replace(b"kind=affine", b"kind=mlp"), "hidden= contradicts kind=mlp"),
+    ], ids=["truncated", "trailing", "kind", "no-in-dim", "no-end", "no-equals", "repeated-key",
+            "hidden-for-affine", "no-hidden-for-mlp"])
     def test_malformed_rejected(self, tmp_path, corrupt, message):
         model = init_map("affine", 3, 2, np.random.default_rng(19))
         path = tmp_path / "map.ckpt"
@@ -361,3 +369,53 @@ class TestCheckpoint:
         path.write_bytes(b"something else\nend\n")
         with pytest.raises(ValueError, match="map v1"):
             load_map(str(path))
+
+
+class TestMapGolden:
+    """Seeded map fits pinned to the sha256 of the saved checkpoint and of
+    the training log, for every kind with one branch and with the paired
+    (ComplEx) branches. Word dropout re-averages the inputs every epoch, and
+    the validator's best epoch is the first validation for the paired fits
+    and the last for the others, so both the best-epoch snapshot and the
+    final model are saved somewhere in the table."""
+
+    @staticmethod
+    def train(tmp_path, kind, paired):
+        rng = np.random.default_rng(31)
+        train = [(f"e{rng.integers(12)}", "r", f"e{rng.integers(12)}") for _ in range(40)]
+        g = graph_from_triples(tmp_path, train)
+        model = random_model("complex" if paired else "distmult", g.num_entities,
+                             g.num_relations, 4, rng)
+        words = [f"w{i}" for i in range(10)]
+        store = make_store(words, dim=5, seed=32)
+        metadata = {e: EntityText(g.entity_name(e), " ".join(rng.choice(words, size=3)))
+                    for e in range(g.num_entities)}
+        V = rng.normal(size=(6, 5))
+        tr = rng.normal(size=(6, 4))
+        ti = rng.normal(size=(6, 4)) if paired else None
+
+        def validator(m):
+            return -map_loss_and_gradients(m, V, tr, ti)[0]
+
+        hp = MapHyperparams(epochs=6, learning_rate=0.05, batch_size=4, dropout=0.3,
+                            valid_every=2)
+        log = tmp_path / "map_log.tsv"
+        mm = train_map(model, g, metadata, store, kind, hp, seed=33, validator=validator,
+                       log_path=str(log))
+        ckpt = tmp_path / "map.ckpt"
+        save_map(str(ckpt), mm)
+        return ckpt.read_bytes(), log.read_bytes()
+
+    @pytest.mark.parametrize("kind, paired, ckpt_digest, log_digest", [
+        ("linear", False, "04cd40c740a337b7", "3760e1824a352129"),
+        ("linear", True, "331a51a52ded8fea", "6995fbffe758a954"),
+        ("affine", False, "2b0ddc85334aa9fe", "722873407b0cd109"),
+        ("affine", True, "6bde381de4325da5", "e0d8b58b741323be"),
+        ("mlp", False, "5c0feaf209c284a5", "bb84b4f2f3eb964b"),
+        ("mlp", True, "e4e4e77251f70141", "2256eca60dca6dbe"),
+    ])
+    def test_digests(self, tmp_path, kind, paired, ckpt_digest, log_digest):
+        ckpt, log = self.train(tmp_path, kind, paired)
+        assert len(log.splitlines()) == 7
+        assert hashlib.sha256(ckpt).hexdigest()[:16] == ckpt_digest
+        assert hashlib.sha256(log).hexdigest()[:16] == log_digest

@@ -476,7 +476,10 @@ class TestCheckpoint:
         (lambda data: data.replace(b"dim=3\n", b""), "lacks dim="),
         (lambda data: data.replace(b"dim=3", b"dim=x"), "bad checkpoint header value"),
         (lambda data: data.replace(b"\nend\n", b"\n"), "no end line"),
-    ], ids=["truncated", "trailing", "family", "complex-flag", "no-dim", "bad-dim", "no-end"])
+        (lambda data: data.replace(b"dim=3\n", b"dim=3\ngarbage line\n"), "is not key=value"),
+        (lambda data: data.replace(b"dim=3\n", b"dim=3\ndim=4\n"), "repeats dim="),
+    ], ids=["truncated", "trailing", "family", "complex-flag", "no-dim", "bad-dim", "no-end",
+            "no-equals", "repeated-key"])
     def test_malformed_rejected(self, tmp_path, corrupt, message):
         rng = np.random.default_rng(13)
         model = random_model("complex", 4, 2, 3, rng)
