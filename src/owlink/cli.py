@@ -176,7 +176,9 @@ def _out_dir(s: Settings) -> Path:
 
 
 def _eval_config(s: Settings) -> evaluation.EvalConfig:
-    return _build(s, evaluation.EvalConfig, filtered=not s.get("raw-ranks"))
+    config = _build(s, evaluation.EvalConfig, filtered=not s.get("raw-ranks"))
+    config.validate()
+    return config
 
 
 def cmd_train_kgc(s: Settings) -> None:
@@ -378,7 +380,3 @@ def main(argv: list[str] | None = None) -> int:
         print(f"owlink: {exc}", file=sys.stderr)
         return 1
     return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -73,11 +73,13 @@ class Option:
         if self.choices:
             what = "{" + ",".join(map(str, self.choices)) + "}"
             return f"a comma list from {what}" if self.many else f"one of {what}"
-        one, many = _EXPECTED[self.type]
+        one, many = _EXPECTED.get(self.type, ("a value", "values"))
         return f"a comma list of {many}" if self.many else one
 
     def convert(self, text: str):
         parts = [p for p in text.split(",") if p] if self.many else [text]
+        if not parts:
+            raise OptionError(f"expected {self.expected()}, got {text!r}")
         try:
             values = [BOOL_WORDS[p.lower()] if self.type is bool else self.type(p) for p in parts]
         except (KeyError, ValueError) as exc:

@@ -6,7 +6,8 @@ candidate for the same (head, relation) — only the target's own reciprocal
 rank enters the MRR. Optional target filtering restricts candidates to
 entities observed in the same role for the relation in training, skipping
 triples whose own target fails the criterion. Tie-breaking is pessimistic:
-candidates scoring equal to the target count against it.
+candidates scoring equal to the target count against it. The filtered rank
+is the raw rank less the filter ids that outrank or tie the target.
 """
 
 from __future__ import annotations
@@ -38,8 +39,9 @@ class EvalConfig:
     def validate(self) -> None:
         if self.direction not in DIRECTIONS:
             raise ValueError(f"direction must be 'tail' or 'head', got {self.direction!r}")
-        if not self.hits_k or list(self.hits_k) != sorted(self.hits_k) or self.hits_k[0] < 1:
-            raise ValueError(f"hits_k must be ascending and >= 1, got {self.hits_k}")
+        hits = self.hits_k
+        if not hits or hits[0] < 1 or any(a >= b for a, b in zip(hits, hits[1:])):
+            raise ValueError(f"hits_k must be strictly ascending and >= 1, got {hits}")
 
 
 @dataclass
@@ -74,22 +76,15 @@ class RankingReport:
 
     @property
     def mr(self) -> float:
-        ranks = self._ranks()
-        return sum(ranks) / len(ranks) if ranks else float("nan")
+        return _mean(self._ranks())
 
     @property
     def mrr_raw(self) -> float:
-        ev = self.evaluated
-        if not ev:
-            return float("nan")
-        return sum(1.0 / r.raw_rank for r in ev) / len(ev)
+        return _mean([1.0 / r.raw_rank for r in self.evaluated])
 
     @property
     def mrr_filtered(self) -> float:
-        ev = self.evaluated
-        if not ev:
-            return float("nan")
-        return sum(1.0 / r.filtered_rank for r in ev) / len(ev)
+        return _mean([1.0 / r.filtered_rank for r in self.evaluated])
 
     @property
     def hits(self) -> dict[int, float]:
@@ -99,25 +94,12 @@ class RankingReport:
         return {k: sum(1 for x in ranks if x <= k) / len(ranks) for k in self.config.hits_k}
 
     def summary(self) -> dict[str, float | int]:
-        out: dict[str, float | int] = {
-            "evaluated": self.evaluated_count,
-            "skipped": self.skipped_count,
-            "mr": self.mr,
-            "mrr_raw": self.mrr_raw,
-            "mrr_filtered": self.mrr_filtered,
-        }
-        for k, v in self.hits.items():
-            out[f"hits_{k}"] = v
-        return out
+        return {"evaluated": self.evaluated_count, "skipped": self.skipped_count,
+                "mr": self.mr, "mrr_raw": self.mrr_raw, "mrr_filtered": self.mrr_filtered,
+                **{f"hits_{k}": v for k, v in self.hits.items()}}
 
     def summary_text(self) -> str:
-        lines = []
-        for key, value in self.summary().items():
-            if isinstance(value, int):
-                lines.append(f"{key}={value}")
-            else:
-                lines.append(f"{key}={value!r}")
-        return "\n".join(lines) + "\n"
+        return "".join(f"{key}={value!r}\n" for key, value in self.summary().items())
 
     def table_text(self) -> str:
         """Metrics as percentages with one decimal."""
@@ -130,6 +112,10 @@ class RankingReport:
         return "  ".join(parts)
 
 
+def _mean(values: list) -> float:
+    return sum(values) / len(values) if values else float("nan")
+
+
 def rank_target(scores: np.ndarray, target: int, exclude: set[int] | None = None,
                 candidates: np.ndarray | None = None) -> int:
     """Pessimistic rank of the target among non-excluded candidates.
@@ -137,18 +123,26 @@ def rank_target(scores: np.ndarray, target: int, exclude: set[int] | None = None
     rank = 1 + #(better) + #(ties), counting only entities inside the
     boolean ``candidates`` mask (every entity when None), outside
     ``exclude`` and distinct from the target. This is the one ranking rule:
-    evaluation, baselines and KGC validation all rank through it.
+    evaluation, baselines and KGC validation all rank with its comparison.
     """
     scores = np.asarray(scores)
     if not 0 <= target < len(scores):
         raise IndexError(f"target {target} out of range for {len(scores)} scores")
     if exclude and target in exclude:
         raise ValueError("target must not be excluded")
-    mask = np.ones(len(scores), dtype=bool) if candidates is None else candidates.copy()
-    if exclude:
-        mask[list(exclude)] = False
-    mask[target] = False
-    return 1 + int((scores[mask] >= scores[target]).sum())
+    return _rank_pair(scores, target, candidates, list(exclude or ()))[1]
+
+
+def _rank_pair(scores: np.ndarray, target: int, candidates: np.ndarray | None,
+               excluded: np.ndarray | list[int]) -> tuple[int, int]:
+    """The raw rank of ``rank_target`` and, from the same comparison, the
+    rank less the distinct ``excluded`` ids (the target may be one)."""
+    better = scores >= scores[target]
+    if candidates is not None:
+        better &= candidates
+    better[target] = False
+    raw = 1 + int(np.count_nonzero(better))
+    return raw, raw - int(np.count_nonzero(better[excluded]))
 
 
 def _evaluate_core(
@@ -198,14 +192,13 @@ def _evaluate_core(
 
         if tail_direction:
             scores = score_all_tails(kgc_model, embedding, r)
-            true_set = filter_index.tails(h, r)
+            true_ids = filter_index.tails(h, r)
         else:
             scores = score_all_heads(kgc_model, r, embedding)
-            true_set = filter_index.heads(r, t)
-        exclude = {e for e in true_set if e != target and e < num_e}
-
-        result.raw_rank = rank_target(scores, target, candidates=candidate_mask)
-        result.filtered_rank = rank_target(scores, target, exclude, candidate_mask)
+            true_ids = filter_index.heads(r, t)
+        true_ids = true_ids[:np.searchsorted(true_ids, num_e)]
+        result.raw_rank, result.filtered_rank = _rank_pair(scores, target, candidate_mask,
+                                                           true_ids)
     return report
 
 
@@ -348,9 +341,8 @@ def write_report_tsv(path: str, graph: KnowledgeGraph, report: RankingReport) ->
         fh.write("head\trel\ttail\traw_rank\tfiltered_rank\tskipped_reason\n")
         for res in report.results:
             h, r, t = res.triple
-            raw = "" if res.raw_rank is None else str(res.raw_rank)
-            filt = "" if res.filtered_rank is None else str(res.filtered_rank)
+            ranks = "\t" if res.skipped else f"{res.raw_rank}\t{res.filtered_rank}"
             fh.write(
                 f"{graph.entity_name(h)}\t{graph.relations.name(r)}\t{graph.entity_name(t)}"
-                f"\t{raw}\t{filt}\t{res.reason}\n"
+                f"\t{ranks}\t{res.reason}\n"
             )

@@ -12,9 +12,10 @@ wins, file order). Open-world entities (unseen in train) get ids starting
 at ``num_entities``, so a single integer id space covers both vocabularies.
 
 Each split is an ``(n, 3)`` int64 array of ``(head, rel, tail)`` rows,
-read ``LOAD_CHUNK_LINES`` lines at a time. The train entities seen per
-relation (``known_tails``/``known_heads``) are sorted id arrays in CSR
-form, and the filter index is built from packed integer keys.
+read ``LOAD_CHUNK_LINES`` lines at a time. The ids held per integer key
+are one :class:`IdSets` (sorted CSR): the train entities of each relation
+(``known_tails``/``known_heads``) and the filter index's true tails and
+heads, keyed by packed pairs.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import functools
 import itertools
 import logging
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, NamedTuple, NoReturn
 
 import numpy as np
@@ -128,24 +129,30 @@ class EntityText:
         return not self.name and not self.description
 
 
-class RelationIds:
-    """Sorted distinct entity ids per relation, in CSR form: relation ``r``
-    holds ``ids[offsets[r]:offsets[r + 1]]``; a relation past the last
-    holds none."""
+class IdSets:
+    """Sorted distinct ids per integer key, in CSR form: the sorted distinct
+    ``keys[i]`` holds ``ids[offsets[i]:offsets[i + 1]]``, and a key not in
+    ``keys`` holds none. A key may hold no ids."""
 
-    __slots__ = ("ids", "offsets")
+    __slots__ = ("keys", "offsets", "ids")
 
-    def __init__(self, relations: np.ndarray, entities: np.ndarray) -> None:
-        base = int(entities.max(initial=0)) + 1
-        keys = distinct(relations * base + entities)
-        self.ids = keys % base
-        num_relations = int(relations.max(initial=-1)) + 1
-        self.offsets = np.searchsorted(keys // base, np.arange(num_relations + 1))
+    def __init__(self, keys: np.ndarray, slots: np.ndarray, ids: np.ndarray) -> None:
+        """``keys`` (sorted, distinct) with the distinct ``ids[j]`` of each
+        ``keys[slots[j]]``; an id given twice for a key is held once."""
+        base = int(ids.max(initial=0)) + 1
+        packed = distinct(slots * base + ids)
+        self.keys = keys
+        self.offsets = np.searchsorted(packed // base, np.arange(len(keys) + 1))
+        self.ids = packed % base
 
-    def __getitem__(self, rel: int) -> np.ndarray:
-        if not 0 <= rel < len(self.offsets) - 1:
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    def __getitem__(self, key: int) -> np.ndarray:
+        i = int(np.searchsorted(self.keys, key))
+        if i == len(self.keys) or self.keys[i] != key:
             return self.ids[:0]
-        return self.ids[self.offsets[rel]:self.offsets[rel + 1]]
+        return self.ids[self.offsets[i]:self.offsets[i + 1]]
 
 
 class KnowledgeGraph:
@@ -173,14 +180,14 @@ class KnowledgeGraph:
         self.test = as_triples(test)
 
     @functools.cached_property
-    def known_tails(self) -> RelationIds:
+    def known_tails(self) -> IdSets:
         """The tails each relation has in train."""
-        return RelationIds(self.train[:, 1], self.train[:, 2])
+        return IdSets(np.arange(self.num_relations), self.train[:, 1], self.train[:, 2])
 
     @functools.cached_property
-    def known_heads(self) -> RelationIds:
+    def known_heads(self) -> IdSets:
         """The heads each relation has in train."""
-        return RelationIds(self.train[:, 1], self.train[:, 0])
+        return IdSets(np.arange(self.num_relations), self.train[:, 1], self.train[:, 0])
 
     @property
     def num_entities(self) -> int:
@@ -260,7 +267,7 @@ def _chunk_triples(
     """The triples of the non-blank ``lines``, interned in line order, or
     None (with nothing interned) when a line fails a check."""
     lines = list(filter(None, lines))
-    if set(map(str.count, lines, itertools.repeat("\t"))) - {2}:
+    if list(map(str.count, lines, itertools.repeat("\t"))).count(2) != len(lines):
         return None
     fields = "\t".join(lines).split("\t") if lines else []
     rels = fields[1::3]
@@ -365,17 +372,20 @@ def save_triples(path: str, graph: KnowledgeGraph, triples: np.ndarray) -> None:
 
 @dataclass
 class FilterIndex:
-    """All true tails per (head, rel) and true heads per (rel, tail)."""
+    """The true tails of each (head, rel) and the true heads of each
+    (rel, tail) over ``splits``, keyed by the pair packed as
+    ``first * base + second`` (no key when ``second`` is out of range)."""
 
-    true_tails: dict[tuple[int, int], set[int]] = field(default_factory=dict)
-    true_heads: dict[tuple[int, int], set[int]] = field(default_factory=dict)
+    true_tails: IdSets
+    true_heads: IdSets
+    base: int
     splits: tuple[str, ...] = ("train", "valid", "test")
 
-    def tails(self, head: int, rel: int) -> set[int]:
-        return self.true_tails.get((head, rel), set())
+    def tails(self, head: int, rel: int) -> np.ndarray:
+        return self.true_tails[head * self.base + rel if 0 <= rel < self.base else -1]
 
-    def heads(self, rel: int, tail: int) -> set[int]:
-        return self.true_heads.get((rel, tail), set())
+    def heads(self, rel: int, tail: int) -> np.ndarray:
+        return self.true_heads[rel * self.base + tail if 0 <= tail < self.base else -1]
 
 
 def build_filter_index(
@@ -383,11 +393,11 @@ def build_filter_index(
     splits: Iterable[str] = ("train", "valid", "test"),
     triples=None,
 ) -> FilterIndex:
-    """Index (h, r) -> {t} and (r, t) -> {h} over the chosen splits.
+    """Index (h, r) -> t and (r, t) -> h over the chosen splits.
 
     With ``triples``, only the (head, rel) and (rel, tail) keys those
-    triples query are indexed, each with the same set as in the full index
-    (empty when no split holds the key); without, every key of the splits.
+    triples query are indexed, each with the same ids as in the full index
+    (none when no split holds the key); without, every key of the splits.
     """
     splits = tuple(splits)
     indexed = [graph.split(name) for name in splits]
@@ -396,35 +406,28 @@ def build_filter_index(
     else:
         queried = as_triples(triples)
     base = 1 + max(int(rows.max(initial=0)) for rows in [queried, *indexed])
-    return FilterIndex(_true_sets(indexed, queried, base, (0, 1), 2),
-                       _true_sets(indexed, queried, base, (1, 2), 0), splits)
+    return FilterIndex(_true_ids(indexed, queried, base, (0, 1), 2),
+                       _true_ids(indexed, queried, base, (1, 2), 0), base, splits)
 
 
-def _true_sets(indexed: list[np.ndarray], queried: np.ndarray, base: int,
-               key: tuple[int, int], value: int) -> dict[tuple[int, int], set[int]]:
-    """For each distinct pair of ``key`` columns in ``queried``, the set of
-    ``value`` column entries of the ``indexed`` rows with that pair. A pair
-    is packed as ``first * base + second``."""
+def _true_ids(indexed: list[np.ndarray], queried: np.ndarray, base: int,
+              key: tuple[int, int], value: int) -> IdSets:
+    """For each distinct pair of ``key`` columns in ``queried``, packed as
+    ``first * base + second``, the ``value`` column entries of the
+    ``indexed`` rows with that pair."""
     a, b = key
     wanted = distinct(queried[:, a] * base + queried[:, b])
-    if not len(wanted):
-        return {}
     # A binary search into the few queried keys: np.isin compares every row
     # with each of them when they are few (4-7 ms against 1.4-1.8 ms per
     # split and direction on owe-complex's 72k train rows and 87 keys).
-    slots, values = [], []
-    for rows in indexed:
+    slots, values = [wanted[:0]], [wanted[:0]]
+    for rows in indexed if len(wanted) else ():
         packed = rows[:, a] * base + rows[:, b]
         slot = np.searchsorted(wanted, packed)
         hit = wanted[np.minimum(slot, len(wanted) - 1)] == packed
         slots.append(slot[hit])
         values.append(rows[hit, value])
-    slot = np.concatenate(slots)
-    order = np.argsort(slot)
-    bounds = np.searchsorted(slot[order], np.arange(len(wanted) + 1)).tolist()
-    values = np.concatenate(values)[order].tolist()
-    return {divmod(k, base): set(values[bounds[i]:bounds[i + 1]])
-            for i, k in enumerate(wanted.tolist())}
+    return IdSets(wanted, np.concatenate(slots), np.concatenate(values))
 
 
 _ESCAPED = re.compile(r"\\([tn\\])")

@@ -129,8 +129,8 @@ def test_filter_index_holds_one_sized_set_per_queried_key(assets):
     assert len(index.true_tails) == len({(h, r) for h, r, _ in graph.test.tolist()})
     assert len(index.true_heads) == len({(r, t) for _, r, t in graph.test.tolist()})
     for h, r, t in graph.test.tolist():
-        assert isinstance(index.tails(h, r), set) and t in index.tails(h, r)
-        assert isinstance(index.heads(r, t), set) and h in index.heads(r, t)
+        assert t in index.tails(h, r)
+        assert h in index.heads(r, t)
     assert len(index.tails(10 ** 6, 0)) == 0 and len(index.heads(0, 10 ** 6)) == 0
 
 

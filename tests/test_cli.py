@@ -1,4 +1,7 @@
 import hashlib
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -417,6 +420,42 @@ class TestFractionChecks:
         assert not (assets / "o").exists()
 
 
+class TestListChecks:
+    """A comma list with no items is rejected as it is read, and a repeated
+    Hits@k cut-off before anything is ranked."""
+
+    CASES = [("eval", "filter-splits", "a comma list of names"),
+             ("robustness", "fractions", "a comma list of values"),
+             ("robustness", "modes", "a comma list from {descriptions,all}")]
+
+    @pytest.mark.parametrize("value", ["", ","])
+    @pytest.mark.parametrize("command, key, expected", CASES)
+    def test_empty_flag_is_a_usage_error(self, assets, capsys, command, key, expected, value):
+        with pytest.raises(SystemExit) as exc:
+            run([command, f"--{key}", value, "--out", assets / "o"])
+        assert exc.value.code == 2
+        assert f"argument --{key}: expected {expected}, got {value!r}" in capsys.readouterr().err
+        assert not (assets / "o").exists()
+
+    @pytest.mark.parametrize("command, key, expected", CASES)
+    def test_empty_config_value_names_file_line(self, assets, capsys, command, key, expected):
+        (assets / "run.cfg").write_text(f"{key}=\n")
+        assert run([command, "--config", assets / "run.cfg", "--out", assets / "o"]) == 1
+        assert f"run.cfg:1: {key}: expected {expected}, got ''" in capsys.readouterr().err
+        assert not (assets / "o").exists()
+
+    @pytest.mark.parametrize("command, extra", [("eval", []), ("robustness", ["--epochs", "1"])])
+    def test_repeated_hits_rejected(self, assets, capsys, command, extra):
+        assert train_kgc(assets, assets / "kgc") == 0
+        code = run([command, "--train", assets / "train.txt", "--test", assets / "test.txt",
+                    "--kgc-checkpoint", assets / "kgc" / "kgc.ckpt",
+                    "--metadata", assets / "metadata.tsv", "--embeddings", assets / "vectors.txt",
+                    *extra, "--hits", "1,1,3", "--out", assets / "o"])
+        assert code == 1
+        assert "hits_k must be strictly ascending and >= 1, got 1,1,3" in capsys.readouterr().err
+        assert not list(assets.glob("o/*.tsv")) and not list(assets.glob("o/*.txt"))
+
+
 class TestDropMetadata:
     def test_blanks_descriptions(self, assets):
         out = assets / "dropped"
@@ -748,3 +787,11 @@ def test_manifest_of_another_command_rejected(assets, capsys):
     assert code == 1
     assert "manifest.txt:1: command: this file is for 'train-kgc', not 'eval'" in \
         capsys.readouterr().err
+
+
+def test_python_dash_m_owlink_runs_the_cli():
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-m", "owlink", "--help"], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=str(src)), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: owlink") and "sample-owe" in proc.stdout

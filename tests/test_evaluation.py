@@ -69,6 +69,8 @@ class TestConfig:
             EvalConfig(hits_k=(3, 1)).validate()
         with pytest.raises(ValueError):
             EvalConfig(hits_k=()).validate()
+        with pytest.raises(ValueError, match="strictly ascending"):
+            EvalConfig(hits_k=(1, 1, 3)).validate()
 
 
 class TestClosedWorldEvaluate:
@@ -229,6 +231,19 @@ class TestOpenWorldEvaluate:
         report = evaluate(model, g, config, map_model=mm, metadata=metadata,
                           word_store=store)
         oracle = brute_force_report(model, g, config, g.test, metadata, mm, store)
+        assert_reports_equal(report, oracle)
+
+    @pytest.mark.parametrize("direction", ["tail", "head"])
+    def test_open_ids_in_a_filter_set_are_left_out(self, tmp_path, direction):
+        # (a, r, b) is ranked; its filter sets hold open ids: the tail
+        # new_tail of (a, r) and the head new1 of (r, b)
+        g, model, store, metadata, mm = self.build(tmp_path)
+        config = EvalConfig(direction=direction, filter_splits=("train", "test"))
+        triples = [Triple(0, 0, 1), *g.test.tolist()]
+        report = evaluate(model, g, config, map_model=mm, metadata=metadata,
+                          word_store=store, triples=triples)
+        assert not report.results[0].skipped
+        oracle = brute_force_report(model, g, config, triples, metadata, mm, store)
         assert_reports_equal(report, oracle)
 
     def test_open_target_skipped(self, tmp_path):

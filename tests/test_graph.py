@@ -199,21 +199,29 @@ class TestFilterIndex:
     def test_true_tails_direct_definition(self, tmp_path):
         g = graph_from_triples(tmp_path, [("a", "r", "b"), ("a", "r", "c")])
         idx = build_filter_index(g, splits=("train",))
-        assert idx.tails(0, 0) == {1, 2}
-        assert idx.heads(0, 1) == {0}
+        assert idx.tails(0, 0).tolist() == [1, 2]
+        assert idx.heads(0, 1).tolist() == [0]
 
     def test_no_repeated_pair_gives_singletons(self, tmp_path):
         g = graph_from_triples(tmp_path, [("a", "r", "b"), ("b", "r", "c"), ("c", "s", "a")])
         idx = build_filter_index(g, splits=("train",))
-        assert all(len(s) == 1 for s in idx.true_tails.values())
+        assert all(len(idx.true_tails[k]) == 1 for k in idx.true_tails.keys.tolist())
 
     def test_covers_configured_splits(self, tmp_path):
         g = graph_from_triples(tmp_path, TRAIN, valid=[("b", "r", "c")], test=[("c", "s", "a")])
         idx = build_filter_index(g)
-        total = sum(len(s) for s in idx.true_tails.values())
+        total = sum(len(idx.true_tails[k]) for k in idx.true_tails.keys.tolist())
         assert total == len(g.train) + len(g.valid) + len(g.test)
         idx_train = build_filter_index(g, splits=("train",))
-        assert sum(len(s) for s in idx_train.true_tails.values()) == len(g.train)
+        tails = idx_train.true_tails
+        assert sum(len(tails[k]) for k in tails.keys.tolist()) == len(g.train)
+
+
+    def test_triple_in_two_splits_counts_once(self, tmp_path):
+        g = graph_from_triples(tmp_path, TRAIN, valid=[("a", "r", "b")], test=[("a", "r", "b")])
+        for idx in (build_filter_index(g), build_filter_index(g, triples=g.test)):
+            assert idx.tails(0, 0).tolist() == [1, 2]
+            assert idx.heads(0, 1).tolist() == [0]
 
 
 class TestRestrictedFilterIndex:
@@ -250,11 +258,13 @@ class TestRestrictedFilterIndex:
             full = build_filter_index(g, splits)
             restricted = build_filter_index(g, splits, queried)
             assert restricted.splits == full.splits
-            assert set(restricted.true_tails) == {(h, r) for h, r, _ in queried}
-            assert set(restricted.true_heads) == {(r, t) for _, r, t in queried}
+            keys = {divmod(k, restricted.base) for k in restricted.true_tails.keys.tolist()}
+            assert keys == {(h, r) for h, r, _ in queried}
+            keys = {divmod(k, restricted.base) for k in restricted.true_heads.keys.tolist()}
+            assert keys == {(r, t) for _, r, t in queried}
             for h, r, t in queried:
-                assert restricted.tails(h, r) == full.tails(h, r)
-                assert restricted.heads(r, t) == full.heads(r, t)
+                assert restricted.tails(h, r).tolist() == full.tails(h, r).tolist()
+                assert restricted.heads(r, t).tolist() == full.heads(r, t).tolist()
 
 
 class TestEntityText:
