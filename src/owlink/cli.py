@@ -21,6 +21,8 @@ import typing
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
+
 from . import evaluation, graph as graphmod, mapping, models, sampler, text
 from .config import Option, Settings, load_config_file, stage_seed, write_manifest
 
@@ -31,7 +33,8 @@ class CliError(Exception):
 
 # Flags of dataclass fields that are not the field name with dashes.
 RENAMES = {"num_negatives": "negatives", "loss": "loss-mode", "hits_k": "hits"}
-FIELD_CHOICES = {"loss": mapping.LOSS_MODES, "direction": evaluation.DIRECTIONS}
+FIELD_CHOICES = {"loss": mapping.LOSS_MODES, "direction": evaluation.DIRECTIONS,
+                 "filter_splits": graphmod.SPLITS}
 
 
 def _flag(field_name: str) -> str:
@@ -146,23 +149,23 @@ def _load_graph(s: Settings, open_world: bool) -> graphmod.KnowledgeGraph:
                                _input_file(s, "test", False), open_world=open_world)
 
 
-def _word_vectors(s: Settings, metas) -> text.WordEmbeddingStore:
-    """The vectors of every key the text of ``metas`` can look up; the store
-    reuses the tokens collected for them."""
+def _entity_rows(s: Settings, metadata: dict) -> text.EntityRows:
+    """The text of ``metadata`` (entity id -> text) as rows of a store that
+    holds only the vectors this text can look up."""
     template = s.get("phrase-template")
-    keys, tokens = text.collect_keys(metas, template)
-    store = text.load_word_embeddings(_input_file(s, "embeddings"), template, keys)
-    store.tokens = tokens
-    return store
+    keys = text.collect_keys(metadata, template)
+    store = text.load_word_embeddings(_input_file(s, "embeddings"), template, keys.keys)
+    return keys.rows(store)
 
 
 def _load_text_assets(s: Settings, graph, open_only: bool = False):
-    """Raw and resolved metadata, and the vectors of every resolved entity
-    (of the open ones only with ``open_only``)."""
+    """Raw metadata, and the text of every resolved entity (of the open ones
+    only with ``open_only``) as store rows."""
     raw_meta = graphmod.load_entity_text(_input_file(s, "metadata"))
     metadata = graphmod.resolve_metadata(raw_meta, graph)
-    metas = [m for e, m in metadata.items() if not open_only or graph.is_open(e)]
-    return raw_meta, metadata, _word_vectors(s, metas)
+    if open_only:
+        metadata = {e: m for e, m in metadata.items() if graph.is_open(e)}
+    return raw_meta, _entity_rows(s, metadata)
 
 
 def _load_kgc(s: Settings) -> models.KgcModel:
@@ -202,15 +205,15 @@ def cmd_train_map(s: Settings) -> None:
     seed = s.get("seed")
     graph = _load_graph(s, open_world=True)
     kgc = _load_kgc(s)
-    _, metadata, store = _load_text_assets(s, graph)
+    _, entity_rows = _load_text_assets(s, graph)
     hp = _build(s, mapping.MapHyperparams)
     kind = s.get("kind")
 
     validator = None
     if len(graph.valid):
-        validator = evaluation.open_world_validator(kgc, graph, metadata, store)
+        validator = evaluation.open_world_validator(kgc, graph, entity_rows)
     map_model = mapping.train_map(
-        kgc, graph, metadata, store, kind, hp,
+        kgc, graph, entity_rows, kind, hp,
         seed=stage_seed(seed, "map"), validator=validator,
         log_path=str(out / "map_log.tsv"),
     )
@@ -222,35 +225,43 @@ def cmd_eval(s: Settings) -> None:
     """Rank test triples and report metrics."""
     split = s.get("split")
     _require(s, split)  # the ranked file; an empty one ranks nothing
+    config = _eval_config(s)
     out = _out_dir(s)
     graph = _load_graph(s, open_world=True)
     kgc = _load_kgc(s)
-    map_model = metadata = store = None
+    map_model = entity_rows = None
     map_path = _input_file(s, "map-checkpoint", required=False)
     if map_path is not None:
         map_model = mapping.load_map(map_path)
-        _, metadata, store = _load_text_assets(s, graph, open_only=True)
-    config = _eval_config(s)
-    report = evaluation.evaluate(
-        kgc, graph, config, map_model, metadata, store, triples=graph.split(split)
-    )
+        _, entity_rows = _load_text_assets(s, graph, open_only=True)
+    report = evaluation.evaluate(kgc, graph, config, map_model, entity_rows,
+                                 triples=graph.split(split))
     evaluation.write_report_tsv(str(out / "report.tsv"), graph, report)
     (out / "summary.txt").write_text(report.summary_text(), encoding="utf-8")
     print(report.table_text())
     write_manifest(out, "eval", s.resolved)
 
 
+def _sweep_point(entity_rows: text.EntityRows, graph, corrupted: dict) -> text.EntityRows:
+    """The rows of ``corrupted`` (``sampler.corrupt_metadata``'s output, by
+    external id): the entities it keeps, with the descriptions it keeps."""
+    kept = [corrupted.get(name) for name in graph.entity_names[entity_rows.entities].tolist()]
+    return entity_rows.select(np.array([m is not None for m in kept], dtype=bool),
+                              np.array([(True, True, bool(m and m.description)) for m in kept],
+                                       dtype=bool).reshape(-1, 3))
+
+
 def cmd_robustness(s: Settings) -> None:
     """Metadata-dropping robustness sweep."""
     _require(s, "test")
+    config = _eval_config(s)
     out = _out_dir(s)
     seed = s.get("seed")
     graph = _load_graph(s, open_world=True)
     kgc = _load_kgc(s)
-    raw_meta, _, store = _load_text_assets(s, graph)
+    raw_meta, entity_rows = _load_text_assets(s, graph)
     hp = _build(s, mapping.MapHyperparams, valid_every=0)
     kind = s.get("kind")
-    config = _eval_config(s)
     fractions = s.get("fractions")
     modes = s.get("modes")
 
@@ -269,10 +280,10 @@ def cmd_robustness(s: Settings) -> None:
             stage = f"robust:{mode}:{fraction}"
             corrupted = sampler.corrupt_metadata(raw_meta, mode, fraction,
                                                  seed=stage_seed(seed, stage))
-            resolved = graphmod.resolve_metadata(corrupted, graph)
-            map_model = mapping.train_map(kgc, graph, resolved, store, kind, hp,
+            point = _sweep_point(entity_rows, graph, corrupted)
+            map_model = mapping.train_map(kgc, graph, point, kind, hp,
                                           seed=stage_seed(seed, stage + ":map"))
-            report = evaluation.evaluate(kgc, graph, config, map_model, resolved, store)
+            report = evaluation.evaluate(kgc, graph, config, map_model, point)
             add_row(mode, fraction, report)
 
     baseline = evaluation.random_head_baseline(kgc, graph, config,
@@ -285,27 +296,27 @@ def cmd_robustness(s: Settings) -> None:
 
 def cmd_neighbors(s: Settings) -> None:
     """Nearest entities to an entity or free text."""
+    entity, free_text, description = map(s.get, ("entity", "text", "description"))
+    if (entity is None) == (free_text is None):
+        raise CliError("neighbors requires exactly one of --entity and --text")
+    if description is not None and free_text is None:
+        raise CliError("--description needs --text")
     out = _out_dir(s)
     graph = _load_graph(s, open_world=True)
     kgc = _load_kgc(s)
     k = s.get("k")
-    entity = s.get("entity")
-    free_text = s.get("text")
-    description = s.get("description")
 
     if entity is not None:
         eid = graph.entity_id(entity)
         if eid is None or eid >= graph.num_entities:
             raise CliError(f"--entity: unknown closed-world entity {entity!r}")
         query = kgc.embeddings.entity_embedding(eid)
-    elif free_text is not None:
+    else:
         map_path = _input_file(s, "map-checkpoint")
         meta = graphmod.EntityText("query", free_text, description or "")
-        store = _word_vectors(s, [meta])
+        store = _entity_rows(s, {0: meta}).store
         map_model = mapping.load_map(map_path)
         query = mapping.mapped_entity_embedding(kgc, map_model, meta, store)
-    else:
-        raise CliError("neighbors requires --entity or --text")
 
     lines = []
     for rank, (eid, dist) in enumerate(evaluation.nearest_neighbors(kgc, query, k), 1):

@@ -16,10 +16,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import EntityText, KnowledgeGraph, as_triples, build_filter_index, distinct
-from .mapping import MapModel, mapped_entity_embedding
+from .graph import SPLITS, KnowledgeGraph, as_triples, build_filter_index, distinct
+from .mapping import MapModel, mapped_embedding
 from .models import KgcModel, score_all_heads, score_all_tails
-from .text import NoTextError, WordEmbeddingStore
+from .text import EntityRows, NoTextError
 
 SKIP_NO_METADATA = "no-metadata"
 SKIP_TARGET_FILTERING = "target-filtering"
@@ -32,7 +32,7 @@ DIRECTIONS = ("tail", "head")
 class EvalConfig:
     direction: str = "tail"
     filtered: bool = True
-    filter_splits: tuple[str, ...] = ("train", "valid", "test")
+    filter_splits: tuple[str, ...] = SPLITS
     target_filtering: bool = False
     hits_k: tuple[int, ...] = (1, 3, 10)
 
@@ -148,14 +148,19 @@ def _rank_pair(scores: np.ndarray, target: int, candidates: np.ndarray | None,
 def _evaluate_core(
     kgc_model: KgcModel,
     graph: KnowledgeGraph,
-    config: EvalConfig,
+    config: EvalConfig | None,
     triples,
-    filter_index,
     query_embedding,
+    filter_index=None,
 ) -> RankingReport:
-    """Shared ranking loop over the ``(head, rel, tail)`` rows of ``triples``;
-    ``query_embedding(triple, query_id)`` returns an embedding (or pair), or
-    raises NoTextError to skip the triple."""
+    """The shared ranking loop over ``triples`` (``graph.test`` when None) and
+    ``config`` (the default when None); ``query_embedding(query_id)`` gives an
+    embedding (or pair), or raises NoTextError to skip the triple."""
+    config = config if config is not None else EvalConfig()
+    config.validate()
+    triples = triples if triples is not None else graph.test
+    if filter_index is None:
+        filter_index = build_filter_index(graph, config.filter_splits, triples)
     tail_direction = config.direction == "tail"
     num_e = graph.num_entities
     report = RankingReport(config)
@@ -185,7 +190,7 @@ def _evaluate_core(
                 continue
 
         try:
-            embedding = query_embedding(triple, query_id)
+            embedding = query_embedding(query_id)
         except NoTextError:
             result.skipped, result.reason = True, SKIP_NO_METADATA
             continue
@@ -207,41 +212,25 @@ def evaluate(
     graph: KnowledgeGraph,
     config: EvalConfig | None = None,
     map_model: MapModel | None = None,
-    metadata: dict[int, EntityText] | None = None,
-    word_store: WordEmbeddingStore | None = None,
+    entity_rows: EntityRows | None = None,
     triples=None,
 ) -> RankingReport:
     """Rank every test triple and aggregate MR / MRR / Hits@k.
 
-    Closed-world query entities use their trained embedding rows;
-    open-world ones are routed through the text pipeline and transformation
-    (requires ``map_model``, ``metadata`` and ``word_store``). Triples whose
-    open query entity has no usable metadata are counted as skipped.
+    Closed-world query entities use their trained embedding rows; open-world
+    ones map the mean of their rows in ``entity_rows`` through ``map_model``,
+    one query at a time, and are skipped when they have no rows.
     """
-    config = config if config is not None else EvalConfig()
-    config.validate()
-    triples = triples if triples is not None else graph.test
-    filter_index = build_filter_index(graph, config.filter_splits, triples)
     emb = kgc_model.embeddings
-    cache: dict[int, object] = {}
 
-    def query_embedding(triple, query_id: int):
+    def query_embedding(query_id: int):
         if query_id < graph.num_entities:
             return emb.entity_embedding(query_id)
-        if query_id in cache:
-            return cache[query_id]
-        if map_model is None or word_store is None:
-            raise ValueError(
-                "open-world query entity encountered but map_model/word_store missing"
-            )
-        meta = (metadata or {}).get(query_id)
-        if meta is None or meta.is_empty():
-            raise NoTextError(f"no metadata for open entity {query_id}")
-        mapped = mapped_entity_embedding(kgc_model, map_model, meta, word_store)
-        cache[query_id] = mapped
-        return mapped
+        if map_model is None or entity_rows is None:
+            raise ValueError("open-world query entity encountered but no map_model/entity_rows")
+        return mapped_embedding(kgc_model, map_model, entity_rows.mean(query_id))
 
-    return _evaluate_core(kgc_model, graph, config, triples, filter_index, query_embedding)
+    return _evaluate_core(kgc_model, graph, config, triples, query_embedding)
 
 
 def closed_world_validator(graph: KnowledgeGraph, max_triples: int | None = None):
@@ -259,11 +248,11 @@ def closed_world_validator(graph: KnowledgeGraph, max_triples: int | None = None
         if len(triples) == 0:
             return 0.0
 
-        def query_embedding(triple, query_id: int):
+        def query_embedding(query_id: int):
             return kgc_model.embeddings.entity_embedding(query_id)
 
         tails, heads = [
-            _evaluate_core(kgc_model, graph, config, triples, filter_index, query_embedding)
+            _evaluate_core(kgc_model, graph, config, triples, query_embedding, filter_index)
             for config in configs
         ]
         total = 0.0  # one rank at a time, tail before head: the order fixes the last bits
@@ -274,15 +263,13 @@ def closed_world_validator(graph: KnowledgeGraph, max_triples: int | None = None
     return validator
 
 
-def open_world_validator(kgc_model: KgcModel, graph: KnowledgeGraph,
-                         metadata: dict[int, EntityText], word_store: WordEmbeddingStore):
+def open_world_validator(kgc_model: KgcModel, graph: KnowledgeGraph, entity_rows: EntityRows):
     """Filtered tail MRR over ``graph.valid`` (0 when nothing is ranked), as
     a ``map_model -> score`` callable for ``mapping.train_map``."""
     config = EvalConfig(filter_splits=("train", "valid"))
 
     def validator(map_model: MapModel) -> float:
-        report = evaluate(kgc_model, graph, config, map_model, metadata, word_store,
-                          triples=graph.valid)
+        report = evaluate(kgc_model, graph, config, map_model, entity_rows, triples=graph.valid)
         return report.mrr_filtered if report.evaluated_count else 0.0
 
     return validator
@@ -299,9 +286,6 @@ def random_head_baseline(
     uniformly sampled training head (tail direction) or tail (head
     direction). Simulates an uninformative transformation."""
     config = config if config is not None else EvalConfig()
-    config.validate()
-    triples = triples if triples is not None else graph.test
-    filter_index = build_filter_index(graph, config.filter_splits, triples)
     emb = kgc_model.embeddings
     rng = np.random.default_rng(seed)
 
@@ -310,11 +294,11 @@ def random_head_baseline(
     if len(pool_arr) == 0:
         raise ValueError("empty training split")
 
-    def query_embedding(triple, query_id: int):
+    def query_embedding(query_id: int):
         replacement = int(pool_arr[rng.integers(0, len(pool_arr))])
         return emb.entity_embedding(replacement)
 
-    return _evaluate_core(kgc_model, graph, config, triples, filter_index, query_embedding)
+    return _evaluate_core(kgc_model, graph, config, triples, query_embedding)
 
 
 def nearest_neighbors(

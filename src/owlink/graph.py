@@ -36,6 +36,8 @@ logger = logging.getLogger(__name__)
 # vocabularies keep stay resident.
 LOAD_CHUNK_LINES = 4096
 
+SPLITS = ("train", "valid", "test")
+
 
 class ParseError(ValueError):
     """A line in an input file does not match the expected format."""
@@ -124,9 +126,6 @@ class EntityText:
     entity: str
     name: str = ""
     description: str = ""
-
-    def is_empty(self) -> bool:
-        return not self.name and not self.description
 
 
 class IdSets:
@@ -224,10 +223,9 @@ class KnowledgeGraph:
         return None
 
     def split(self, name: str) -> np.ndarray:
-        try:
-            return {"train": self.train, "valid": self.valid, "test": self.test}[name]
-        except KeyError:
-            raise ValueError(f"unknown split {name!r}") from None
+        if name not in SPLITS:
+            raise ValueError(f"unknown split {name!r}")
+        return getattr(self, name)
 
 
 def _read_split(
@@ -379,7 +377,7 @@ class FilterIndex:
     true_tails: IdSets
     true_heads: IdSets
     base: int
-    splits: tuple[str, ...] = ("train", "valid", "test")
+    splits: tuple[str, ...] = SPLITS
 
     def tails(self, head: int, rel: int) -> np.ndarray:
         return self.true_tails[head * self.base + rel if 0 <= rel < self.base else -1]
@@ -390,7 +388,7 @@ class FilterIndex:
 
 def build_filter_index(
     graph: KnowledgeGraph,
-    splits: Iterable[str] = ("train", "valid", "test"),
+    splits: Iterable[str] = SPLITS,
     triples=None,
 ) -> FilterIndex:
     """Index (h, r) -> t and (r, t) -> h over the chosen splits.

@@ -27,7 +27,7 @@ import numpy as np
 from .graph import EntityText, KnowledgeGraph
 from .models import ConfigError, KgcModel, _flag, _positive_int, read_checkpoint, write_checkpoint
 from .optim import Adam, EpochPolicy
-from .text import WordEmbeddingStore, batch_mean, entity_tokens, text_embedding
+from .text import EntityRows, WordEmbeddingStore, batch_mean, text_embedding
 
 KINDS = ("linear", "affine", "mlp")
 LOSS_MODES = ("squared", "euclidean")
@@ -272,36 +272,20 @@ def fit_map(
     return best if best is not None else model
 
 
-def build_training_pairs(
-    kgc_model: KgcModel,
-    graph: KnowledgeGraph,
-    metadata: dict[int, EntityText],
-    word_store: WordEmbeddingStore,
-):
-    """Word-vector row ids and graph-embedding targets for training entities
-    that have usable text. Returns (entity_ids, row_ids, U_real, U_imag)."""
-    ids: list[int] = []
-    row_ids: list[np.ndarray] = []
-    for eid in range(graph.num_entities):
-        meta = metadata.get(eid)
-        if meta is None or meta.is_empty():
-            continue
-        rows, _ = entity_tokens(meta, word_store)
-        if not len(rows):
-            continue
-        ids.append(eid)
-        row_ids.append(rows)
+def build_training_pairs(kgc_model: KgcModel, graph: KnowledgeGraph, entity_rows: EntityRows):
+    """The rows of the training entities that have usable text, in id order,
+    and their graph-embedding targets: (rows, U_real, U_imag)."""
+    has_text = np.diff(entity_rows.offsets[::3]) > 0
+    pairs = entity_rows.select((entity_rows.entities < graph.num_entities) & has_text)
     emb = kgc_model.embeddings
-    idx = np.asarray(ids, dtype=np.int64)
-    u_imag = emb.entity_imag[idx] if emb.is_complex else None
-    return ids, row_ids, emb.entity_real[idx], u_imag
+    u_imag = emb.entity_imag[pairs.entities] if emb.is_complex else None
+    return pairs, emb.entity_real[pairs.entities], u_imag
 
 
 def train_map(
     kgc_model: KgcModel,
     graph: KnowledgeGraph,
-    metadata: dict[int, EntityText],
-    word_store: WordEmbeddingStore,
+    entity_rows: EntityRows,
     kind: str = "affine",
     hyperparams: MapHyperparams | None = None,
     seed: int = 0,
@@ -317,33 +301,31 @@ def train_map(
     """
     hp = hyperparams if hyperparams is not None else MapHyperparams()
     hp.validate()
-    ids, row_ids, u_real, u_imag = build_training_pairs(kgc_model, graph, metadata, word_store)
-    if not ids:
+    pairs, u_real, u_imag = build_training_pairs(kgc_model, graph, entity_rows)
+    if not len(pairs.entities):
         raise ConfigError("no training entity has usable textual metadata")
 
-    rows = np.concatenate(row_ids)
-    offsets = np.cumsum([0] + [len(r) for r in row_ids])
-
     def inputs(rng: np.random.Generator | None = None) -> np.ndarray:
-        return batch_mean(word_store.matrix, rows, offsets, hp.dropout, rng)
+        return batch_mean(pairs.store.matrix, pairs.rows, pairs.offsets[::3], hp.dropout, rng)
 
     return fit_map(inputs if hp.dropout > 0 else inputs(), u_real, u_imag, kind, hp, seed,
                    validator, log_path)
 
 
-def mapped_entity_embedding(
-    kgc_model: KgcModel,
-    map_model: MapModel,
-    meta: EntityText,
-    word_store: WordEmbeddingStore,
-):
-    """Text -> aggregated -> mapped embedding, shaped for the KGC family."""
-    real, imag = map_vector(map_model, text_embedding(meta, word_store))
+def mapped_embedding(kgc_model: KgcModel, map_model: MapModel, text_vector: np.ndarray):
+    """A text embedding mapped into graph space, shaped for the KGC family."""
+    real, imag = map_vector(map_model, text_vector)
     if kgc_model.family == "complex":
         if imag is None:
             raise ValueError("ComplEx model requires a paired (real+imag) transformation")
         return real, imag
     return real
+
+
+def mapped_entity_embedding(kgc_model: KgcModel, map_model: MapModel, meta: EntityText,
+                            word_store: WordEmbeddingStore):
+    """Text -> aggregated -> mapped embedding of one entity."""
+    return mapped_embedding(kgc_model, map_model, text_embedding(meta, word_store))
 
 
 # Checkpoint format: models' checkpoint header and float32 blocks, with the

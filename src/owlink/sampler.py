@@ -240,12 +240,5 @@ def corrupt_metadata(
     keys = sorted(metadata)
     n_hit = int(round(fraction * len(keys)))
     hit = {keys[i] for i in rng.choice(len(keys), size=n_hit, replace=False)}
-    out: dict[str, EntityText] = {}
-    for key in metadata:
-        rec = metadata[key]
-        if key not in hit:
-            out[key] = EntityText(rec.entity, rec.name, rec.description)
-        elif mode == "descriptions":
-            out[key] = EntityText(rec.entity, rec.name, "")
-        # mode == "all": record removed
-    return out
+    return {key: EntityText(rec.entity, rec.name, "" if key in hit else rec.description)
+            for key, rec in metadata.items() if key not in hit or mode == "descriptions"}

@@ -9,9 +9,10 @@ rows is the text-based entity embedding. During training, word dropout
 replaces a random subset of the rows with zeros before averaging;
 dropped tokens still count in the denominator.
 
-A store need hold only the rows some metadata can look up: ``collect_keys``
-names them, and ``load_word_embeddings`` keeps those alone. ``batch_mean``
-averages many entities at once and is the one mean rule.
+A command's entity text is one :class:`EntityRows` (CSR of store rows):
+``collect_keys`` gives each key an id, ``load_word_embeddings`` keeps those
+keys' vectors alone, and :meth:`TextKeys.rows` resolves the ids;
+``entity_tokens`` is the one-entity case. ``batch_mean`` is the one mean rule.
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ import itertools
 import math
 import re
 import string
-from typing import Iterable
+from dataclasses import dataclass, replace
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -78,11 +80,6 @@ class WordEmbeddingStore:
     keyed for phrase lookup: ``{name}`` is replaced by the name's whitespace
     tokens joined with underscores (e.g. ``"ENTITY/{name}"`` for stores that
     prefix phrase keys).
-
-    The row ids of each name and description string are kept once looked up,
-    so a string is tokenized once per store; ``tokens`` holds ``tokenize``
-    results (by string) made before the store existed, such as those of
-    :func:`collect_keys`, to be used instead of tokenizing again.
     """
 
     def __init__(self, matrix: np.ndarray, rows: dict[str, int],
@@ -91,8 +88,6 @@ class WordEmbeddingStore:
         self.rows = rows
         self.dim = matrix.shape[1]
         self.phrase_template = check_phrase_template(phrase_template)
-        self.tokens: dict[str, list[str]] = {}
-        self._text_rows: dict[str, bytes] = {}
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -103,48 +98,86 @@ class WordEmbeddingStore:
     def phrase_key(self, name: str) -> str:
         return _phrase_key(self.phrase_template, name)
 
-    def text_rows(self, text: str) -> bytes:
-        """The int64 row ids of the tokens of ``text`` (unknown tokens get the
-        zero row), as the bytes of the array: a kept string costs one small
-        object."""
-        rows = self._text_rows.get(text)
-        if rows is None:
-            tokens = self.tokens.pop(text, None)
-            if tokens is None:
-                tokens = tokenize(text)
-            unknown = len(self.rows)
-            rows = np.fromiter((self.rows.get(t, unknown) for t in tokens), np.int64,
-                               len(tokens)).tobytes()
-            self._text_rows[text] = rows
-        return rows
 
-    def name_rows(self, name: str) -> bytes:
-        """Like :meth:`text_rows`: the name's phrase row when the store has
-        one, else its token rows."""
-        phrase = self.rows.get(self.phrase_key(name))
-        return self.text_rows(name) if phrase is None else np.int64(phrase).tobytes()
+@dataclass
+class EntityRows:
+    """Entity text in CSR form, three segments per entity: ``entities[i]``
+    (sorted) holds ``rows[offsets[3 * i]:offsets[3 * i + 3]]``, the ``store``
+    rows (key ids when there is no store) of its name's phrase key, its
+    name's tokens and its description's tokens. On a store, the phrase row
+    is kept where the store has the key, else the name's token rows."""
+
+    store: WordEmbeddingStore | None
+    entities: np.ndarray
+    offsets: np.ndarray
+    rows: np.ndarray
+
+    def __getitem__(self, entity: int) -> np.ndarray:
+        i = int(np.searchsorted(self.entities, entity))
+        if i == len(self.entities) or self.entities[i] != entity:
+            return self.rows[:0]
+        return self.rows[self.offsets[3 * i]:self.offsets[3 * i + 3]]
+
+    def mean(self, entity: int) -> np.ndarray:
+        """The :func:`batch_mean` of ``entity``'s rows; NoTextError when it has none."""
+        rows = self[entity]
+        return batch_mean(self.store.matrix, rows, np.array([0, len(rows)]))[0]
+
+    def select(self, entities: np.ndarray, segments: np.ndarray | None = None) -> "EntityRows":
+        """The entities of the boolean mask ``entities``, with only the segments
+        set in their rows of the (len, 3) mask ``segments`` (all when None)."""
+        keep = entities[:, None] & (np.ones(3, dtype=bool) if segments is None else segments)
+        sizes = np.diff(self.offsets)
+        return EntityRows(self.store, self.entities[entities],
+                          np.concatenate([[0], np.cumsum((sizes.reshape(-1, 3) * keep)[entities])]),
+                          self.rows[np.repeat(keep.ravel(), sizes)])
 
 
-def collect_keys(metas: Iterable[EntityText], phrase_template: str = "{name}"
-                 ) -> tuple[set[str], dict[str, list[str]]]:
-    """Every store key the text of ``metas`` can look up, and the tokens of
-    each distinct name and description string.
+@dataclass
+class TextKeys:
+    """The store keys some entity text can look up, by key id, and that text
+    as an :class:`EntityRows` of key ids (-1 for the phrase key of no name)."""
 
-    The keys are each name's phrase key and the tokens of every name and
-    description; pass them to :func:`load_word_embeddings`, and the tokens
-    to the loaded store's ``tokens``, so no string is tokenized twice.
-    """
+    keys: list[str]
+    ids: EntityRows
+
+    def rows(self, store: WordEmbeddingStore) -> EntityRows:
+        """``ids`` on ``store``: one lookup per key, then one gather."""
+        unknown = len(store)
+        key_rows = np.fromiter(map(store.rows.get, self.keys, itertools.repeat(unknown)), np.int64)
+        rows = replace(self.ids, store=store, rows=np.append(key_rows, unknown)[self.ids.rows])
+        hit = rows.rows[rows.offsets[:-1:3]] != unknown
+        return rows.select(np.ones(len(hit), dtype=bool),
+                           np.column_stack([hit, ~hit, np.ones_like(hit)]))
+
+
+def collect_keys(metadata: Mapping[int, EntityText], phrase_template: str = "{name}"
+                 ) -> TextKeys:
+    """Each store key the text of ``metadata`` (entity id -> text) can look
+    up (phrase keys and tokens), and that text as key ids; each distinct
+    string is tokenized once."""
     check_phrase_template(phrase_template)
-    tokens: dict[str, list[str]] = {}
-    keys: dict[str, str] = {}  # each key once, shared by every token list that holds it
-    for meta in metas:
+    ids: dict[str, int] = {}
+    tokens: dict[str, list[int]] = {}
+    entities = sorted(metadata)
+    flat, ends = [], [0]
+    for meta in map(metadata.__getitem__, entities):
+        flat.append(ids.setdefault(_phrase_key(phrase_template, meta.name), len(ids))
+                    if meta.name else -1)
+        ends.append(len(flat))
         for text in (meta.name, meta.description):
             if text not in tokens:
-                tokens[text] = [keys.setdefault(t, t) for t in tokenize(text)]
-        if meta.name:
-            phrase = _phrase_key(phrase_template, meta.name)
-            keys[phrase] = phrase
-    return set(keys), tokens
+                tokens[text] = [ids.setdefault(t, len(ids)) for t in tokenize(text)]
+            flat += tokens[text]
+            ends.append(len(flat))
+    return TextKeys(list(ids), EntityRows(None, np.array(entities, dtype=np.int64),
+                                          np.array(ends, dtype=np.int64),
+                                          np.array(flat, dtype=np.int64)))
+
+
+def entity_rows(metadata: Mapping[int, EntityText], store: WordEmbeddingStore) -> EntityRows:
+    """The text of ``metadata`` (entity id -> text) as rows of ``store``."""
+    return collect_keys(metadata, store.phrase_template).rows(store)
 
 
 def _line_bound(path: str) -> int:
@@ -268,15 +301,13 @@ def tokenize(text: str) -> list[str]:
 
 
 def entity_tokens(meta: EntityText, store: WordEmbeddingStore) -> tuple[np.ndarray, int]:
-    """Row ids of an entity's text: the name's rows, then the description's.
+    """Row ids of an entity's text: the one-entity case of :func:`entity_rows`.
 
-    The full name contributes a single phrase row when the store has one
-    under the phrase key; otherwise the name is tokenized and looked up
-    token-wise. Returns the int64 row ids (a read-only array) and the count
-    of unknown tokens, which get the zero row. Empty metadata yields no rows.
+    Returns the int64 row ids (name segment, then description segment) and
+    the count of unknown tokens, which get the zero row. Empty metadata
+    yields no rows.
     """
-    name = store.name_rows(meta.name) if meta.name else b""
-    rows = np.frombuffer(name + store.text_rows(meta.description), np.int64)
+    rows = entity_rows({0: meta}, store).rows
     return rows, int(np.count_nonzero(rows == len(store)))
 
 

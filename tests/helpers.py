@@ -184,7 +184,7 @@ def brute_force_report(model, graph, config, triples, metadata=None,
             emb = model.embeddings.entity_embedding(qid)
         else:
             meta = (metadata or {}).get(qid)
-            if meta is None or meta.is_empty():
+            if meta is None or not (meta.name or meta.description):
                 per_triple.append(("skipped", "no-metadata"))
                 continue
             try:

@@ -30,7 +30,7 @@ from owlink.models import (
     train_kgc,
 )
 from owlink.sampler import SamplerConfig, SamplerError, sample_open_world, validate_split
-from owlink.text import collect_keys, load_word_embeddings
+from owlink.text import collect_keys, entity_rows, load_word_embeddings
 from helpers import (
     assert_reports_equal,
     brute_force_report,
@@ -384,10 +384,11 @@ class TestCriterion7:
                                 num_negatives=4, batch_size=8)
         kgc = train_kgc(g, "complex", kgc_hp, seed=3)
         map_hp = MapHyperparams(epochs=400, learning_rate=1e-2, batch_size=16)
-        mm = train_map(kgc, g, metadata, store, "affine", map_hp, seed=5)
+        rows = entity_rows(metadata, store)
+        mm = train_map(kgc, g, rows, "affine", map_hp, seed=5)
 
         config = EvalConfig(filter_splits=("train", "test"))
-        rep = evaluate(kgc, g, config, mm, metadata, store)
+        rep = evaluate(kgc, g, config, mm, rows)
         base = random_head_baseline(kgc, g, config, seed=11)
         ratio = rep.mrr_filtered / base.mrr_filtered
         report_line(7, "toy end-to-end open-world MRR is at least twice the "
@@ -424,19 +425,18 @@ def fb_assets():
     metadata = resolve_metadata(raw_meta, graph)
     template = os.environ.get("OWLINK_PHRASE_TEMPLATE", "{name}")
     # only the vectors the metadata can use: the full Wikipedia2Vec file does not fit in memory
-    keys, tokens = collect_keys(metadata.values(), template)
-    store = load_word_embeddings(EMBEDDING_PATH, template, keys)
-    store.tokens = tokens
+    keys = collect_keys(metadata, template)
+    rows = keys.rows(load_word_embeddings(EMBEDDING_PATH, template, keys.keys))
     hp = KgcHyperparams(dim=300, epochs=100, learning_rate=1e-3, batch_size=128)
     kgc = train_kgc(graph, "complex", hp, seed=0, validator=closed_world_validator(graph))
-    return graph, kgc, raw_meta, metadata, store
+    return graph, kgc, raw_meta, rows
 
 
 def _trained_eval(fb, kind, seed=1):
-    graph, kgc, _, metadata, store = fb
+    graph, kgc, _, rows = fb
     hp = MapHyperparams(epochs=200, learning_rate=1e-3, batch_size=128)
-    mm = train_map(kgc, graph, metadata, store, kind, hp, seed=seed)
-    rep = evaluate(kgc, graph, EvalConfig(), mm, metadata, store)
+    mm = train_map(kgc, graph, rows, kind, hp, seed=seed)
+    rep = evaluate(kgc, graph, EvalConfig(), mm, rows)
     return rep
 
 
@@ -464,17 +464,18 @@ class TestCriterion9:
 @needs_assets
 class TestCriterion10:
     def test_metadata_dropping_robustness(self, fb_assets):
+        from owlink.cli import _sweep_point
         from owlink.sampler import corrupt_metadata
 
-        graph, kgc, raw_meta, _, store = fb_assets
+        graph, kgc, raw_meta, rows = fb_assets
         hp = MapHyperparams(epochs=200, learning_rate=1e-3, batch_size=128)
         config = EvalConfig()
 
         def run(mode, fraction, seed):
             corrupted = corrupt_metadata(raw_meta, mode, fraction, seed=seed)
-            resolved = resolve_metadata(corrupted, graph)
-            mm = train_map(kgc, graph, resolved, store, "affine", hp, seed=seed)
-            return 100 * evaluate(kgc, graph, config, mm, resolved, store).mrr_filtered
+            point = _sweep_point(rows, graph, corrupted)
+            mm = train_map(kgc, graph, point, "affine", hp, seed=seed)
+            return 100 * evaluate(kgc, graph, config, mm, point).mrr_filtered
 
         full = run("descriptions", 0.0, 1)
         no_desc = run("descriptions", 1.0, 2)

@@ -165,3 +165,30 @@ def test_random_head_baseline_on_a_slice_of_test(assets, capsys):
     report = random_head_baseline(kgc, graph, EvalConfig(), seed=1, triples=graph.test[:5])
     assert [res.triple for res in report.results] == graph.test[:5].tolist()
     assert report.evaluated_count == 5
+
+
+def test_brute_force_ranker_reproduces_the_eval_report(assets, capsys):
+    """The benchmark re-ranks eval rows with checks.BruteForceRanker, whose
+    open queries go through the one-entity text path
+    (mapping.mapped_entity_embedding on a store loaded without keys); it
+    must give every filtered rank that eval's row CSR path wrote."""
+    from owlink.graph import load_entity_text, load_graph
+    from owlink.mapping import load_map
+    from owlink.models import load_checkpoint
+    from owlink.text import load_word_embeddings
+
+    commands = golden_commands(assets)
+    for name in ("train-kgc", "train-map", "eval"):
+        assert main([str(a) for a in commands[name]]) == 0, capsys.readouterr().err
+    files = [assets / "train.txt", assets / "valid.txt", assets / "test.txt"]
+    graph = load_graph(*map(str, files), open_world=True)
+    ranker = CHECKS.BruteForceRanker(
+        graph, load_checkpoint(str(assets / "kgc" / "kgc.ckpt")), files,
+        load_map(str(assets / "map" / "map.ckpt")), load_entity_text(str(assets / "metadata.tsv")),
+        load_word_embeddings(str(assets / "vectors.txt")))
+    rows = [r for r in CHECKS.read_report(assets / "eval" / "report.tsv")
+            if not r["skipped_reason"]]
+    assert any(graph.entities.get(r["head"]) is None for r in rows)  # an open query is ranked
+    for r in rows:
+        triple = (r["head"], r["rel"], r["tail"])
+        assert ranker.rank(triple, "tail", False) == int(r["filtered_rank"]), triple

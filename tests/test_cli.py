@@ -9,9 +9,13 @@ import numpy as np
 import pytest
 
 import owlink.text as text
-from owlink.cli import DECLARED, OPTIONS, main
+from owlink.cli import DECLARED, OPTIONS, _sweep_point, main
 from owlink.config import Option, Settings, load_config_file, stage_seed, write_manifest
-from helpers import write_triples
+from owlink.graph import EntityText, resolve_metadata
+from owlink.sampler import corrupt_metadata
+from owlink.text import entity_rows
+from helpers import graph_from_triples, store_from_vectors, write_triples
+from test_text import seeded_text
 
 
 @pytest.fixture
@@ -424,7 +428,7 @@ class TestListChecks:
     """A comma list with no items is rejected as it is read, and a repeated
     Hits@k cut-off before anything is ranked."""
 
-    CASES = [("eval", "filter-splits", "a comma list of names"),
+    CASES = [("eval", "filter-splits", "a comma list from {train,valid,test}"),
              ("robustness", "fractions", "a comma list of values"),
              ("robustness", "modes", "a comma list from {descriptions,all}")]
 
@@ -454,6 +458,97 @@ class TestListChecks:
         assert code == 1
         assert "hits_k must be strictly ascending and >= 1, got 1,1,3" in capsys.readouterr().err
         assert not list(assets.glob("o/*.tsv")) and not list(assets.glob("o/*.txt"))
+
+
+class TestFilterSplitChecks:
+    """A --filter-splits name that is not a split is rejected as it is read,
+    before any input is loaded or output directory made."""
+
+    def argv(self, assets, command):
+        assert train_kgc(assets, assets / "kgc") == 0
+        extra = ["--epochs", "1"] if command == "robustness" else []
+        return [command, "--train", assets / "train.txt", "--test", assets / "test.txt",
+                "--kgc-checkpoint", assets / "kgc" / "kgc.ckpt",
+                "--metadata", assets / "metadata.tsv", "--embeddings", assets / "vectors.txt",
+                *extra, "--out", assets / "o"]
+
+    @pytest.mark.parametrize("command", ["eval", "robustness"])
+    def test_bad_flag_is_a_usage_error(self, assets, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            run(self.argv(assets, command) + ["--filter-splits", "train,bogus"])
+        assert exc.value.code == 2
+        assert ("argument --filter-splits: expected a comma list from {train,valid,test}, "
+                "got 'train,bogus'") in capsys.readouterr().err
+        assert not (assets / "o").exists()
+
+    @pytest.mark.parametrize("command", ["eval", "robustness"])
+    def test_bad_config_value_names_file_line(self, assets, capsys, command):
+        (assets / "run.cfg").write_text("filter-splits=train,bogus\n")
+        assert run(self.argv(assets, command) + ["--config", assets / "run.cfg"]) == 1
+        assert ("run.cfg:1: filter-splits: expected a comma list from {train,valid,test}, "
+                "got 'train,bogus'") in capsys.readouterr().err
+        assert not (assets / "o").exists()
+
+
+class TestNeighborsQueryFlags:
+    """neighbors takes exactly one query, --entity or --text (with an
+    optional --description), and rejects any other mix before it makes its
+    output directory."""
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--entity", "e0", "--text", "w3"], "exactly one of --entity and --text"),
+        (["--entity", "e0", "--description", "w4"], "--description needs --text"),
+        ([], "exactly one of --entity and --text"),
+    ])
+    def test_rejected_before_the_output_directory(self, assets, capsys, flags, message):
+        assert train_kgc(assets, assets / "kgc") == 0
+        code = run(["neighbors", "--train", assets / "train.txt",
+                    "--kgc-checkpoint", assets / "kgc" / "kgc.ckpt",
+                    "--embeddings", assets / "vectors.txt", *flags, "--out", assets / "nn"])
+        assert code == 1
+        assert message in capsys.readouterr().err
+        assert not (assets / "nn").exists()
+
+    def test_text_without_usable_tokens_rejected(self, assets, capsys):
+        assert train_kgc(assets, assets / "kgc") == 0
+        assert run(["train-map", "--train", assets / "train.txt",
+                    "--kgc-checkpoint", assets / "kgc" / "kgc.ckpt",
+                    "--metadata", assets / "metadata.tsv", "--embeddings", assets / "vectors.txt",
+                    "--epochs", "1", "--out", assets / "map"]) == 0
+        code = run(["neighbors", "--train", assets / "train.txt",
+                    "--kgc-checkpoint", assets / "kgc" / "kgc.ckpt",
+                    "--map-checkpoint", assets / "map" / "map.ckpt",
+                    "--embeddings", assets / "vectors.txt", "--text", "...", "--out", assets / "nn"])
+        assert code == 1
+        assert "entity 'query' has no usable text" in capsys.readouterr().err
+        assert not (assets / "nn" / "neighbors.tsv").exists()
+
+
+class TestSweepPoint:
+    """A robustness sweep point masks the command's one row CSR; it holds
+    what a CSR rebuilt from corrupt_metadata's output holds."""
+
+    @pytest.mark.parametrize("mode", ["descriptions", "all"])
+    @pytest.mark.parametrize("fraction", [0.0, 0.5, 1.0])
+    def test_masks_match_a_rebuilt_csr(self, tmp_path, mode, fraction):
+        vectors, metadata = seeded_text(6)
+        raw = {m.entity: m for m in metadata.values()}
+        raw["ghost"] = EntityText("ghost", "w1", "w2")  # not in the graph
+        closed = len(raw) - 6
+        train = [(f"e{i}", "r", f"e{(i + 1) % closed}") for i in range(closed)]
+        test = [(f"e{i}", "r", "e0") for i in range(closed, len(raw) - 1)]  # open heads
+        graph = graph_from_triples(tmp_path, train, test=test, open_world=True)
+        store = store_from_vectors(vectors, 5)
+        rows = entity_rows(resolve_metadata(raw, graph), store)
+        corrupted = corrupt_metadata(raw, mode, fraction, seed=3)
+        point = _sweep_point(rows, graph, corrupted)
+        rebuilt = entity_rows(resolve_metadata(corrupted, graph), store)
+        for field in ("entities", "offsets", "rows"):
+            assert getattr(point, field).tolist() == getattr(rebuilt, field).tolist(), field
+        assert point.store is store
+        if fraction == 1.0:
+            assert len(point.entities) == (len(rows.entities) if mode == "descriptions" else 0)
+            assert (point.offsets[2::3] == point.offsets[3::3]).all()  # no description rows
 
 
 class TestDropMetadata:

@@ -16,6 +16,7 @@ from owlink.evaluation import (
 )
 from owlink.graph import EntityText, KnowledgeGraph, Triple, Vocab
 from owlink.mapping import MapHyperparams, train_map
+from owlink.text import entity_rows
 from helpers import (
     assert_reports_equal,
     brute_force_report,
@@ -185,12 +186,12 @@ class TestOpenWorldValidator:
             g.entity_id("new2"): EntityText("new2", "delta"),
             g.entity_id("new3"): EntityText("new3", "", "..."),  # no usable text
         }  # new4 has no metadata at all
-        validator = open_world_validator(model, g, metadata, store)
+        validator = open_world_validator(model, g, entity_rows(metadata, store))
         config = EvalConfig(filter_splits=("train", "valid"))
         for seed in range(3):
-            mm = train_map(model, g, metadata, store, "affine",
+            mm = train_map(model, g, entity_rows(metadata, store), "affine",
                            MapHyperparams(epochs=5, learning_rate=1e-2), seed=seed)
-            report = evaluate(model, g, config, mm, metadata, store, triples=g.valid)
+            report = evaluate(model, g, config, mm, entity_rows(metadata, store), triples=g.valid)
             assert validator(mm) == report.mrr_filtered
         assert {r.reason for r in report.results} == {
             "", SKIP_NO_METADATA, SKIP_OPEN_TARGET}
@@ -201,9 +202,9 @@ class TestOpenWorldValidator:
         model = random_model("distmult", g.num_entities, g.num_relations, 3,
                              np.random.default_rng(1))
         store = make_store(["alpha"], dim=3)
-        mm = train_map(model, g, {0: EntityText("a", "alpha")}, store, "linear",
+        mm = train_map(model, g, entity_rows({0: EntityText("a", "alpha")}, store), "linear",
                        MapHyperparams(epochs=1))
-        assert open_world_validator(model, g, {}, store)(mm) == 0.0
+        assert open_world_validator(model, g, entity_rows({}, store))(mm) == 0.0
 
 
 class TestOpenWorldEvaluate:
@@ -221,15 +222,15 @@ class TestOpenWorldEvaluate:
             g.entity_id("new1"): EntityText("new1", "alpha", "beta gamma"),
             g.entity_id("new2"): EntityText("new2", "delta"),
         }
-        mm = train_map(model, g, metadata, store, "affine",
+        mm = train_map(model, g, entity_rows(metadata, store), "affine",
                        MapHyperparams(epochs=20, learning_rate=1e-2), seed=4)
         return g, model, store, metadata, mm
 
     def test_matches_brute_force_with_open_heads(self, tmp_path):
         g, model, store, metadata, mm = self.build(tmp_path)
         config = EvalConfig(filter_splits=("train", "test"))
-        report = evaluate(model, g, config, map_model=mm, metadata=metadata,
-                          word_store=store)
+        report = evaluate(model, g, config, map_model=mm,
+                          entity_rows=entity_rows(metadata, store))
         oracle = brute_force_report(model, g, config, g.test, metadata, mm, store)
         assert_reports_equal(report, oracle)
 
@@ -240,16 +241,16 @@ class TestOpenWorldEvaluate:
         g, model, store, metadata, mm = self.build(tmp_path)
         config = EvalConfig(direction=direction, filter_splits=("train", "test"))
         triples = [Triple(0, 0, 1), *g.test.tolist()]
-        report = evaluate(model, g, config, map_model=mm, metadata=metadata,
-                          word_store=store, triples=triples)
+        report = evaluate(model, g, config, map_model=mm,
+                          entity_rows=entity_rows(metadata, store), triples=triples)
         assert not report.results[0].skipped
         oracle = brute_force_report(model, g, config, triples, metadata, mm, store)
         assert_reports_equal(report, oracle)
 
     def test_open_target_skipped(self, tmp_path):
         g, model, store, metadata, mm = self.build(tmp_path)
-        report = evaluate(model, g, EvalConfig(), map_model=mm, metadata=metadata,
-                          word_store=store)
+        report = evaluate(model, g, EvalConfig(), map_model=mm,
+                          entity_rows=entity_rows(metadata, store))
         by_triple = {tuple(r.triple): r for r in report.results}
         open_tail = by_triple[(0, 0, g.entity_id("new_tail"))]
         assert open_tail.skipped and open_tail.reason == SKIP_OPEN_TARGET
@@ -257,8 +258,8 @@ class TestOpenWorldEvaluate:
     def test_missing_metadata_skipped(self, tmp_path):
         g, model, store, metadata, mm = self.build(tmp_path)
         del metadata[g.entity_id("new2")]
-        report = evaluate(model, g, EvalConfig(), map_model=mm, metadata=metadata,
-                          word_store=store)
+        report = evaluate(model, g, EvalConfig(), map_model=mm,
+                          entity_rows=entity_rows(metadata, store))
         reasons = {tuple(r.triple): r.reason for r in report.results if r.skipped}
         assert reasons[(g.entity_id("new2"), 1, 2)] == SKIP_NO_METADATA
 
@@ -267,7 +268,7 @@ class TestOpenWorldEvaluate:
         # tail b was never a training tail of relation s
         triples = [Triple(g.entity_id("new1"), 1, 1)]
         report = evaluate(model, g, EvalConfig(target_filtering=True), map_model=mm,
-                          metadata=metadata, word_store=store, triples=triples)
+                          entity_rows=entity_rows(metadata, store), triples=triples)
         assert report.results[0].reason == SKIP_TARGET_FILTERING
 
     def test_open_query_without_map_errors(self, tmp_path):
@@ -289,11 +290,11 @@ class TestOpenWorldEvaluate:
             g.entity_id("new1"): EntityText("new1", "alpha beta"),
             g.entity_id("new2"): EntityText("new2", "gamma"),
         }
-        mm = train_map(model, g, metadata, store, "linear",
+        mm = train_map(model, g, entity_rows(metadata, store), "linear",
                        MapHyperparams(epochs=10), seed=7)
         config = EvalConfig(direction="head", filter_splits=("train", "test"))
-        report = evaluate(model, g, config, map_model=mm, metadata=metadata,
-                          word_store=store)
+        report = evaluate(model, g, config, map_model=mm,
+                          entity_rows=entity_rows(metadata, store))
         oracle = brute_force_report(model, g, config, g.test, metadata, mm, store)
         assert_reports_equal(report, oracle)
 

@@ -278,7 +278,6 @@ class TestEntityText:
         assert meta["E1"].name == "Bram Stoker"
         assert meta["E1"].description.startswith("Irish novelist")
         assert meta["E2"].description == ""
-        assert not meta["E1"].is_empty()
 
     def test_duplicate_entity_errors(self, tmp_path):
         path = tmp_path / "meta.tsv"

@@ -20,6 +20,7 @@ from owlink.mapping import (
     _forward,
 )
 from owlink.models import ConfigError
+from owlink.text import entity_rows
 from helpers import graph_from_triples, random_model
 from test_text import make_store
 
@@ -292,21 +293,21 @@ class TestTrainMapIntegration:
     def test_build_training_pairs_skips_missing_text(self, tmp_path):
         g, model, store, metadata = self.build(tmp_path)
         del metadata[1]
-        ids, seqs, u_real, u_imag = build_training_pairs(model, g, metadata, store)
-        assert ids == [0, 2]
-        assert len(seqs) == 2 and u_real.shape == (2, 4) and u_imag is None
+        pairs, u_real, u_imag = build_training_pairs(model, g, entity_rows(metadata, store))
+        assert pairs.entities.tolist() == [0, 2]
+        assert len(pairs.entities) == 2 and u_real.shape == (2, 4) and u_imag is None
 
     def test_train_map_runs_and_maps(self, tmp_path):
         g, model, store, metadata = self.build(tmp_path)
         hp = MapHyperparams(epochs=50, learning_rate=1e-2, batch_size=2)
-        mm = train_map(model, g, metadata, store, "affine", hp, seed=15)
+        mm = train_map(model, g, entity_rows(metadata, store), "affine", hp, seed=15)
         mapped = mapped_entity_embedding(model, mm, metadata[0], store)
         assert mapped.shape == (4,)
 
     def test_train_map_complex_gets_paired_branches(self, tmp_path):
         g, model, store, metadata = self.build(tmp_path, family="complex")
         hp = MapHyperparams(epochs=5)
-        mm = train_map(model, g, metadata, store, "linear", hp, seed=16)
+        mm = train_map(model, g, entity_rows(metadata, store), "linear", hp, seed=16)
         assert mm.is_complex
         real, imag = mapped_entity_embedding(model, mm, metadata[1], store)
         assert real.shape == (4,) and imag.shape == (4,)
@@ -314,13 +315,13 @@ class TestTrainMapIntegration:
     def test_no_text_anywhere_rejected(self, tmp_path):
         g, model, store, _ = self.build(tmp_path)
         with pytest.raises(ConfigError, match="metadata"):
-            train_map(model, g, {}, store, "affine", MapHyperparams(epochs=1))
+            train_map(model, g, entity_rows({}, store), "affine", MapHyperparams(epochs=1))
 
     def test_dropout_training_is_deterministic(self, tmp_path):
         g, model, store, metadata = self.build(tmp_path)
         hp = MapHyperparams(epochs=10, dropout=0.5)
-        m1 = train_map(model, g, metadata, store, "affine", hp, seed=17)
-        m2 = train_map(model, g, metadata, store, "affine", hp, seed=17)
+        m1 = train_map(model, g, entity_rows(metadata, store), "affine", hp, seed=17)
+        m2 = train_map(model, g, entity_rows(metadata, store), "affine", hp, seed=17)
         np.testing.assert_array_equal(m1.real["W"], m2.real["W"])
 
 
@@ -400,8 +401,8 @@ class TestMapGolden:
         hp = MapHyperparams(epochs=6, learning_rate=0.05, batch_size=4, dropout=0.3,
                             valid_every=2)
         log = tmp_path / "map_log.tsv"
-        mm = train_map(model, g, metadata, store, kind, hp, seed=33, validator=validator,
-                       log_path=str(log))
+        mm = train_map(model, g, entity_rows(metadata, store), kind, hp, seed=33,
+                       validator=validator, log_path=str(log))
         ckpt = tmp_path / "map.ckpt"
         save_map(str(ckpt), mm)
         return ckpt.read_bytes(), log.read_bytes()

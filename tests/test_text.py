@@ -15,6 +15,7 @@ from owlink.text import (
     aggregate,
     batch_mean,
     collect_keys,
+    entity_rows,
     entity_tokens,
     load_word_embeddings,
     text_embedding,
@@ -595,7 +596,7 @@ class TestReferenceMean:
         captured = {}
         monkeypatch.setattr(mapping, "fit_map",
                             lambda inputs, *args: captured.setdefault("inputs", inputs))
-        train_map(model, g, metadata, store, "affine", MapHyperparams(dropout=dropout))
+        train_map(model, g, entity_rows(metadata, store), "affine", MapHyperparams(dropout=dropout))
         inputs = captured["inputs"]
         seqs = [reference_sequence(metadata[e], vectors, "{name}", 5)
                 for e in range(g.num_entities) if e in metadata]
@@ -644,17 +645,18 @@ class TestCollectKeys:
         path.write_text("".join(f"{k} " + " ".join(repr(x) for x in v.tolist()) + "\n"
                                 for k, v in vectors.items()))
         full = load_word_embeddings(str(path), template)
-        keys, tokens = collect_keys(metadata.values(), template)
-        subset = load_word_embeddings(str(path), template, keys)
-        subset.tokens = tokens
-        assert set(subset.rows) <= keys and len(subset) < len(full)
+        keys = collect_keys(metadata, template)
+        subset = load_word_embeddings(str(path), template, keys.keys)
+        rows = keys.rows(subset)
+        assert set(subset.rows) <= set(keys.keys) and len(subset) < len(full)
         assert not any(k.startswith("unused") for k in subset.rows)
-        for meta in metadata.values():
+        for entity, meta in metadata.items():
             rows_full, unknown_full = entity_tokens(meta, full)
-            rows_sub, unknown_sub = entity_tokens(meta, subset)
+            rows_sub = rows[entity]
+            unknown_sub = int(np.count_nonzero(rows_sub == len(subset)))
             assert len(rows_sub) == len(rows_full) and unknown_sub == unknown_full
             if len(rows_full):
-                assert bits(text_embedding(meta, subset)) == bits(text_embedding(meta, full))
+                assert bits(rows.mean(entity)) == bits(text_embedding(meta, full))
 
     def test_each_string_is_tokenized_once(self, monkeypatch):
         vectors, metadata = seeded_text(2)
@@ -663,9 +665,60 @@ class TestCollectKeys:
         calls = Counter()
         monkeypatch.setattr(text, "tokenize",
                             lambda s: calls.update([s]) or tokenize(s))
-        keys, tokens = collect_keys(metas)
-        store = store_from_vectors({k: v for k, v in vectors.items() if k in keys}, 5)
-        store.tokens = tokens
-        for meta in metas:
-            entity_tokens(meta, store)
+        keys = collect_keys(dict(enumerate(metas)))
+        store = store_from_vectors({k: v for k, v in vectors.items() if k in keys.keys}, 5)
+        keys.rows(store)
         assert calls and max(calls.values()) == 1
+
+
+class TestEntityRows:
+    """The row CSR gives each entity the rows of the one-entity path."""
+
+    @pytest.mark.parametrize("template", ["{name}", "P/{name}"])
+    def test_rows_match_entity_tokens(self, tmp_path, template):
+        vectors, metadata = seeded_text(4)
+        vectors = {template.format(name=k) if i % 3 == 0 else k: v
+                   for i, (k, v) in enumerate(vectors.items())}
+        path = tmp_path / "vec.txt"
+        path.write_text("".join(f"{k} " + " ".join(repr(x) for x in v.tolist()) + "\n"
+                                for k, v in vectors.items()))
+        full = load_word_embeddings(str(path), template)
+        keys = collect_keys(metadata, template)
+        subset = keys.rows(load_word_embeddings(str(path), template, keys.keys))
+        for rows in (entity_rows(metadata, full), subset):
+            assert rows.entities.tolist() == sorted(metadata)
+            for i, (entity, meta) in enumerate(sorted(metadata.items())):
+                seq = reference_sequence(meta, vectors, template, 5)
+                expected = full.matrix[entity_tokens(meta, full)[0]]
+                got = rows.store.matrix[rows[entity]]
+                assert bits(got) == bits(expected) == bits(np.reshape(seq, (-1, 5))), meta
+                names = rows.store.matrix[rows.rows[rows.offsets[3 * i]:rows.offsets[3 * i + 2]]]
+                name_only = reference_sequence(EntityText("", meta.name), vectors, template, 5)
+                assert bits(names) == bits(np.reshape(name_only, (-1, 5)))
+        metas = list(metadata.values())
+        assert any(full.phrase_key(m.name) in full for m in metas)
+        assert any(m.name and full.phrase_key(m.name) not in full for m in metas)
+        assert any(entity_tokens(m, full)[1] for m in metas)
+        assert any(not m.description for m in metas)
+        assert any(not len(entity_tokens(m, full)[0]) for m in metas)
+
+    def test_absent_entity_and_mean(self):
+        store = make_store(["a", "b"])
+        rows = entity_rows({3: EntityText("x", "a", "b zz"), 1: EntityText("y", "", "")}, store)
+        assert rows.entities.tolist() == [1, 3] and rows.offsets.tolist() == [0, 0, 0, 0, 1, 1, 3]
+        assert len(rows[2]) == 0 and len(rows[7]) == 0
+        assert bits(rows.mean(3)) == bits(text_embedding(EntityText("x", "a", "b zz"), store))
+        for entity in (1, 2):
+            with pytest.raises(NoTextError):
+                rows.mean(entity)
+
+    def test_select_masks_entities_and_descriptions(self):
+        store = make_store(["a", "b", "c"])
+        metadata = {0: EntityText("x", "a", "b c"), 1: EntityText("y", "b", "a"),
+                    2: EntityText("z", "c", "")}
+        rows = entity_rows(metadata, store)
+        point = rows.select(np.array([True, False, True]),
+                            np.array([[1, 1, 0], [1, 1, 1], [1, 1, 1]], dtype=bool))
+        expected = entity_rows({0: EntityText("x", "a", ""), 2: metadata[2]}, store)
+        for field in ("entities", "offsets", "rows"):
+            assert getattr(point, field).tolist() == getattr(expected, field).tolist()
