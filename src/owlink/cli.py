@@ -5,11 +5,11 @@ drop-metadata. Options resolve as CLI flag > config file (--config,
 key=value) > default. Each option is declared once in ``OPTIONS``; options
 that set a field of ``KgcHyperparams``, ``MapHyperparams``, ``SamplerConfig``
 or ``EvalConfig`` take their type and default from that field. A config key
-is a flag name, and its value is checked like the flag's. Every command
-writes a manifest echoing its resolved configuration into the output
-directory; exit code 0 means the command completed and the manifest was
-written. All randomness flows from a single --seed via deterministic
-per-stage sub-seeds.
+is a flag name, and its value is checked like the flag's. A command makes
+its output directory once its inputs are read and its settings checked,
+and writes a manifest echoing its resolved configuration there; exit code 0
+means it completed and wrote the manifest. All randomness flows from a
+single --seed via deterministic per-stage sub-seeds.
 """
 
 from __future__ import annotations
@@ -50,10 +50,11 @@ def _fields(cls, *names: str) -> list[Option]:
 
 
 def _build(s: Settings, cls, **fixed):
-    """``cls`` with every field the command has an option for read from ``s``."""
-    read = {f.name: s.get(_flag(f.name)) for f in fields(cls)
-            if f.name not in fixed and _flag(f.name) in s}
-    return cls(**read, **fixed)
+    """``cls`` with every field the command has an option for read from ``s``, validated."""
+    built = cls(**{f.name: s.get(_flag(f.name)) for f in fields(cls)
+                   if f.name not in fixed and _flag(f.name) in s}, **fixed)
+    built.validate()
+    return built
 
 
 COMMON = [Option("out", help="output directory"), *_fields(sampler.SamplerConfig, "seed")]
@@ -179,19 +180,17 @@ def _out_dir(s: Settings) -> Path:
 
 
 def _eval_config(s: Settings) -> evaluation.EvalConfig:
-    config = _build(s, evaluation.EvalConfig, filtered=not s.get("raw-ranks"))
-    config.validate()
-    return config
+    return _build(s, evaluation.EvalConfig, filtered=not s.get("raw-ranks"))
 
 
 def cmd_train_kgc(s: Settings) -> None:
     """Train a closed-world link prediction model."""
-    out = _out_dir(s)
     seed = s.get("seed")
-    graph = _load_graph(s, open_world=False)
     hp = _build(s, models.KgcHyperparams)
+    graph = _load_graph(s, open_world=False)
     # built without a valid split too, so a bad --valid-max-triples is rejected either way
     validator = evaluation.closed_world_validator(graph, s.get("valid-max-triples"))
+    out = _out_dir(s)
     model = models.train_kgc(graph, s.get("family"), hp, seed=stage_seed(seed, "kgc"),
                              validator=validator if len(graph.valid) else None,
                              log_path=str(out / "train_log.tsv"))
@@ -201,17 +200,17 @@ def cmd_train_kgc(s: Settings) -> None:
 
 def cmd_train_map(s: Settings) -> None:
     """Train the text-to-graph transformation."""
-    out = _out_dir(s)
     seed = s.get("seed")
+    hp = _build(s, mapping.MapHyperparams)
+    kind = s.get("kind")
     graph = _load_graph(s, open_world=True)
     kgc = _load_kgc(s)
     _, entity_rows = _load_text_assets(s, graph)
-    hp = _build(s, mapping.MapHyperparams)
-    kind = s.get("kind")
 
     validator = None
     if len(graph.valid):
         validator = evaluation.open_world_validator(kgc, graph, entity_rows)
+    out = _out_dir(s)
     map_model = mapping.train_map(
         kgc, graph, entity_rows, kind, hp,
         seed=stage_seed(seed, "map"), validator=validator,
@@ -226,7 +225,6 @@ def cmd_eval(s: Settings) -> None:
     split = s.get("split")
     _require(s, split)  # the ranked file; an empty one ranks nothing
     config = _eval_config(s)
-    out = _out_dir(s)
     graph = _load_graph(s, open_world=True)
     kgc = _load_kgc(s)
     map_model = entity_rows = None
@@ -234,6 +232,9 @@ def cmd_eval(s: Settings) -> None:
     if map_path is not None:
         map_model = mapping.load_map(map_path)
         _, entity_rows = _load_text_assets(s, graph, open_only=True)
+        mapping.check_fit(map_model, kgc, entity_rows.store.dim, map_path,
+                          s.get("kgc-checkpoint"), s.get("embeddings"))
+    out = _out_dir(s)
     report = evaluation.evaluate(kgc, graph, config, map_model, entity_rows,
                                  triples=graph.split(split))
     evaluation.write_report_tsv(str(out / "report.tsv"), graph, report)
@@ -255,15 +256,13 @@ def cmd_robustness(s: Settings) -> None:
     """Metadata-dropping robustness sweep."""
     _require(s, "test")
     config = _eval_config(s)
-    out = _out_dir(s)
+    hp = _build(s, mapping.MapHyperparams, valid_every=0)
     seed = s.get("seed")
+    kind = s.get("kind")
     graph = _load_graph(s, open_world=True)
     kgc = _load_kgc(s)
     raw_meta, entity_rows = _load_text_assets(s, graph)
-    hp = _build(s, mapping.MapHyperparams, valid_every=0)
-    kind = s.get("kind")
-    fractions = s.get("fractions")
-    modes = s.get("modes")
+    out = _out_dir(s)
 
     header = ["mode", "fraction", "mrr_filtered", "mrr_raw"]
     header += [f"hits_{k}" for k in config.hits_k]
@@ -275,8 +274,8 @@ def cmd_robustness(s: Settings) -> None:
         rows.append("\t".join(cells))
         print(f"{mode} {fraction}: {report.table_text()}")
 
-    for mode in modes:
-        for fraction in fractions:
+    for mode in s.get("modes"):
+        for fraction in s.get("fractions"):
             stage = f"robust:{mode}:{fraction}"
             corrupted = sampler.corrupt_metadata(raw_meta, mode, fraction,
                                                  seed=stage_seed(seed, stage))
@@ -301,7 +300,6 @@ def cmd_neighbors(s: Settings) -> None:
         raise CliError("neighbors requires exactly one of --entity and --text")
     if description is not None and free_text is None:
         raise CliError("--description needs --text")
-    out = _out_dir(s)
     graph = _load_graph(s, open_world=True)
     kgc = _load_kgc(s)
     k = s.get("k")
@@ -316,12 +314,15 @@ def cmd_neighbors(s: Settings) -> None:
         meta = graphmod.EntityText("query", free_text, description or "")
         store = _entity_rows(s, {0: meta}).store
         map_model = mapping.load_map(map_path)
+        mapping.check_fit(map_model, kgc, store.dim, map_path, s.get("kgc-checkpoint"),
+                          s.get("embeddings"))
         query = mapping.mapped_entity_embedding(kgc, map_model, meta, store)
 
     lines = []
     for rank, (eid, dist) in enumerate(evaluation.nearest_neighbors(kgc, query, k), 1):
         lines.append(f"{rank}\t{graph.entity_name(eid)}\t{dist:.6f}")
     body = "\n".join(lines) + "\n"
+    out = _out_dir(s)  # after the search, which checks -k
     (out / "neighbors.tsv").write_text(body, encoding="utf-8")
     print(body, end="")
     write_manifest(out, "neighbors", s.resolved)
@@ -330,9 +331,8 @@ def cmd_neighbors(s: Settings) -> None:
 def cmd_sample_owe(s: Settings) -> None:
     """Construct an open-world split."""
     config = _build(s, sampler.SamplerConfig)
-    config.validate()
-    out = _out_dir(s)
     graph = graphmod.load_graph(_input_file(s, "train"))
+    out = _out_dir(s)
     split = sampler.sample_open_world(graph, config)
     violations = sampler.validate_split(split)
     if violations:
@@ -358,8 +358,8 @@ def cmd_sample_owe(s: Settings) -> None:
 
 def cmd_drop_metadata(s: Settings) -> None:
     """Corrupt a metadata file."""
-    out = _out_dir(s)
     metadata = graphmod.load_entity_text(_input_file(s, "metadata"))
+    out = _out_dir(s)
     corrupted = sampler.corrupt_metadata(
         metadata, mode=s.get("mode"), fraction=s.get("fraction"), seed=s.get("seed")
     )

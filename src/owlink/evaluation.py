@@ -3,11 +3,12 @@
 Protocol: for each test triple the target entity is ranked among all known
 entities by score. The filtered rank removes every other known-true
 candidate for the same (head, relation) — only the target's own reciprocal
-rank enters the MRR. Optional target filtering restricts candidates to
-entities observed in the same role for the relation in training, skipping
-triples whose own target fails the criterion. Tie-breaking is pessimistic:
-candidates scoring equal to the target count against it. The filtered rank
-is the raw rank less the filter ids that outrank or tie the target.
+rank enters the MRR; it is the raw rank less the filter ids that outrank or
+tie the target. Tie-breaking is pessimistic: candidates scoring equal to the
+target count against it. Optional target filtering restricts candidates to
+entities observed in the same role for the relation in training. A triple is
+skipped for the first of: an open target, a target outside that role under
+target filtering, an open query without text.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 from .graph import SPLITS, KnowledgeGraph, as_triples, build_filter_index, distinct
 from .mapping import MapModel, mapped_embedding
 from .models import KgcModel, score_all_heads, score_all_tails
-from .text import EntityRows, NoTextError
+from .text import EntityRows
 
 SKIP_NO_METADATA = "no-metadata"
 SKIP_TARGET_FILTERING = "target-filtering"
@@ -150,51 +151,57 @@ def _evaluate_core(
     graph: KnowledgeGraph,
     config: EvalConfig | None,
     triples,
-    query_embedding,
+    map_model: MapModel | None = None,
+    entity_rows: EntityRows | None = None,
     filter_index=None,
+    rng: np.random.Generator | None = None,
 ) -> RankingReport:
-    """The shared ranking loop over ``triples`` (``graph.test`` when None) and
-    ``config`` (the default when None); ``query_embedding(query_id)`` gives an
-    embedding (or pair), or raises NoTextError to skip the triple."""
+    """The one ranking loop over ``triples`` (``graph.test`` when None). Before
+    any kernel call, each row gets the first skip reason that holds (module
+    docstring) and each ranked row a query id: its own, or with ``rng`` one
+    draw per ranked row, in row order, from the train entities in its role."""
     config = config if config is not None else EvalConfig()
     config.validate()
-    triples = triples if triples is not None else graph.test
+    triples = as_triples(triples if triples is not None else graph.test)
     if filter_index is None:
         filter_index = build_filter_index(graph, config.filter_splits, triples)
     tail_direction = config.direction == "tail"
     num_e = graph.num_entities
-    report = RankingReport(config)
+    q_col, t_col = (0, 2) if tail_direction else (2, 0)
+    queries, targets = triples[:, q_col], triples[:, t_col]
 
-    if config.target_filtering:  # the known sets are built on first use
+    in_role = targets < num_e  # open targets are skipped before target filtering
+    if config.target_filtering:  # one candidate mask per relation that occurs
+        relations, slot = np.unique(triples[:, 1], return_inverse=True)
         known = graph.known_tails if tail_direction else graph.known_heads
-    cand_masks: dict[int, np.ndarray] = {}
+        masks = np.zeros((len(relations), num_e), dtype=bool)
+        for i, r in enumerate(relations.tolist()):
+            masks[i, known[r]] = True
+        in_role[in_role] = masks[slot[in_role], targets[in_role]]
+    no_text = np.zeros(len(triples), dtype=bool)
+    if entity_rows is not None:
+        with_text = entity_rows.entities[np.diff(entity_rows.offsets[::3]) > 0]
+        no_text = (queries >= num_e) & ~np.isin(queries, with_text)
+    reasons = np.select([targets >= num_e, ~in_role, no_text],
+                        [SKIP_OPEN_TARGET, SKIP_TARGET_FILTERING, SKIP_NO_METADATA], "")
+    ranked = np.flatnonzero(reasons == "")
 
-    for triple in as_triples(triples).tolist():
-        h, r, t = triple
-        query_id, target = (h, t) if tail_direction else (t, h)
-        result = TripleResult(triple)
-        report.results.append(result)
+    query_ids = queries[ranked]
+    if rng is not None:
+        pool = distinct(graph.train[:, q_col])
+        if len(pool) == 0:
+            raise ValueError("empty training split")
+        query_ids = pool[rng.integers(0, len(pool), size=len(ranked))]
+    elif (map_model is None or entity_rows is None) and (query_ids >= num_e).any():
+        raise ValueError("open-world query entity encountered but no map_model/entity_rows")
 
-        if target >= num_e:
-            result.skipped, result.reason = True, SKIP_OPEN_TARGET
-            continue
-
-        candidate_mask = None
-        if config.target_filtering:
-            candidate_mask = cand_masks.get(r)
-            if candidate_mask is None:
-                candidate_mask = cand_masks[r] = np.zeros(num_e, dtype=bool)
-                candidate_mask[known[r]] = True
-            if not candidate_mask[target]:
-                result.skipped, result.reason = True, SKIP_TARGET_FILTERING
-                continue
-
-        try:
-            embedding = query_embedding(query_id)
-        except NoTextError:
-            result.skipped, result.reason = True, SKIP_NO_METADATA
-            continue
-
+    report = RankingReport(config, [TripleResult(triple, skipped=reason != "", reason=reason)
+                                    for triple, reason in zip(triples.tolist(), reasons.tolist())])
+    for i, query_id in zip(ranked.tolist(), query_ids.tolist()):
+        result = report.results[i]
+        h, r, t = result.triple
+        embedding = (kgc_model.embeddings.entity_embedding(query_id) if query_id < num_e else
+                     mapped_embedding(kgc_model, map_model, entity_rows.mean(query_id)))
         if tail_direction:
             scores = score_all_tails(kgc_model, embedding, r)
             true_ids = filter_index.tails(h, r)
@@ -202,8 +209,8 @@ def _evaluate_core(
             scores = score_all_heads(kgc_model, r, embedding)
             true_ids = filter_index.heads(r, t)
         true_ids = true_ids[:np.searchsorted(true_ids, num_e)]
-        result.raw_rank, result.filtered_rank = _rank_pair(scores, target, candidate_mask,
-                                                           true_ids)
+        result.raw_rank, result.filtered_rank = _rank_pair(
+            scores, targets[i], masks[slot[i]] if config.target_filtering else None, true_ids)
     return report
 
 
@@ -219,18 +226,11 @@ def evaluate(
 
     Closed-world query entities use their trained embedding rows; open-world
     ones map the mean of their rows in ``entity_rows`` through ``map_model``,
-    one query at a time, and are skipped when they have no rows.
+    one query at a time, and are skipped when they have no rows. An open
+    query that would be ranked without both raises ValueError before any
+    scoring.
     """
-    emb = kgc_model.embeddings
-
-    def query_embedding(query_id: int):
-        if query_id < graph.num_entities:
-            return emb.entity_embedding(query_id)
-        if map_model is None or entity_rows is None:
-            raise ValueError("open-world query entity encountered but no map_model/entity_rows")
-        return mapped_embedding(kgc_model, map_model, entity_rows.mean(query_id))
-
-    return _evaluate_core(kgc_model, graph, config, triples, query_embedding)
+    return _evaluate_core(kgc_model, graph, config, triples, map_model, entity_rows)
 
 
 def closed_world_validator(graph: KnowledgeGraph, max_triples: int | None = None):
@@ -247,14 +247,8 @@ def closed_world_validator(graph: KnowledgeGraph, max_triples: int | None = None
     def validator(kgc_model: KgcModel) -> float:
         if len(triples) == 0:
             return 0.0
-
-        def query_embedding(query_id: int):
-            return kgc_model.embeddings.entity_embedding(query_id)
-
-        tails, heads = [
-            _evaluate_core(kgc_model, graph, config, triples, query_embedding, filter_index)
-            for config in configs
-        ]
+        tails, heads = [_evaluate_core(kgc_model, graph, config, triples,
+                                       filter_index=filter_index) for config in configs]
         total = 0.0  # one rank at a time, tail before head: the order fixes the last bits
         for tail, head in zip(tails.results, heads.results):
             total = total + 1.0 / tail.filtered_rank + 1.0 / head.filtered_rank
@@ -282,23 +276,11 @@ def random_head_baseline(
     seed: int = 0,
     triples=None,
 ) -> RankingReport:
-    """Evaluation with each query entity's embedding replaced by that of a
-    uniformly sampled training head (tail direction) or tail (head
-    direction). Simulates an uninformative transformation."""
-    config = config if config is not None else EvalConfig()
-    emb = kgc_model.embeddings
-    rng = np.random.default_rng(seed)
-
-    position = 0 if config.direction == "tail" else 2
-    pool_arr = distinct(graph.train[:, position])
-    if len(pool_arr) == 0:
-        raise ValueError("empty training split")
-
-    def query_embedding(query_id: int):
-        replacement = int(pool_arr[rng.integers(0, len(pool_arr))])
-        return emb.entity_embedding(replacement)
-
-    return _evaluate_core(kgc_model, graph, config, triples, query_embedding)
+    """Evaluation with each ranked row's query replaced by a uniformly drawn
+    distinct training head (tail direction) or tail (head direction), drawn
+    in row order from ``np.random.default_rng(seed)``. Simulates an
+    uninformative transformation."""
+    return _evaluate_core(kgc_model, graph, config, triples, rng=np.random.default_rng(seed))
 
 
 def nearest_neighbors(

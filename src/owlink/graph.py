@@ -242,8 +242,9 @@ def _read_split(
         for raw in iter(lambda: list(itertools.islice(fh, LOAD_CHUNK_LINES)), []):
             rows = _chunk_triples("".join(raw).split("\n"), entities, relations,
                                   open_entities, extend_vocab, open_world)
-            if rows is None:
-                _raise_first_bad_line(path, entities, relations, extend_vocab, open_world)
+            if rows is None:  # every chunk before this one is full
+                _raise_first_bad_line(path, raw, len(chunks) * LOAD_CHUNK_LINES + 1, entities,
+                                      relations, extend_vocab, open_world)
             chunks.append(rows)
     triples = np.concatenate(chunks) if chunks else as_triples(None)
     first = _first_occurrences(triples)
@@ -289,31 +290,28 @@ def _chunk_triples(
     return rows
 
 
-def _raise_first_bad_line(
-    path: str, entities: Vocab, relations: Vocab, extend_vocab: bool, open_world: bool
-) -> NoReturn:
-    """Raise the error of the first line of ``path`` that fails the line rule:
-    three fields, then (unless the vocabulary is being built) a known
-    relation, then a known head and tail (unless ``open_world``)."""
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.rstrip("\r\n")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) != 3:
-                raise ParseError(
-                    f"{path}:{lineno}: expected 3 tab-separated fields, got {len(fields)}")
-            h, r, t = fields
-            if extend_vocab:
-                continue
-            if r not in relations:
-                raise VocabularyError(f"{path}:{lineno}: unknown relation {r!r}")
-            for name in (h, t):
-                if not open_world and name not in entities:
-                    raise VocabularyError(
-                        f"{path}:{lineno}: unknown entity {name!r} in closed-world mode")
-    raise AssertionError(f"{path}: a chunk failed a check that none of its lines fails")
+def _raise_first_bad_line(path: str, lines: list[str], first_lineno: int, entities: Vocab,
+                          relations: Vocab, extend_vocab: bool, open_world: bool) -> NoReturn:
+    """Raise the error of the first of ``lines``, a failed chunk of ``path``
+    from line ``first_lineno`` on, to fail the line rule: three fields, then
+    (unless the vocabulary is being built) a known relation, then a known
+    head and tail (unless ``open_world``). A chunk fails when a line does."""
+    for lineno, raw in enumerate(lines, first_lineno):
+        line = raw.rstrip("\r\n")
+        if not line:
+            continue
+        fields = line.split("\t")
+        if len(fields) != 3:
+            raise ParseError(f"{path}:{lineno}: expected 3 tab-separated fields, got {len(fields)}")
+        h, r, t = fields
+        if extend_vocab:
+            continue
+        if r not in relations:
+            raise VocabularyError(f"{path}:{lineno}: unknown relation {r!r}")
+        for name in (h, t):
+            if not open_world and name not in entities:
+                raise VocabularyError(
+                    f"{path}:{lineno}: unknown entity {name!r} in closed-world mode")
 
 
 def _first_occurrences(triples: np.ndarray) -> np.ndarray:

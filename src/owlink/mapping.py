@@ -312,14 +312,30 @@ def train_map(
                    validator, log_path)
 
 
+def check_fit(map_model: MapModel, kgc_model: KgcModel, text_dim: int, map_path: str,
+              kgc_path: str, vectors_path: str) -> None:
+    """Raise ValueError, naming the files, unless the map reads ``text_dim``-d
+    vectors and writes ``kgc_model``'s embeddings: its dim, paired for ComplEx."""
+    if map_model.in_dim != text_dim:
+        raise ValueError(f"{map_path}: map input dim {map_model.in_dim} does not match "
+                         f"the {text_dim}-d vectors of {vectors_path}")
+    if map_model.out_dim != kgc_model.embeddings.dim:
+        raise ValueError(f"{map_path}: map output dim {map_model.out_dim} does not match "
+                         f"the {kgc_model.embeddings.dim}-d embeddings of {kgc_path}")
+    if map_model.is_complex != (kgc_model.family == "complex"):
+        pairing = "a paired (real+imag)" if map_model.is_complex else "an unpaired"
+        raise ValueError(f"{map_path}: {pairing} map does not fit the {kgc_model.family} "
+                         f"model of {kgc_path}")
+
+
 def mapped_embedding(kgc_model: KgcModel, map_model: MapModel, text_vector: np.ndarray):
-    """A text embedding mapped into graph space, shaped for the KGC family."""
+    """A text embedding mapped into graph space, shaped for the KGC family:
+    a paired map for ComplEx, an unpaired one otherwise."""
     real, imag = map_vector(map_model, text_vector)
-    if kgc_model.family == "complex":
-        if imag is None:
-            raise ValueError("ComplEx model requires a paired (real+imag) transformation")
-        return real, imag
-    return real
+    if (imag is not None) != (kgc_model.family == "complex"):
+        need = "an unpaired" if imag is not None else "a paired (real+imag)"
+        raise ValueError(f"{kgc_model.family} model requires {need} transformation")
+    return real if imag is None else (real, imag)
 
 
 def mapped_entity_embedding(kgc_model: KgcModel, map_model: MapModel, meta: EntityText,

@@ -3,15 +3,20 @@ drives the CLI with fixed command lines (perfbench/workloads.py).
 
 A rename in owlink, or a flag the CLI no longer takes, would make benchmark
 child processes fail; these tests make it fail here instead. The benchmark's
-setup_s is the loader time before a command's first call in spans.WORK; the
-last test checks that an eval command still loads its filter index before it
-scores, and scores once per evaluated query.
+setup_s is the loader time before a command's first call in spans.WORK; one
+test checks that an eval command still loads its filter index before it
+scores, and scores once per evaluated query. The last test runs a traced
+benchmark child, whose counters read each ranked report's rows.
 """
 
 import importlib
 import importlib.util
+import json
 import logging
+import os
+import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -19,7 +24,8 @@ import pytest
 from owlink.cli import build_parser, main
 from test_cli import assets, golden_commands  # noqa: F401  (assets is a fixture)
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
 
 
 def load_perfbench(name):
@@ -192,3 +198,43 @@ def test_brute_force_ranker_reproduces_the_eval_report(assets, capsys):
     for r in rows:
         triple = (r["head"], r["rel"], r["tail"])
         assert ranker.rank(triple, "tail", False) == int(r["filtered_rank"]), triple
+
+
+def run_traced_child(record_dir, argv):
+    """perfbench/child.py with every traced function wrapped (--trace 1), in
+    its own process; returns the exit code and record.json."""
+    record_dir.mkdir(parents=True)
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, str(PERFBENCH / "child.py"), str(record_dir), "1",
+                           "--", *map(str, argv)], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads((record_dir / "record.json").read_text())
+
+
+def test_traced_child_counts_match_the_eval_report(assets, capsys):
+    """A --trace 1 benchmark run reads each ranked report's rows, skip flags
+    and reasons (spans.finish_counters); its counts must be those of the
+    report eval writes. The baseline and validation are not eval rankings:
+    robustness counts only its sweep points' rows."""
+    commands = golden_commands(assets)
+    for name in ("train-kgc", "train-map"):
+        assert main([str(a) for a in commands[name]]) == 0, capsys.readouterr().err
+    # z0 has no metadata, and y1 is open: one row skipped for each reason
+    skips = (assets / "test.txt").read_text() + "z0\tnext\te1\ne0\tskip\ty1\n"
+    (assets / "skips.txt").write_text(skips)
+    argv = commands["eval"] + ["--test", assets / "skips.txt"]
+    record = run_traced_child(assets / "records" / "pass0" / "eval", argv)
+    assert record["rc"] == 0
+    rows = CHECKS.read_report(assets / "eval" / "report.tsv")
+    reasons = Counter(r["skipped_reason"] for r in rows if r["skipped_reason"])
+    assert reasons == {"no-metadata": 1, "open-target": 1}
+    counters = record["counters"]
+    assert counters["evaluation.attempted"] == len(rows)
+    assert counters.get("evaluation.evaluated", 0) == len(rows) - sum(reasons.values())
+    assert {k: v for k, v in counters.items() if k.startswith("evaluation.skip.")} == {
+        f"evaluation.skip.{reason}": count for reason, count in reasons.items()}
+
+    record = run_traced_child(assets / "records" / "pass0" / "robust", commands["robustness"])
+    assert record["rc"] == 0
+    points, test_rows = 2, 3  # --fractions 0,1.0 --modes descriptions
+    assert record["counters"]["evaluation.attempted"] == points * test_rows

@@ -524,6 +524,69 @@ class TestNeighborsQueryFlags:
         assert not (assets / "nn" / "neighbors.tsv").exists()
 
 
+class TestFailedCommandLeavesNoOutput:
+    """A command makes --out only after it has read its inputs and checked
+    its settings, so a rejected setting leaves no output directory."""
+
+    @pytest.mark.parametrize("command, flags, message", [
+        ("train-kgc", ["--dim", "0"], "dim must be positive, got 0"),
+        ("train-kgc", ["--epochs", "-1"], "epochs must be >= 0, got -1"),
+        ("train-kgc", ["--batch-size", "0"], "batch_size must be positive, got 0"),
+        ("train-map", ["--dropout", "1.5"], "dropout must be in [0, 1), got 1.5"),
+        ("train-map", ["--hidden-dim", "0"], "hidden_dim must be >= 1, got 0"),
+        ("train-map", ["--valid-every", "-1"], "valid_every must be >= 0 (0: never), got -1"),
+        ("robustness", ["--epochs", "-2"], "epochs must be >= 0, got -2"),
+        ("neighbors", ["-k", "0"], "k must be between 1 and the number of entities 8, got 0"),
+    ])
+    def test_rejected_setting(self, assets, capsys, command, flags, message):
+        commands = golden_commands(assets)
+        for name in ("train-kgc", "train-map"):
+            assert run(commands[name]) == 0, capsys.readouterr().err
+        capsys.readouterr()
+        assert run(commands[command] + flags + ["--out", assets / "failed"]) == 1
+        assert capsys.readouterr().err == f"owlink: {message}\n"
+        assert not (assets / "failed").exists()
+
+
+class TestMapFit:
+    """eval and neighbors --text check, right after loading, that the map
+    reads the vectors' dimension and writes the KGC checkpoint's dimension
+    and family, and name the files when it does not."""
+
+    @pytest.mark.parametrize("case", ["vectors-dim", "kgc-dim", "paired-map", "unpaired-map"])
+    @pytest.mark.parametrize("command", ["eval", "neighbors"])
+    def test_mismatch_names_the_files(self, assets, capsys, case, command):
+        commands = golden_commands(assets)
+        for name in ("train-kgc", "train-map"):
+            assert run(commands[name]) == 0, capsys.readouterr().err
+        kgc, mp = assets / "kgc" / "kgc.ckpt", assets / "map" / "map.ckpt"
+        vectors = assets / "vectors.txt"
+        if case == "vectors-dim":
+            vectors = assets / "vectors3.txt"
+            vectors.write_text("".join(f"w{i} 0.1 0.2 0.3\n" for i in range(8)))
+            message = f"{mp}: map input dim 4 does not match the 3-d vectors of {vectors}"
+        elif case == "kgc-dim":
+            assert run(commands["train-kgc"] + ["--dim", "5", "--out", assets / "kgc5"]) == 0
+            kgc = assets / "kgc5" / "kgc.ckpt"
+            message = f"{mp}: map output dim 6 does not match the 5-d embeddings of {kgc}"
+        else:
+            complex_kgc = ["--family", "complex", "--out", assets / "kgcc"]
+            assert run(commands["train-kgc"] + complex_kgc) == 0
+            if case == "paired-map":
+                assert run(commands["train-map"] + ["--kgc-checkpoint", assets / "kgcc" / "kgc.ckpt",
+                                                    "--out", assets / "mapc"]) == 0
+                mp = assets / "mapc" / "map.ckpt"
+                message = f"{mp}: a paired (real+imag) map does not fit the distmult model of {kgc}"
+            else:
+                kgc = assets / "kgcc" / "kgc.ckpt"
+                message = f"{mp}: an unpaired map does not fit the complex model of {kgc}"
+        capsys.readouterr()
+        fit = ["--kgc-checkpoint", kgc, "--map-checkpoint", mp, "--embeddings", vectors]
+        assert run(commands[command] + fit + ["--out", assets / "mismatch"]) == 1
+        assert capsys.readouterr().err == f"owlink: {message}\n"
+        assert not (assets / "mismatch").exists()
+
+
 class TestSweepPoint:
     """A robustness sweep point masks the command's one row CSR; it holds
     what a CSR rebuilt from corrupt_metadata's output holds."""

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from owlink import evaluation
 from owlink.evaluation import (
     SKIP_NO_METADATA,
     SKIP_OPEN_TARGET,
@@ -276,6 +277,31 @@ class TestOpenWorldEvaluate:
         with pytest.raises(ValueError, match="open-world"):
             evaluate(model, g, EvalConfig())
 
+    def test_open_query_after_a_closed_one_errors_before_scoring(self, tmp_path, monkeypatch):
+        g, model, store, metadata, mm = self.build(tmp_path)
+        scored = []
+        monkeypatch.setattr(evaluation, "score_all_tails", lambda *args: scored.append(args))
+        with pytest.raises(ValueError, match="open-world"):
+            evaluate(model, g, EvalConfig(), triples=[Triple(0, 0, 1), *g.test.tolist()])
+        assert scored == []
+
+    @pytest.mark.parametrize("direction", ["tail", "head"])
+    def test_skip_precedence(self, tmp_path, direction):
+        # open queries without text: an open target comes first, then
+        # target filtering, then the missing text
+        g, model, store, metadata, mm = self.build(tmp_path)
+        no_text, open_target = g.entity_id("new2"), g.entity_id("new_tail")
+        del metadata[no_text]
+        rows = [(no_text, 0, open_target), (no_text, 1, 1), (no_text, 0, 1)]
+        triples = [row if direction == "tail" else row[::-1] for row in rows]
+        config = EvalConfig(direction=direction, target_filtering=True)
+        report = evaluate(model, g, config, map_model=mm,
+                          entity_rows=entity_rows(metadata, store), triples=triples)
+        assert [r.reason for r in report.results] == [
+            SKIP_OPEN_TARGET, SKIP_TARGET_FILTERING, SKIP_NO_METADATA]
+        oracle = brute_force_report(model, g, config, triples, metadata, mm, store)
+        assert_reports_equal(report, oracle)
+
     def test_head_direction_open_tails(self, tmp_path):
         train = [("a", "r", "b"), ("b", "r", "c"), ("c", "r", "a")]
         test = [("a", "r", "new1"), ("b", "r", "new2")]
@@ -314,6 +340,29 @@ class TestBaseline:
         pool = sorted({h for (h, _, _) in g.train})
         override = {}
         for idx, (h, r, t) in enumerate(g.test):
+            pick = pool[int(rng.integers(0, len(pool)))]
+            override[idx] = model.embeddings.entity_embedding(pick)
+        oracle = brute_force_report(model, g, config, g.test, query_override=override)
+        assert_reports_equal(report, oracle)
+
+    def test_target_filtering_draws_for_ranked_rows_only(self, tmp_path):
+        # (c, s, c) and (a, s, b) are skipped by target filtering: one draw is
+        # made per ranked row, in row order
+        train = [("a", "r", "b"), ("b", "r", "c"), ("c", "s", "a")]
+        test = [("a", "r", "c"), ("c", "s", "c"), ("b", "s", "a"), ("a", "s", "b"),
+                ("c", "r", "b")]
+        g = graph_from_triples(tmp_path, train, test=test)
+        model = random_model("distmult", g.num_entities, g.num_relations, 4,
+                             np.random.default_rng(8))
+        config = EvalConfig(filter_splits=("train",), target_filtering=True)
+        report = random_head_baseline(model, g, config, seed=99)
+        assert [r.reason for r in report.results] == [
+            "", SKIP_TARGET_FILTERING, "", SKIP_TARGET_FILTERING, ""]
+
+        rng = np.random.default_rng(99)
+        pool = sorted({h for (h, _, _) in g.train})
+        override = {}
+        for idx in (0, 2, 4):
             pick = pool[int(rng.integers(0, len(pool)))]
             override[idx] = model.embeddings.entity_embedding(pick)
         oracle = brute_force_report(model, g, config, g.test, query_override=override)

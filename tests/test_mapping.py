@@ -14,6 +14,7 @@ from owlink.mapping import (
     load_map,
     map_loss_and_gradients,
     map_vector,
+    mapped_embedding,
     mapped_entity_embedding,
     save_map,
     train_map,
@@ -134,6 +135,17 @@ class TestForward:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ConfigError):
             init_map("quadratic", 2, 2, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("family, paired, message", [
+        ("distmult", True, "distmult model requires an unpaired transformation"),
+        ("complex", False, "complex model requires a paired \\(real\\+imag\\) transformation"),
+    ])
+    def test_mapped_embedding_pairing_must_match_the_family(self, family, paired, message):
+        rng = np.random.default_rng(0)
+        model = init_map("affine", 3, 4, rng, complex_pair=paired)
+        kgc = random_model(family, 5, 2, 4, rng)
+        with pytest.raises(ValueError, match=message):
+            mapped_embedding(kgc, model, rng.normal(size=3))
 
 
 class TestGradients:
