@@ -234,9 +234,10 @@ def cmd_eval(s: Settings) -> None:
         _, entity_rows = _load_text_assets(s, graph, open_only=True)
         mapping.check_fit(map_model, kgc, entity_rows.store.dim, map_path,
                           s.get("kgc-checkpoint"), s.get("embeddings"))
-    out = _out_dir(s)
+    # --out comes after evaluate, which rejects an open query without a map
     report = evaluation.evaluate(kgc, graph, config, map_model, entity_rows,
                                  triples=graph.split(split))
+    out = _out_dir(s)
     evaluation.write_report_tsv(str(out / "report.tsv"), graph, report)
     (out / "summary.txt").write_text(report.summary_text(), encoding="utf-8")
     print(report.table_text())

@@ -19,7 +19,7 @@ import numpy as np
 
 from .graph import SPLITS, KnowledgeGraph, as_triples, build_filter_index, distinct
 from .mapping import MapModel, mapped_embedding
-from .models import KgcModel, score_all_heads, score_all_tails
+from .models import KgcModel, better_or_tied
 from .text import EntityRows
 
 SKIP_NO_METADATA = "no-metadata"
@@ -131,14 +131,14 @@ def rank_target(scores: np.ndarray, target: int, exclude: set[int] | None = None
         raise IndexError(f"target {target} out of range for {len(scores)} scores")
     if exclude and target in exclude:
         raise ValueError("target must not be excluded")
-    return _rank_pair(scores, target, candidates, list(exclude or ()))[1]
+    return _rank_pair(scores >= scores[target], target, candidates, list(exclude or ()))[1]
 
 
-def _rank_pair(scores: np.ndarray, target: int, candidates: np.ndarray | None,
+def _rank_pair(better: np.ndarray, target: int, candidates: np.ndarray | None,
                excluded: np.ndarray | list[int]) -> tuple[int, int]:
-    """The raw rank of ``rank_target`` and, from the same comparison, the
-    rank less the distinct ``excluded`` ids (the target may be one)."""
-    better = scores >= scores[target]
+    """The raw rank of ``rank_target`` from the comparison ``better`` (each
+    score >= the target's; modified in place) and, from the same comparison,
+    the rank less the distinct ``excluded`` ids (the target may be one)."""
     if candidates is not None:
         better &= candidates
     better[target] = False
@@ -157,9 +157,12 @@ def _evaluate_core(
     rng: np.random.Generator | None = None,
 ) -> RankingReport:
     """The one ranking loop over ``triples`` (``graph.test`` when None). Before
-    any kernel call, each row gets the first skip reason that holds (module
+    any scoring, each row gets the first skip reason that holds (module
     docstring) and each ranked row a query id: its own, or with ``rng`` one
-    draw per ranked row, in row order, from the train entities in its role."""
+    draw per ranked row, in row order, from the train entities in its role.
+    Ranked rows are compared in blocks of queries by ``models.better_or_tied``
+    (one GEMM per block, the kernel only where its rounding bound cannot
+    decide); each query is embedded on its own, in row order."""
     config = config if config is not None else EvalConfig()
     config.validate()
     triples = as_triples(triples if triples is not None else graph.test)
@@ -197,20 +200,18 @@ def _evaluate_core(
 
     report = RankingReport(config, [TripleResult(triple, skipped=reason != "", reason=reason)
                                     for triple, reason in zip(triples.tolist(), reasons.tolist())])
-    for i, query_id in zip(ranked.tolist(), query_ids.tolist()):
+    embeddings = (kgc_model.embeddings.entity_embedding(q) if q < num_e else
+                  mapped_embedding(kgc_model, map_model, entity_rows.mean(q))
+                  for q in query_ids.tolist())
+    blocks = better_or_tied(kgc_model, embeddings, triples[ranked, 1], targets[ranked],
+                            tail_direction)
+    for i, better in zip(ranked.tolist(), (row for block in blocks for row in block)):
         result = report.results[i]
         h, r, t = result.triple
-        embedding = (kgc_model.embeddings.entity_embedding(query_id) if query_id < num_e else
-                     mapped_embedding(kgc_model, map_model, entity_rows.mean(query_id)))
-        if tail_direction:
-            scores = score_all_tails(kgc_model, embedding, r)
-            true_ids = filter_index.tails(h, r)
-        else:
-            scores = score_all_heads(kgc_model, r, embedding)
-            true_ids = filter_index.heads(r, t)
+        true_ids = filter_index.tails(h, r) if tail_direction else filter_index.heads(r, t)
         true_ids = true_ids[:np.searchsorted(true_ids, num_e)]
         result.raw_rank, result.filtered_rank = _rank_pair(
-            scores, targets[i], masks[slot[i]] if config.target_filtering else None, true_ids)
+            better, targets[i], masks[slot[i]] if config.target_filtering else None, true_ids)
     return report
 
 

@@ -15,8 +15,11 @@ Each family's formula is written once, in a broadcasting kernel that
 run it over blocks of entity rows, with bitwise the same scores. Head (and
 tail) embeddings can be passed explicitly to these functions instead of
 entity ids, which is what allows scoring entities that only exist as
-mapped text embeddings. Ranking lives in ``evaluation.rank_target``;
-best-epoch selection during training goes through a ``validator``.
+mapped text embeddings. ``better_or_tied`` compares every entity with a
+target for a block of queries from one GEMM and a proven rounding bound,
+running the kernel only on the cells the bound cannot decide. Ranking
+lives in ``evaluation``; best-epoch selection during training goes through
+a ``validator``.
 """
 
 from __future__ import annotations
@@ -216,6 +219,218 @@ def score_all_tails(model: KgcModel, h_embedding, r: int) -> np.ndarray:
 def score_all_heads(model: KgcModel, r: int, t_embedding) -> np.ndarray:
     """Score (h, r, t) for every known entity h, given an explicit tail."""
     return _score_all(model, _query_pair(model, t_embedding), r, query_is_head=False)
+
+
+# Bytes of each (queries, N) float64 array of better_or_tied: a block of
+# RANK_BLOCK_BYTES // (8 N) queries (at least one) shares one GEMM, which is
+# 4 queries at N = 14,541 entities. Blocks of 9 (1 MiB) were 25 % faster but
+# raised train-map's peak RSS by 3 MiB on the owe-complex benchmark.
+RANK_BLOCK_BYTES = 1 << 19
+
+_U = 2.0 ** -53  # unit roundoff of float64
+_SMALL = 2.0 ** -1022  # smallest normal float64
+_NORM_FLOOR = 2.0 ** -500  # added to every computed norm (squares that underflowed)
+_LIMIT = 2.0 ** 1000  # bilinear guard: no intermediate of a cell reaches 2**1020
+
+
+def _gamma(n: int) -> float:
+    """Higham's gamma_n = n u / (1 - n u), widened by 2**-20 relative to
+    cover the rounding of the bound's own arithmetic (better_or_tied)."""
+    return n * _U / (1 - n * _U) * (1 + 2.0 ** -20)
+
+
+def _bilinear_block(model: KgcModel, qr, qi, r, query_is_head: bool, norms):
+    """DistMult (``qi`` None) and ComplEx: the block's GEMM estimate S of
+    every score, its bound B and each query's row-norm limit.
+
+    A query's coefficient row is built once; S is one GEMM against
+    ``entity_real`` (plus one against ``entity_imag``). With s the exact
+    score and u = 2**-53, in Higham's model fl(x op y) = (x op y)(1 + d),
+    |d| <= u, a product of n factors (1 + d)^(+-1) is 1 + t with
+    |t| <= gamma_n, and a sum of n terms in any order (BLAS's included)
+    errs by at most gamma_(n-1) times the sum of their absolute values:
+
+    * DistMult, a = fl(q * r) (q is h or t). The kernel rounds each term
+      twice, fl(fl(q_j e_j) r_j), then adds d terms: |kernel - s| <=
+      gamma_(d+1) T, T = sum_j |q_j r_j e_j|. The GEMM's terms carry a's
+      rounding and d more: |S - s| <= u T + gamma_d (1 + u) T <=
+      gamma_(d+1) T. So |S - kernel| <= gamma_(2d+2) T.
+    * ComplEx, tail: a = [hr rr - hi ri, hi rr + hr ri]; head, with r
+      conjugated: a = [tr rr + ti ri, ti rr - tr ri]. Each of the kernel's
+      four products per element, ``((hr tr + hi ti) rr - (hi tr - hr ti) ri)``,
+      passes four roundings (product, inner sum, times rr or ri, outer
+      difference) and then d - 1 additions: gamma_(d+3) T, with
+      T = sum_j al_j |e_j| over the 2d entries of [e_real, e_imag] and
+      al = [|qr||rr| + |qi||ri|, |qi||rr| + |qr||ri|]. The coefficients
+      round twice (|a - exact| <= gamma_2 al), the two GEMMs and their sum
+      d + 1 times: gamma_2 T + gamma_(d+1) (1 + gamma_2) T <= gamma_(d+3) T.
+      So |S - kernel| <= gamma_(2d+6) T.
+
+    T <= ||al|| ||e|| (Cauchy-Schwarz; al = |a| for DistMult), so
+    B = gamma_K ||al|| n_j + z (1 + n_j), with n_j the entity row norms and
+    z = 8 d 2**-1022 (1 + max|r|): an underflowing product errs by up to
+    2**-1075 more, then is multiplied by at most one relation entry (kernel)
+    or one entity entry (coefficient times row); z covers the 6d products
+    of both paths with a factor 2**51 to spare. Every intermediate of a
+    cell is at most 4 d max|q| (1 + max|r|) n_j (1 + u)^(2d+3), so cells
+    with n_j below ``limit`` = 2**1000 / (8 d max|q| (1 + max|r|)) cannot
+    overflow.
+    """
+    emb = model.embeddings
+    d = emb.dim
+    rr = emb.relation_real[r]
+    if qi is None:
+        coef = qr * rr
+        estimate, bound = coef @ emb.entity_real.T, None
+        alpha, terms = np.abs(coef), 2 * d + 2
+        qmax, rmax = np.abs(qr).max(axis=1), np.abs(rr).max(axis=1)
+    else:
+        ri = emb.relation_imag[r] if query_is_head else -emb.relation_imag[r]
+        estimate = (qr * rr - qi * ri) @ emb.entity_real.T
+        bound = (qi * rr + qr * ri) @ emb.entity_imag.T
+        estimate += bound  # the buffer is reused for the bound
+        aqr, aqi, arr, ari = map(np.abs, (qr, qi, rr, ri))
+        alpha, terms = np.hstack([aqr * arr + aqi * ari, aqi * arr + aqr * ari]), 2 * d + 6
+        qmax = np.maximum(aqr.max(axis=1), aqi.max(axis=1))
+        rmax = np.maximum(arr.max(axis=1), ari.max(axis=1))
+    size = np.sqrt(np.einsum("ij,ij->i", alpha, alpha)) + _NORM_FLOOR
+    z = 8 * d * _SMALL * (1 + rmax)
+    bound = np.multiply.outer(_gamma(terms) * size + z, norms, out=bound)
+    bound += z[:, None]
+    limit = _LIMIT / (8 * d * qmax * (1 + rmax))
+    return estimate, bound, np.where(np.isfinite(size), limit, np.nan)
+
+
+def _transe_block(model: KgcModel, qr, r, query_is_head: bool, norms, squares, s_star):
+    """TransE: the block's GEMM estimate S of minus each squared distance,
+    its bound B, each query's threshold on S and its row-norm limit.
+
+    The kernel's score is -fl(sqrt(sig)), sig its float sum of squared
+    differences. With u and gamma_n as in ``_bilinear_block``:
+
+    * Tail: the kernel's first sum c = fl(h + r) is the coefficient row, so
+      both paths use the same c. The kernel's fl(c_j - e_j) squared and
+      summed gives sig = ||c - e||^2 (1 + t), |t| <= gamma_(d+2). The GEMM
+      path's D = fl(fl(Q + N) - 2G), with Q = fl(||c||^2), N the entity
+      rows' float squared norms and G = fl(c . e), errs by at most
+      gamma_(d+2) (||c|| + ||e||)^2. So |D - sig| <= gamma_(2d+4) T,
+      T = (||c|| + ||e||)^2.
+    * Head: the kernel computes fl(fl(e + r) - t), c = fl(t - r). Each
+      kernel difference is within gamma_2 M_j of e_j + r_j - t_j, with
+      M_j = |e_j| + |r_j| + |t_j|, so sig is within (d + 4) u (1 + O(u))
+      sum M_j^2 of the exact squared distance; e - c is within u M_j of it
+      per entry, which moves ||e - c||^2 by 2u (1 + O(u)) sum M_j^2; and D
+      errs by gamma_(d+2) (||c|| + ||e||)^2 from ||e - c||^2. With
+      mu = || |r| + |t| || >= ||c|| / (1 + u) and sum M_j^2 <= (mu + ||e||)^2:
+      |D - sig| <= gamma_(2d+8) T, T = (mu + ||e||)^2.
+
+    The square root: row j scores >= s* exactly when fl(sqrt(sig_j)) <=
+    rho = -s*. That holds when sig_j <= rho^2 (sqrt is monotone and
+    correctly rounded) and fails when sig_j >= rho+^2, rho+ the next float
+    above rho; rows between may round onto rho, a tie, so they belong in the
+    band. P = fl(rho^2) and w = 8 u P + 2**-1022 give [P - w, P + w] ⊇
+    [rho^2, rho+^2], so S = -D is compared with -P and B = gamma_K T + z + w,
+    z = 8 d 2**-1022 for underflowing products. A cell's intermediates stay
+    below 2**1020 when n_j < ``limit`` = 2**500 - mu (mu = ||c|| for the tail).
+    """
+    emb = model.embeddings
+    d = emb.dim
+    rr = emb.relation_real[r]
+    if query_is_head:
+        coef = qr + rr
+        size, terms = np.sqrt(np.einsum("ij,ij->i", coef, coef)), 2 * d + 4
+    else:
+        coef = qr - rr
+        mag = np.abs(rr) + np.abs(qr)
+        size, terms = np.sqrt(np.einsum("ij,ij->i", mag, mag)), 2 * d + 8
+    estimate = coef @ emb.entity_real.T
+    estimate *= 2
+    bound = np.add.outer(np.einsum("ij,ij->i", coef, coef), squares)
+    estimate -= bound  # the buffer is reused for the bound
+    threshold = s_star * s_star
+    np.add.outer(size + _NORM_FLOOR, norms, out=bound)
+    bound *= bound
+    bound *= _gamma(terms)
+    bound += (8 * d * _SMALL + 8 * _U * threshold + _SMALL)[:, None]
+    return estimate, bound, -threshold, 2.0 ** 500 - size
+
+
+def _score_cells(model: KgcModel, qr, qi, r, which, rows, query_is_head: bool) -> np.ndarray:
+    """The kernel for each pair of block query ``which[k]`` and entity
+    ``rows[k]``, gathered SCORE_BLOCK_ROWS pairs per call: bitwise the
+    values of score_all_*."""
+    real, imag = model.embeddings.entity_real, model.embeddings.entity_imag
+    out = np.empty(len(rows))
+    for start in range(0, len(rows), SCORE_BLOCK_ROWS):
+        i, j = which[start:start + SCORE_BLOCK_ROWS], rows[start:start + SCORE_BLOCK_ROWS]
+        query = (qr[i], None if qi is None else qi[i])
+        entity = (real[j], None if imag is None else imag[j])
+        head, tail = (query, entity) if query_is_head else (entity, query)
+        out[start:start + SCORE_BLOCK_ROWS] = _score(model, head, r[i], tail)
+    return out
+
+
+def _row_norms(emb: EmbeddingTable) -> tuple[np.ndarray, np.ndarray]:
+    """Each entity row's float squared norm over [real, imag], and its norm
+    plus 2**-500; no (N, d) temporary is made."""
+    squares = np.einsum("ij,ij->i", emb.entity_real, emb.entity_real)
+    if emb.is_complex:
+        squares += np.einsum("ij,ij->i", emb.entity_imag, emb.entity_imag)
+    return squares, np.sqrt(squares) + _NORM_FLOOR
+
+
+def better_or_tied(model: KgcModel, queries, relations, targets, query_is_head: bool):
+    """Per block of queries, a (block, N) bool array whose [i, j] is the
+    kernel's ``scores[j] >= scores[targets[i]]``, bitwise as over
+    ``score_all_tails`` (``query_is_head``) or ``score_all_heads``, for the
+    query embedding ``queries[i]`` and relation ``relations[i]``.
+
+    ``queries`` is iterated lazily, one block at a time. Per block, s* is
+    the kernel on each target's own row, S a GEMM estimate of every score
+    and B a bound on |S - kernel| per cell, derived for each family's exact
+    operation order in ``_bilinear_block`` and ``_transe_block``. A cell
+    with |S - s*| >= B is decided by the sign of S - s*; every other cell
+    (the band: ties, near-ties, the target itself) is scored by the kernel
+    on gathered rows. Rounding of the bound's own arithmetic (norms, the
+    products forming B, the difference S - s*) adds relative errors of
+    order (d + 10) u to quantities of order d u; ``_gamma``'s factor
+    1 + 2**-20 covers them for d < 2**20. A non-finite s*, coefficient or
+    coefficient norm puts every cell of that query in the band, and a
+    non-finite or too large entity row norm every cell of that row, through
+    the same comparison with ``limit``; a NaN in S or B fails both tests.
+    No array of the entity table's size is made: B comes from row norms,
+    computed once per call.
+    """
+    emb = model.embeddings
+    num_e = emb.num_entities
+    relations, targets = np.asarray(relations), np.asarray(targets)
+    squares, norms = _row_norms(emb)
+    queries = iter(queries)
+    block = max(1, RANK_BLOCK_BYTES // (8 * max(num_e, 1)))
+    for start in range(0, len(relations), block):
+        r, t = relations[start:start + block], targets[start:start + block]
+        pairs = [_query_pair(model, next(queries)) for _ in range(len(r))]
+        qr = np.stack([real for real, _ in pairs])
+        qi = np.stack([imag for _, imag in pairs]) if emb.is_complex else None
+        with np.errstate(all="ignore"):
+            s_star = _score_cells(model, qr, qi, r, np.arange(len(r)), t, query_is_head)
+            if model.family == "transe":
+                estimate, bound, s_ref, limit = _transe_block(
+                    model, qr, r, query_is_head, norms, squares, s_star)
+            else:
+                estimate, bound, limit = _bilinear_block(model, qr, qi, r, query_is_head, norms)
+                s_ref = s_star
+            limit[~np.isfinite(s_ref)] = np.nan
+            estimate -= s_ref[:, None]
+            settled = estimate >= bound
+            settled |= estimate <= np.negative(bound, out=bound)
+            settled &= norms < limit[:, None]
+            better = estimate >= 0
+            better &= settled
+            which, rows = np.nonzero(~settled)
+            better[which, rows] = _score_cells(
+                model, qr, qi, r, which, rows, query_is_head) >= s_star[which]
+        yield better
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:

@@ -547,6 +547,20 @@ class TestFailedCommandLeavesNoOutput:
         assert capsys.readouterr().err == f"owlink: {message}\n"
         assert not (assets / "failed").exists()
 
+    def test_open_query_without_a_map(self, assets, capsys):
+        # eval's own manifest, less its map, as --config
+        commands = golden_commands(assets)
+        for name in ("train-kgc", "train-map", "eval"):
+            assert run(commands[name]) == 0, capsys.readouterr().err
+        manifest = (assets / "eval" / "manifest.txt").read_text().splitlines(keepends=True)
+        config = assets / "no-map.cfg"
+        config.write_text("".join(line for line in manifest if not line.startswith("map-")))
+        capsys.readouterr()
+        assert run(["eval", "--config", config, "--out", assets / "no-map"]) == 1
+        assert capsys.readouterr().err == (
+            "owlink: open-world query entity encountered but no map_model/entity_rows\n")
+        assert not (assets / "no-map").exists()
+
 
 class TestMapFit:
     """eval and neighbors --text check, right after loading, that the map

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from owlink import evaluation
+from owlink import evaluation, models
 from owlink.evaluation import (
     SKIP_NO_METADATA,
     SKIP_OPEN_TARGET,
@@ -278,9 +278,13 @@ class TestOpenWorldEvaluate:
             evaluate(model, g, EvalConfig())
 
     def test_open_query_after_a_closed_one_errors_before_scoring(self, tmp_path, monkeypatch):
+        # neither the per-query kernel, nor the block ranking, nor the kernel
+        # it runs on gathered rows is reached
         g, model, store, metadata, mm = self.build(tmp_path)
         scored = []
-        monkeypatch.setattr(evaluation, "score_all_tails", lambda *args: scored.append(args))
+        for module, name in ((models, "score_all_tails"), (models, "score_all_heads"),
+                             (models, "_score"), (evaluation, "better_or_tied")):
+            monkeypatch.setattr(module, name, lambda *args, _name=name: scored.append(_name))
         with pytest.raises(ValueError, match="open-world"):
             evaluate(model, g, EvalConfig(), triples=[Triple(0, 0, 1), *g.test.tolist()])
         assert scored == []

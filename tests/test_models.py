@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -25,9 +26,10 @@ from owlink.models import (
     train_kgc,
     _accumulate,
     _score,
+    better_or_tied,
 )
 from owlink.optim import Adam
-from owlink.evaluation import EvalConfig, closed_world_validator, evaluate, rank_target
+from owlink.evaluation import EvalConfig, _rank_pair, closed_world_validator, evaluate, rank_target
 from helpers import graph_from_triples, random_model
 from test_optim import bits, reference_update_rows
 
@@ -185,6 +187,219 @@ class TestScoreBlocks:
         better_or_tied = int((np.delete(scores, target) >= scores[target]).sum())
         assert rank_target(scores, target) == 1 + better_or_tied
         assert rank_target(scores, target) > rank_target(scores, target, exclude={last})
+
+
+def kernel_rows(model, query, r, target, query_is_head):
+    """score_all_*'s comparison with the target's score: the reference."""
+    with np.errstate(all="ignore"):
+        scores = (score_all_tails(model, query, r) if query_is_head else
+                  score_all_heads(model, r, query))
+        return scores >= scores[target]
+
+
+def block_rows(model, queries, relations, targets, query_is_head):
+    with np.errstate(all="ignore"):
+        return [row for block in better_or_tied(model, queries, relations, targets, query_is_head)
+                for row in block]
+
+
+def near_rows(model, query, r, target, query_is_head, per_step=3):
+    """Copies of the target row with one real entry changed, whose kernel
+    scores are the target's or one or two ulps either side of it: for each
+    entry, aimed by its slope at each of those scores, then a few ulps of
+    the entry around each aim."""
+    def kernel(rows):
+        with np.errstate(all="ignore"):
+            return (_score(model, query, r, rows) if query_is_head else
+                    _score(model, rows, r, query))
+
+    def copies(real):
+        return real, None if target[1] is None else np.repeat(target[1][None, :], len(real), 0)
+
+    s_star = float(kernel(copies(target[0][None, :]))[0])
+    ulp = np.spacing(abs(s_star))
+    if not np.isfinite(s_star) or s_star == 0:
+        return np.empty((0, len(target[0])))
+    real = []
+    for j, value in enumerate(target[0]):
+        nudged = target[0].copy()
+        nudged[j] += 1e-6 * (abs(value) + 1e-3)
+        slope = (kernel(copies(nudged[None, :]))[0] - s_star) / (nudged[j] - value)
+        if not np.isfinite(slope) or slope == 0:
+            continue
+        for aim in value + np.arange(-2, 3) * ulp / slope:
+            for entry in aim + np.arange(-3, 4) * np.spacing(aim):
+                row = target[0].copy()
+                row[j] = entry
+                real.append(row)
+    real = np.array(real).reshape(-1, len(target[0]))
+    steps = (kernel(copies(real)) - s_star) / ulp
+    keep = [np.flatnonzero(steps == k)[:per_step] for k in range(-2, 3)]
+    return real[np.concatenate(keep)]
+
+
+def planted_model(family, num_entities, dim, rng, query_is_head, num_queries=10):
+    """A random model and queries whose targets each have, elsewhere in the
+    table, two duplicates and ``near_rows``; plus zero rows, rows scaled
+    from 1e-300 to 1e300, rows with a NaN or an infinity, rows with entries
+    of +-1e150, and queries that are zero, hold a NaN or an infinity, or are
+    of order 1e160 on a relation of order 1e-200 (products of the kernel
+    overflow where the GEMM's do not)."""
+    model = random_model(family, num_entities, 3, dim, rng)
+    emb = model.embeddings
+    tables = [emb.entity_real] + ([emb.entity_imag] if emb.is_complex else [])
+    for k, exponent in enumerate(range(-300, 301, 25)):
+        for table in tables:
+            table[k] *= 10.0 ** exponent
+    special = 25
+    for table in tables:
+        table[special:special + 3] = 0.0
+        table[special + 3, 0] = np.nan
+        table[special + 4, -1] = np.inf
+        table[special + 5, 0] = -np.inf
+        table[special + 6:special + 12, :2] = 1e150 * rng.choice([-1.0, 1.0], size=(6, 2))
+    for table in emb.arrays().values():
+        if table.shape[0] == 3:  # relation 2 is tiny
+            table[2] *= 1e-200
+    free = iter(range(special + 12, num_entities))
+
+    def query():
+        return (rng.normal(size=dim), rng.normal(size=dim) if emb.is_complex else None)
+
+    queries = [query() for _ in range(num_queries)]
+    for part in queries[-4]:
+        if part is not None:
+            part *= 1e160
+    for part in queries[-3]:
+        if part is not None:
+            part[:] = 0.0
+    queries[-2][0][dim // 2] = np.nan
+    queries[-1][0][dim // 2] = np.inf
+    relations = rng.integers(0, 3, size=num_queries)
+    relations[-4] = 2
+    targets = np.array([next(free) for _ in range(num_queries)])
+    for q, r, t in zip(queries, relations, targets):
+        target = emb.entity_embedding(t)
+        near = near_rows(model, q, r, target, query_is_head)
+        for real in [*near, target[0], target[0]]:
+            slot = next(free)
+            emb.entity_real[slot] = real
+            if emb.is_complex:
+                emb.entity_imag[slot] = target[1]
+    return model, queries, relations, targets
+
+
+class TestBetterOrTied:
+    """models.better_or_tied gives score_all_*'s comparison with the
+    target's score, cell for cell, and so the ranks of _rank_pair."""
+
+    @pytest.mark.parametrize("query_is_head", [True, False])
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("num_entities", [SCORE_BLOCK_ROWS - 3, SCORE_BLOCK_ROWS + 5])
+    def test_adversarial_rows_match_the_kernel(self, monkeypatch, num_entities, family,
+                                               query_is_head):
+        rng = np.random.default_rng(zlib.crc32(f"{num_entities}:{family}:{query_is_head}".encode()))
+        model, queries, relations, targets = planted_model(family, num_entities, 6, rng,
+                                                           query_is_head)
+        # three queries per block: blocks of 3, 3, 3 and 1
+        monkeypatch.setattr(models, "RANK_BLOCK_BYTES", 3 * 8 * num_entities)
+        got = block_rows(model, queries, relations, targets, query_is_head)
+        assert len(got) == len(queries)
+        for row, q, r, t in zip(got, queries, relations, targets):
+            want = kernel_rows(model, q, r, t, query_is_head)
+            np.testing.assert_array_equal(row, want)
+            mask = rng.random(num_entities) < 0.7
+            excluded = np.unique(np.append(rng.integers(0, num_entities, 20), t))
+            for candidates in (None, mask):
+                assert _rank_pair(row.copy(), t, candidates, excluded) == \
+                    _rank_pair(want.copy(), t, candidates, excluded)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 7, 8, 9, 16, 17, 33, 129, 300])
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_gathered_rows_are_score_all_bitwise(self, family, dim):
+        # the band's kernel calls: gathered entity rows, and gathered query
+        # rows with one relation per row
+        rng = np.random.default_rng(zlib.crc32(f"{family}:{dim}".encode()))
+        model = random_model(family, 60, 3, dim, rng)
+        emb = model.embeddings
+        queries = [(rng.normal(size=dim), rng.normal(size=dim) if emb.is_complex else None)
+                   for _ in range(4)]
+        cells = rng.integers(0, 4, size=90)
+        rows = rng.integers(0, 60, size=90)
+        relations = rng.integers(0, 3, size=4)
+        gathered_rows = (emb.entity_real[rows], emb.entity_imag[rows] if emb.is_complex else None)
+        gathered_queries = tuple(None if part is None else np.stack(part)[cells]
+                                 for part in zip(*queries))
+        for query_is_head in (True, False):
+            pair = (gathered_queries, gathered_rows)
+            head, tail = pair if query_is_head else pair[::-1]
+            cellwise = _score(model, head, relations[cells], tail)
+            want = np.array([(score_all_tails(model, queries[i], relations[i]) if query_is_head
+                              else score_all_heads(model, relations[i], queries[i]))[j]
+                             for i, j in zip(cells, rows)])
+            assert cellwise.tobytes() == want.tobytes()
+            q, r = queries[0], relations[0]
+            pair = (q, gathered_rows)
+            head, tail = pair if query_is_head else pair[::-1]
+            full = score_all_tails(model, q, r) if query_is_head else score_all_heads(model, r, q)
+            assert _score(model, head, r, tail).tobytes() == full[rows].tobytes()
+
+    # d = 1 inputs (query, relation, entity row) found by a search over
+    # rounding errors: the GEMM estimate of the target row falls below its
+    # kernel score by more than half the derived bound, so a duplicate of
+    # the target row ties it only because the bound sends it to the kernel
+    DISTMULT = {"query": ["0x1.00128d04e4423p-1"], "relation": ["-0x1.035fce184c262p+2"],
+                "entity": ["-0x1.018ae4577fc47p+0"]}
+    WORST_CASES = {  # (family, query_is_head): [real, imag] of each
+        ("distmult", True): DISTMULT,
+        ("distmult", False): DISTMULT,
+        ("complex", True): {"query": ["0x1.0027075b866f2p+2", "0x1.038cc2950c7efp-2"],
+                            "relation": ["0x1.003f75be7513ap+2", "-0x1.00368a2523dcep-2"],
+                            "entity": ["-0x1.001d861bb10abp+2", "-0x1.00346970688a8p-2"]},
+        ("complex", False): {"query": ["-0x1.005cb68a8046dp+2", "0x1.015ca19e4f433p-2"],
+                             "relation": ["0x1.007bd31c44546p-2", "0x1.015763d4e97b6p+2"],
+                             "entity": ["-0x1.00196e01c345cp-2", "-0x1.0013efac02baep+2"]},
+    }
+
+    @pytest.mark.parametrize("family, query_is_head", sorted(WORST_CASES))
+    def test_rounding_worst_case(self, family, query_is_head):
+        case = {k: [float.fromhex(v) for v in values]
+                for k, values in self.WORST_CASES[family, query_is_head].items()}
+        tables = [np.array([[v], [v], [0.0], [-v]]) for v in case["entity"]]
+        relations = [np.array([[v]]) for v in case["relation"]]
+        model = KgcModel(family, EmbeddingTable(tables[0], relations[0], *tables[1:],
+                                                *relations[1:]))
+        query = tuple(np.array([v]) for v in case["query"])
+        query = query if family == "complex" else query[0]
+        (got,) = better_or_tied(model, [query], [0], [0], query_is_head)
+        want = kernel_rows(model, query, 0, 0, query_is_head)
+        np.testing.assert_array_equal(got[0], want)
+        assert want[1]  # the duplicate ties the target
+        qr, qi = models._query_pair(model, query)
+        estimate, bound, _ = models._bilinear_block(
+            model, qr[None, :], None if qi is None else qi[None, :], np.array([0]),
+            query_is_head, models._row_norms(model.embeddings)[1])
+        s_star = (score_all_tails(model, query, 0) if query_is_head else
+                  score_all_heads(model, 0, query))[0]
+        assert s_star - estimate[0, 0] > bound[0, 0] / 2
+
+    def test_block_ranking_allocates_less_than_one_table(self):
+        # the bound comes from row norms: no array of the entity table's
+        # size (such as [real imag] or |real|) is made
+        rng = np.random.default_rng(17)
+        num_entities, dim = 20000, 64
+        model = random_model("complex", num_entities, 4, dim, rng)
+        block = models.RANK_BLOCK_BYTES // (8 * num_entities)
+        queries = [model.embeddings.entity_embedding(i) for i in range(block)]
+        relations, targets = np.arange(block) % 4, np.arange(block) + 100
+        tracemalloc.start()
+        try:
+            (rows,) = better_or_tied(model, queries, relations, targets, True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rows.shape == (block, num_entities)
+        assert peak < num_entities * dim * 8
 
 
 class TestNormalizeBlocks:
