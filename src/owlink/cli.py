@@ -313,11 +313,13 @@ def cmd_neighbors(s: Settings) -> None:
     else:
         map_path = _input_file(s, "map-checkpoint")
         meta = graphmod.EntityText("query", free_text, description or "")
-        store = _entity_rows(s, {0: meta}).store
+        rows = _entity_rows(s, {0: meta})
         map_model = mapping.load_map(map_path)
-        mapping.check_fit(map_model, kgc, store.dim, map_path, s.get("kgc-checkpoint"),
+        mapping.check_fit(map_model, kgc, rows.store.dim, map_path, s.get("kgc-checkpoint"),
                           s.get("embeddings"))
-        query = mapping.mapped_entity_embedding(kgc, map_model, meta, store)
+        if not len(rows[0]):
+            raise CliError(f"entity {meta.entity!r} has no usable text")
+        query = mapping.mapped_embedding(kgc, map_model, rows.mean(0))
 
     lines = []
     for rank, (eid, dist) in enumerate(evaluation.nearest_neighbors(kgc, query, k), 1):

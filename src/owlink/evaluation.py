@@ -123,8 +123,9 @@ def rank_target(scores: np.ndarray, target: int, exclude: set[int] | None = None
 
     rank = 1 + #(better) + #(ties), counting only entities inside the
     boolean ``candidates`` mask (every entity when None), outside
-    ``exclude`` and distinct from the target. This is the one ranking rule:
-    evaluation, baselines and KGC validation all rank with its comparison.
+    ``exclude`` and distinct from the target. This is :func:`_rank_pair`,
+    the one ranking rule, over a score vector; evaluation, baselines and
+    KGC validation apply that rule to ``models.better_or_tied``'s comparison.
     """
     scores = np.asarray(scores)
     if not 0 <= target < len(scores):
@@ -136,9 +137,9 @@ def rank_target(scores: np.ndarray, target: int, exclude: set[int] | None = None
 
 def _rank_pair(better: np.ndarray, target: int, candidates: np.ndarray | None,
                excluded: np.ndarray | list[int]) -> tuple[int, int]:
-    """The raw rank of ``rank_target`` from the comparison ``better`` (each
-    score >= the target's; modified in place) and, from the same comparison,
-    the rank less the distinct ``excluded`` ids (the target may be one)."""
+    """The ranking rule: from ``better`` (each score >= the target's; modified
+    in place), the raw rank 1 + #(better among ``candidates``, not the target)
+    and that rank less the distinct ``excluded`` ids (the target may be one)."""
     if candidates is not None:
         better &= candidates
     better[target] = False
@@ -183,7 +184,7 @@ def _evaluate_core(
         in_role[in_role] = masks[slot[in_role], targets[in_role]]
     no_text = np.zeros(len(triples), dtype=bool)
     if entity_rows is not None:
-        with_text = entity_rows.entities[np.diff(entity_rows.offsets[::3]) > 0]
+        with_text = entity_rows.entities[entity_rows.has_text]
         no_text = (queries >= num_e) & ~np.isin(queries, with_text)
     reasons = np.select([targets >= num_e, ~in_role, no_text],
                         [SKIP_OPEN_TARGET, SKIP_TARGET_FILTERING, SKIP_NO_METADATA], "")

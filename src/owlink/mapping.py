@@ -48,8 +48,10 @@ class MapHyperparams:
     def validate(self) -> None:
         if self.epochs < 0:
             raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
-        if self.learning_rate < 0:
+        if not self.learning_rate >= 0:  # NaN fails too
             raise ConfigError(f"learning_rate must be >= 0, got {self.learning_rate}")
+        if self.learning_rate == np.inf:
+            raise ConfigError(f"learning_rate must be finite, got {self.learning_rate}")
         if self.batch_size <= 0:
             raise ConfigError(f"batch_size must be positive, got {self.batch_size}")
         if not 0.0 <= self.dropout < 1.0:
@@ -275,8 +277,7 @@ def fit_map(
 def build_training_pairs(kgc_model: KgcModel, graph: KnowledgeGraph, entity_rows: EntityRows):
     """The rows of the training entities that have usable text, in id order,
     and their graph-embedding targets: (rows, U_real, U_imag)."""
-    has_text = np.diff(entity_rows.offsets[::3]) > 0
-    pairs = entity_rows.select((entity_rows.entities < graph.num_entities) & has_text)
+    pairs = entity_rows.select((entity_rows.entities < graph.num_entities) & entity_rows.has_text)
     emb = kgc_model.embeddings
     u_imag = emb.entity_imag[pairs.entities] if emb.is_complex else None
     return pairs, emb.entity_real[pairs.entities], u_imag

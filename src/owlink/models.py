@@ -10,16 +10,16 @@ margin ranking loss for TransE (entity embeddings L2-normalized once per
 epoch), softplus logistic loss with L2 regularization for DistMult and
 ComplEx. All gradients are closed-form; Adam performs sparse row updates.
 
-Each family's formula is written once, in a broadcasting kernel that
-``score``, ``score_all_tails`` and ``score_all_heads`` share; the latter two
-run it over blocks of entity rows, with bitwise the same scores. Head (and
-tail) embeddings can be passed explicitly to these functions instead of
-entity ids, which is what allows scoring entities that only exist as
-mapped text embeddings. ``better_or_tied`` compares every entity with a
-target for a block of queries from one GEMM and a proven rounding bound,
-running the kernel only on the cells the bound cannot decide. Ranking
-lives in ``evaluation``; best-epoch selection during training goes through
-a ``validator``.
+Each family's score is written once, in a broadcasting kernel that one block
+loop over gathered (query, entity) pairs runs for ``score``, ``score_all_*``
+and ``better_or_tied``. Head (and tail) embeddings can be passed explicitly
+instead of entity ids, which is what allows scoring entities that only
+exist as mapped text embeddings. ``better_or_tied`` compares every entity
+with a target for a block of queries from one GEMM and a proven rounding
+bound, running the kernel only on the cells the bound cannot decide. The
+train step is written once too: a family gives only its loss and one
+gradient per gathered (head, relation, tail) row. Ranking lives in
+``evaluation``; best-epoch selection goes through a ``validator``.
 """
 
 from __future__ import annotations
@@ -54,15 +54,17 @@ class KgcHyperparams:
     def validate(self) -> None:
         if self.dim <= 0:
             raise ConfigError(f"dim must be positive, got {self.dim}")
-        if self.learning_rate < 0:
+        if not self.learning_rate >= 0:  # NaN fails too
             raise ConfigError(f"learning_rate must be >= 0, got {self.learning_rate}")
+        if self.learning_rate == np.inf:
+            raise ConfigError(f"learning_rate must be finite, got {self.learning_rate}")
         if self.epochs < 0:
             raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
         if self.batch_size <= 0:
             raise ConfigError(f"batch_size must be positive, got {self.batch_size}")
-        if self.margin <= 0:
+        if not self.margin > 0:
             raise ConfigError(f"margin must be positive, got {self.margin}")
-        if self.reg_weight < 0:
+        if not self.reg_weight >= 0:
             raise ConfigError(f"reg_weight must be >= 0, got {self.reg_weight}")
         if self.num_negatives < 1:
             raise ConfigError(f"num_negatives must be >= 1, got {self.num_negatives}")
@@ -107,12 +109,7 @@ class EmbeddingTable:
         return out
 
     def copy(self) -> "EmbeddingTable":
-        return EmbeddingTable(
-            self.entity_real.copy(),
-            self.relation_real.copy(),
-            None if self.entity_imag is None else self.entity_imag.copy(),
-            None if self.relation_imag is None else self.relation_imag.copy(),
-        )
+        return EmbeddingTable(**{name: a.copy() for name, a in self.arrays().items()})
 
     def entity_embedding(self, entity_id: int) -> tuple[np.ndarray, np.ndarray | None]:
         real = self.entity_real[entity_id]
@@ -167,11 +164,11 @@ def _query_pair(model: KgcModel, embedding) -> tuple[np.ndarray, np.ndarray | No
     return real, imag
 
 
-def _score(model: KgcModel, head, r: int, tail) -> np.ndarray:
+def _score(model: KgcModel, head, r, tail) -> np.ndarray:
     """The scoring kernel: one formula per family over the last axis.
 
     ``head`` and ``tail`` are (real, imag-or-None) pairs whose arrays have
-    shape (d,) or (N, d) and broadcast against each other.
+    shape (d,) or (N, d) and broadcast against each other and ``r``'s rows.
     """
     emb = model.embeddings
     (hr, hi), (tr, ti) = head, tail
@@ -187,38 +184,49 @@ def _score(model: KgcModel, head, r: int, tail) -> np.ndarray:
     return ((hr * tr + hi * ti) * rr - (hi * tr - hr * ti) * ri).sum(axis=-1)
 
 
-# Entity rows per call of the kernel in score_all_*: the kernel's (rows, d)
-# temporaries then stay in cache instead of streaming (N, d) arrays through
-# memory. Blocking changes no row's arithmetic, so scores are bitwise equal.
+# Pairs per kernel call in _score_cells, the loop every score goes through:
+# the (rows, d) temporaries stay in cache instead of streaming (N, d) arrays
+# through memory. Blocking changes no pair's arithmetic: scores are bitwise equal.
 SCORE_BLOCK_ROWS = 1024
 
 
-def _score_all(model: KgcModel, query, r: int, query_is_head: bool) -> np.ndarray:
-    """The kernel against every entity row, one block of rows at a time."""
+def _score_cells(model: KgcModel, qr, qi, r, which, rows, query_is_head: bool) -> np.ndarray:
+    """The kernel for each pair of query ``which[k]`` (a row of ``qr`` and
+    ``qi``, with relation ``r[which[k]]``) and entity ``rows[k]``, gathered
+    SCORE_BLOCK_ROWS pairs per call."""
     real, imag = model.embeddings.entity_real, model.embeddings.entity_imag
-    out = np.empty(len(real))
-    for start in range(0, len(real), SCORE_BLOCK_ROWS):
-        stop = start + SCORE_BLOCK_ROWS
-        rows = (real[start:stop], None if imag is None else imag[start:stop])
-        head, tail = (query, rows) if query_is_head else (rows, query)
-        out[start:stop] = _score(model, head, r, tail)
+    out = np.empty(len(rows))
+    for start in range(0, len(rows), SCORE_BLOCK_ROWS):
+        i, j = which[start:start + SCORE_BLOCK_ROWS], rows[start:start + SCORE_BLOCK_ROWS]
+        query = (qr[i], None if qi is None else qi[i])
+        entity = (real[j], None if imag is None else imag[j])
+        head, tail = (query, entity) if query_is_head else (entity, query)
+        out[start:start + SCORE_BLOCK_ROWS] = _score(model, head, r[i], tail)
     return out
+
+
+def _score_query(model: KgcModel, embedding, r: int, rows, query_is_head: bool) -> np.ndarray:
+    """The kernel for one explicit query embedding against entity ``rows``."""
+    qr, qi = _query_pair(model, embedding)
+    return _score_cells(model, qr[None], None if qi is None else qi[None], np.array([r]),
+                        np.zeros(len(rows), dtype=np.intp), rows, query_is_head)
 
 
 def score(model: KgcModel, h_embedding, r: int, t: int) -> float:
     """Score one triple with an explicit head embedding."""
-    tail = model.embeddings.entity_embedding(t)
-    return float(_score(model, _query_pair(model, h_embedding), r, tail))
+    return float(_score_query(model, h_embedding, r, np.array([t]), query_is_head=True)[0])
 
 
 def score_all_tails(model: KgcModel, h_embedding, r: int) -> np.ndarray:
     """Score (h, r, t) for every known entity t; element t matches score()."""
-    return _score_all(model, _query_pair(model, h_embedding), r, query_is_head=True)
+    rows = np.arange(model.embeddings.num_entities)
+    return _score_query(model, h_embedding, r, rows, query_is_head=True)
 
 
 def score_all_heads(model: KgcModel, r: int, t_embedding) -> np.ndarray:
     """Score (h, r, t) for every known entity h, given an explicit tail."""
-    return _score_all(model, _query_pair(model, t_embedding), r, query_is_head=False)
+    rows = np.arange(model.embeddings.num_entities)
+    return _score_query(model, t_embedding, r, rows, query_is_head=False)
 
 
 # Bytes of each (queries, N) float64 array of better_or_tied: a block of
@@ -355,21 +363,6 @@ def _transe_block(model: KgcModel, qr, r, query_is_head: bool, norms, squares, s
     return estimate, bound, -threshold, 2.0 ** 500 - size
 
 
-def _score_cells(model: KgcModel, qr, qi, r, which, rows, query_is_head: bool) -> np.ndarray:
-    """The kernel for each pair of block query ``which[k]`` and entity
-    ``rows[k]``, gathered SCORE_BLOCK_ROWS pairs per call: bitwise the
-    values of score_all_*."""
-    real, imag = model.embeddings.entity_real, model.embeddings.entity_imag
-    out = np.empty(len(rows))
-    for start in range(0, len(rows), SCORE_BLOCK_ROWS):
-        i, j = which[start:start + SCORE_BLOCK_ROWS], rows[start:start + SCORE_BLOCK_ROWS]
-        query = (qr[i], None if qi is None else qi[i])
-        entity = (real[j], None if imag is None else imag[j])
-        head, tail = (query, entity) if query_is_head else (entity, query)
-        out[start:start + SCORE_BLOCK_ROWS] = _score(model, head, r[i], tail)
-    return out
-
-
 def _row_norms(emb: EmbeddingTable) -> tuple[np.ndarray, np.ndarray]:
     """Each entity row's float squared norm over [real, imag], and its norm
     plus 2**-500; no (N, d) temporary is made."""
@@ -479,21 +472,43 @@ def batch_loss_and_gradients(
     touched rows with their accumulated gradient rows.
     """
     emb = model.embeddings
-    d = emb.dim
-    hp = model.hyperparams
     pos = np.asarray(positives, dtype=np.int64).reshape(-1, 3)
     neg = np.asarray(negatives, dtype=np.int64).reshape(pos.shape[0], -1, 3)
+    # the (head, relation, tail) rows of each table part, real then imaginary
+    tables = [(emb.entity_real, emb.relation_real)]
+    if emb.is_complex:
+        tables.append((emb.entity_imag, emb.relation_imag))
 
-    if model.family == "transe":
-        return _transe_batch(emb, hp, pos, neg, d)
-    return _logistic_batch(model.family, emb, hp, pos, neg, d)
+    def gather(trip):
+        return [rows for E, R in tables
+                for rows in (E[trip[..., 0]], R[trip[..., 1]], E[trip[..., 2]])]
+
+    family_loss = _margin_loss if model.family == "transe" else _logistic_loss
+    # held through the row sums (TransE's loss empties them): freed first, they
+    # let the heap shrink and refault every batch (ComplEx: 1.3-2.2x the faults)
+    rows_p, rows_n = gather(pos), gather(neg)
+    loss, gp, gn = family_loss(model.hyperparams, rows_p, rows_n)
+    starts = range(0, len(gp), 3)  # each table part's head gradient
+    ent_rows, ent_sums = _accumulate(emb.dim, [pos[:, 0], pos[:, 2], neg[..., 0], neg[..., 2]],
+                                     *[[gp[k], gp[k + 2], gn[k], gn[k + 2]] for k in starts])
+    rel_rows, rel_sums = _accumulate(emb.dim, [pos[:, 1], neg[..., 1]],
+                                     *[[gp[k + 1], gn[k + 1]] for k in starts])
+    sparse = {}
+    for part, ent_sum, rel_sum in zip(("real", "imag"), ent_sums, rel_sums):
+        sparse[f"entity_{part}"] = (ent_rows, ent_sum)
+        sparse[f"relation_{part}"] = (rel_rows, rel_sum)
+    return loss, sparse
 
 
-def _transe_batch(emb, hp, pos, neg, d):
-    E, R = emb.entity_real, emb.relation_real
-    diff_p = E[pos[:, 0]] + R[pos[:, 1]] - E[pos[:, 2]]
+def _margin_loss(hp: KgcHyperparams, parts_p, parts_n):
+    """TransE's margin loss and its gradient per gathered row. It empties the
+    row lists once h + r - t is formed: rows held to the end made train-kgc
+    fault in three to seven times as many heap pages."""
+    diff_p = parts_p[0] + parts_p[1] - parts_p[2]
+    parts_p.clear()
     dist_p = np.sqrt((diff_p * diff_p).sum(axis=1))
-    diff_n = E[neg[..., 0]] + R[neg[..., 1]] - E[neg[..., 2]]
+    diff_n = parts_n[0] + parts_n[1] - parts_n[2]
+    parts_n.clear()
     dist_n = np.sqrt((diff_n * diff_n).sum(axis=2))
 
     viol = hp.margin + dist_p[:, None] - dist_n
@@ -508,27 +523,13 @@ def _transe_batch(emb, hp, pos, neg, d):
     count_p = active.sum(axis=1).astype(float)  # violations per positive
     gp = unit_p * count_p[:, None]
     gn = unit_n * active[..., None]
-
-    ent_idx = [pos[:, 0], pos[:, 2], neg[..., 0], neg[..., 2]]
-    ent_grad = [gp, -gp, -gn, gn]
-    rel_idx = [pos[:, 1], neg[..., 1]]
-    rel_grad = [gp, -gn]
-    ent_rows, (ent_sum,) = _accumulate(d, ent_idx, ent_grad)
-    rel_rows, (rel_sum,) = _accumulate(d, rel_idx, rel_grad)
-    return loss, {"entity_real": (ent_rows, ent_sum), "relation_real": (rel_rows, rel_sum)}
+    return loss, [gp, gp, -gp], [-gn, -gn, gn]
 
 
-def _logistic_batch(family, emb, hp, pos, neg, d):
-    lam = hp.reg_weight
-    is_complex = family == "complex"
-    E, R = emb.entity_real, emb.relation_real
-    Ei, Ri = emb.entity_imag, emb.relation_imag
-
-    def gather(trip):
-        out = [E[trip[..., 0]], R[trip[..., 1]], E[trip[..., 2]]]
-        if is_complex:
-            out += [Ei[trip[..., 0]], Ri[trip[..., 1]], Ei[trip[..., 2]]]
-        return out
+def _logistic_loss(hp: KgcHyperparams, parts_p, parts_n):
+    """DistMult's and ComplEx's softplus loss with L2 regularization, and its
+    gradient per gathered row; the parts are hr, rr, tr (then hi, ri, ti)."""
+    is_complex = len(parts_p) == 6
 
     def phi(parts):
         if not is_complex:
@@ -553,8 +554,7 @@ def _logistic_batch(family, emb, hp, pos, neg, d):
             w * (hi * rr + hr * ri),        # d/d ti
         ]
 
-    parts_p = gather(pos)
-    parts_n = gather(neg)
+    lam = hp.reg_weight
     phi_p = phi(parts_p)
     phi_n = phi(parts_n)
 
@@ -566,21 +566,7 @@ def _logistic_batch(family, emb, hp, pos, neg, d):
     # L2 regularization applies per appearance in the batch
     gp = [g + 2 * lam * p for g, p in zip(gp, parts_p)]
     gn = [g + 2 * lam * p for g, p in zip(gn, parts_n)]
-
-    ent_idx = [pos[:, 0], pos[:, 2], neg[..., 0], neg[..., 2]]
-    rel_idx = [pos[:, 1], neg[..., 1]]
-    ent_blocks = [[gp[0], gp[2], gn[0], gn[2]]]
-    rel_blocks = [[gp[1], gn[1]]]
-    if is_complex:
-        ent_blocks.append([gp[3], gp[5], gn[3], gn[5]])
-        rel_blocks.append([gp[4], gn[4]])
-    ent_rows, ent_sums = _accumulate(d, ent_idx, *ent_blocks)
-    rel_rows, rel_sums = _accumulate(d, rel_idx, *rel_blocks)
-    sparse = {}
-    for part, ent_sum, rel_sum in zip(("real", "imag"), ent_sums, rel_sums):
-        sparse[f"entity_{part}"] = (ent_rows, ent_sum)
-        sparse[f"relation_{part}"] = (rel_rows, rel_sum)
-    return loss, sparse
+    return loss, gp, gn
 
 
 def gradients(

@@ -118,6 +118,11 @@ class EntityRows:
             return self.rows[:0]
         return self.rows[self.offsets[3 * i]:self.offsets[3 * i + 3]]
 
+    @property
+    def has_text(self) -> np.ndarray:
+        """Per entity of ``entities``, whether it has any row (usable text)."""
+        return np.diff(self.offsets[::3]) > 0
+
     def mean(self, entity: int) -> np.ndarray:
         """The :func:`batch_mean` of ``entity``'s rows; NoTextError when it has none."""
         rows = self[entity]

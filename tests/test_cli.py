@@ -11,7 +11,10 @@ import pytest
 import owlink.text as text
 from owlink.cli import DECLARED, OPTIONS, _sweep_point, main
 from owlink.config import Option, Settings, load_config_file, stage_seed, write_manifest
-from owlink.graph import EntityText, resolve_metadata
+from owlink.evaluation import nearest_neighbors
+from owlink.graph import EntityText, load_graph, resolve_metadata
+from owlink.mapping import load_map, mapped_entity_embedding
+from owlink.models import load_checkpoint
 from owlink.sampler import corrupt_metadata
 from owlink.text import entity_rows
 from helpers import graph_from_triples, store_from_vectors, write_triples
@@ -509,6 +512,24 @@ class TestNeighborsQueryFlags:
         assert message in capsys.readouterr().err
         assert not (assets / "nn").exists()
 
+    def test_text_query_is_the_mapped_entity_embedding(self, assets, capsys):
+        # the name "w3 w6" is no vector key, so its tokens' rows stand for it
+        commands = golden_commands(assets)
+        for name in ("train-kgc", "train-map"):
+            assert run(commands[name]) == 0, capsys.readouterr().err
+        argv = commands["neighbors"]
+        argv[argv.index("--text") + 1] = "w3 w6"
+        argv[argv.index("-k") + 1] = "8"
+        assert run(argv) == 0, capsys.readouterr().err
+        kgc = load_checkpoint(str(assets / "kgc" / "kgc.ckpt"))
+        store = text.load_word_embeddings(str(assets / "vectors.txt"))
+        query = mapped_entity_embedding(kgc, load_map(str(assets / "map" / "map.ckpt")),
+                                        EntityText("query", "w3 w6", "w4 w5"), store)
+        graph = load_graph(str(assets / "train.txt"), open_world=True)
+        want = "".join(f"{rank}\t{graph.entity_name(eid)}\t{dist:.6f}\n"
+                       for rank, (eid, dist) in enumerate(nearest_neighbors(kgc, query, 8), 1))
+        assert (assets / "nn" / "neighbors.tsv").read_text() == want
+
     def test_text_without_usable_tokens_rejected(self, assets, capsys):
         assert train_kgc(assets, assets / "kgc") == 0
         assert run(["train-map", "--train", assets / "train.txt",
@@ -537,6 +558,12 @@ class TestFailedCommandLeavesNoOutput:
         ("train-map", ["--valid-every", "-1"], "valid_every must be >= 0 (0: never), got -1"),
         ("robustness", ["--epochs", "-2"], "epochs must be >= 0, got -2"),
         ("neighbors", ["-k", "0"], "k must be between 1 and the number of entities 8, got 0"),
+        ("train-kgc", ["--margin", "nan"], "margin must be positive, got nan"),
+        ("train-kgc", ["--learning-rate", "nan"], "learning_rate must be >= 0, got nan"),
+        ("train-kgc", ["--learning-rate", "inf"], "learning_rate must be finite, got inf"),
+        ("train-kgc", ["--reg-weight", "nan"], "reg_weight must be >= 0, got nan"),
+        ("train-map", ["--learning-rate", "nan"], "learning_rate must be >= 0, got nan"),
+        ("train-map", ["--learning-rate", "inf"], "learning_rate must be finite, got inf"),
     ])
     def test_rejected_setting(self, assets, capsys, command, flags, message):
         commands = golden_commands(assets)

@@ -316,33 +316,30 @@ class TestBetterOrTied:
 
     @pytest.mark.parametrize("dim", [1, 2, 3, 7, 8, 9, 16, 17, 33, 129, 300])
     @pytest.mark.parametrize("family", FAMILIES)
-    def test_gathered_rows_are_score_all_bitwise(self, family, dim):
-        # the band's kernel calls: gathered entity rows, and gathered query
-        # rows with one relation per row
+    def test_gathered_rows_are_score_all_bitwise(self, monkeypatch, family, dim):
+        # the one block loop (gathered query rows with one relation per
+        # query, gathered entity rows, blocks of 7 pairs) and score_all_*
+        # against the unblocked kernel over the whole (N, d) table
+        monkeypatch.setattr(models, "SCORE_BLOCK_ROWS", 7)
         rng = np.random.default_rng(zlib.crc32(f"{family}:{dim}".encode()))
         model = random_model(family, 60, 3, dim, rng)
         emb = model.embeddings
-        queries = [(rng.normal(size=dim), rng.normal(size=dim) if emb.is_complex else None)
-                   for _ in range(4)]
+        table = (emb.entity_real, emb.entity_imag)
+        qr = rng.normal(size=(4, dim))
+        qi = rng.normal(size=(4, dim)) if emb.is_complex else None
         cells = rng.integers(0, 4, size=90)
         rows = rng.integers(0, 60, size=90)
         relations = rng.integers(0, 3, size=4)
-        gathered_rows = (emb.entity_real[rows], emb.entity_imag[rows] if emb.is_complex else None)
-        gathered_queries = tuple(None if part is None else np.stack(part)[cells]
-                                 for part in zip(*queries))
         for query_is_head in (True, False):
-            pair = (gathered_queries, gathered_rows)
-            head, tail = pair if query_is_head else pair[::-1]
-            cellwise = _score(model, head, relations[cells], tail)
-            want = np.array([(score_all_tails(model, queries[i], relations[i]) if query_is_head
-                              else score_all_heads(model, relations[i], queries[i]))[j]
-                             for i, j in zip(cells, rows)])
-            assert cellwise.tobytes() == want.tobytes()
-            q, r = queries[0], relations[0]
-            pair = (q, gathered_rows)
-            head, tail = pair if query_is_head else pair[::-1]
-            full = score_all_tails(model, q, r) if query_is_head else score_all_heads(model, r, q)
-            assert _score(model, head, r, tail).tobytes() == full[rows].tobytes()
+            got = models._score_cells(model, qr, qi, relations, cells, rows, query_is_head)
+            for i, r in enumerate(relations):
+                query = (qr[i], None if qi is None else qi[i])
+                head, tail = (query, table) if query_is_head else (table, query)
+                full = _score(model, head, r, tail)
+                assert got[cells == i].tobytes() == full[rows[cells == i]].tobytes()
+                scores = (score_all_tails(model, query, r) if query_is_head
+                          else score_all_heads(model, r, query))
+                assert scores.tobytes() == full.tobytes()
 
     # d = 1 inputs (query, relation, entity row) found by a search over
     # rounding errors: the GEMM estimate of the target row falls below its
@@ -581,6 +578,54 @@ class TestAccumulate:
             ref_loss, want = gradients(model, pos, [])
         assert loss == ref_loss and list(got) == list(want)
         assert all(bits(got[key]) == bits(want[key]) for key in got)
+
+
+class TestBatchGolden:
+    """One seeded batch per family pinned to the sha256 of its float64 loss
+    and of each table's touched rows and gradient sums, in the dict's order.
+    Rows repeat, K = 3, and TransE has active and inactive negatives, so a
+    train step that moves any last bit of a gradient shows."""
+
+    @staticmethod
+    def batch(family):
+        rng = np.random.default_rng(23)
+        model = random_model(family, 12, 3, 7, rng, scale=0.5)
+        model.hyperparams = KgcHyperparams(dim=7, margin=0.5, reg_weight=0.01)
+        pos = np.stack([rng.integers(12, size=20), rng.integers(3, size=20),
+                        rng.integers(12, size=20)], 1)
+        neg = np.repeat(pos[:, None, :], 3, axis=1)
+        neg[..., 0] = np.where(rng.random((20, 3)) < 0.5, rng.integers(12, size=(20, 3)),
+                               neg[..., 0])
+        neg[..., 2] = np.where(neg[..., 0] == pos[:, None, 0], rng.integers(12, size=(20, 3)),
+                               neg[..., 2])
+        return model, pos, neg
+
+    @pytest.mark.parametrize("family, digest", [
+        ("transe", "f16a9a5cce0ca8f7"),
+        ("distmult", "bc79889fb938d63c"),
+        ("complex", "aa3e011ac3b26bf5"),
+    ])
+    def test_digest(self, family, digest):
+        loss, sparse = models.batch_loss_and_gradients(*self.batch(family))
+        h = hashlib.sha256(np.array(loss, dtype="<f8").tobytes())
+        for name, (rows, sums) in sparse.items():
+            h.update(name.encode())
+            h.update(rows.astype("<i8").tobytes())
+            h.update(sums.astype("<f8").tobytes())
+        assert h.hexdigest()[:16] == digest
+
+    def test_batch_repeats_rows_and_has_inactive_negatives(self):
+        model, pos, neg = self.batch("transe")
+        emb = model.embeddings
+
+        def dist(trip):
+            diff = (emb.entity_real[trip[..., 0]] + emb.relation_real[trip[..., 1]]
+                    - emb.entity_real[trip[..., 2]])
+            return np.sqrt((diff * diff).sum(axis=-1))
+
+        violation = model.hyperparams.margin + dist(pos)[:, None] - dist(neg)
+        assert (violation > 0).any() and (violation <= 0).any()
+        assert len(np.unique(pos[:, 0])) < len(pos) and len(np.unique(pos[:, 1])) < len(pos)
 
 
 class TestTraining:
