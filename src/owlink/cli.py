@@ -169,8 +169,17 @@ def _load_text_assets(s: Settings, graph, open_only: bool = False):
     return raw_meta, _entity_rows(s, metadata)
 
 
-def _load_kgc(s: Settings) -> models.KgcModel:
-    return models.load_checkpoint(_input_file(s, "kgc-checkpoint"))
+def _load_kgc(s: Settings, graph: graphmod.KnowledgeGraph) -> models.KgcModel:
+    """The --kgc-checkpoint model; ValueError, naming the files, unless it has
+    as many entity and relation rows as ``graph`` (from --train) has ids."""
+    path = _input_file(s, "kgc-checkpoint")
+    kgc = models.load_checkpoint(path)
+    for what, have, want in (("entities", kgc.embeddings.num_entities, graph.num_entities),
+                             ("relations", kgc.embeddings.num_relations, graph.num_relations)):
+        if have != want:
+            raise ValueError(f"{path}: checkpoint has {have} {what}, but {s.get('train')} "
+                             f"has {want}")
+    return kgc
 
 
 def _out_dir(s: Settings) -> Path:
@@ -204,7 +213,7 @@ def cmd_train_map(s: Settings) -> None:
     hp = _build(s, mapping.MapHyperparams)
     kind = s.get("kind")
     graph = _load_graph(s, open_world=True)
-    kgc = _load_kgc(s)
+    kgc = _load_kgc(s, graph)
     _, entity_rows = _load_text_assets(s, graph)
 
     validator = None
@@ -226,7 +235,7 @@ def cmd_eval(s: Settings) -> None:
     _require(s, split)  # the ranked file; an empty one ranks nothing
     config = _eval_config(s)
     graph = _load_graph(s, open_world=True)
-    kgc = _load_kgc(s)
+    kgc = _load_kgc(s, graph)
     map_model = entity_rows = None
     map_path = _input_file(s, "map-checkpoint", required=False)
     if map_path is not None:
@@ -261,7 +270,7 @@ def cmd_robustness(s: Settings) -> None:
     seed = s.get("seed")
     kind = s.get("kind")
     graph = _load_graph(s, open_world=True)
-    kgc = _load_kgc(s)
+    kgc = _load_kgc(s, graph)
     raw_meta, entity_rows = _load_text_assets(s, graph)
     out = _out_dir(s)
 
@@ -302,7 +311,7 @@ def cmd_neighbors(s: Settings) -> None:
     if description is not None and free_text is None:
         raise CliError("--description needs --text")
     graph = _load_graph(s, open_world=True)
-    kgc = _load_kgc(s)
+    kgc = _load_kgc(s, graph)
     k = s.get("k")
 
     if entity is not None:

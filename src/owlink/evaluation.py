@@ -9,11 +9,14 @@ target count against it. Optional target filtering restricts candidates to
 entities observed in the same role for the relation in training. A triple is
 skipped for the first of: an open target, a target outside that role under
 target filtering, an open query without text.
+
+A :class:`RankingReport` is one record array, a row per input triple; its
+means are Python ``sum`` over column lists, as in the brute-force oracle.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,22 +49,17 @@ class EvalConfig:
 
 
 @dataclass
-class TripleResult:
-    triple: list[int]  # head, rel, tail
-    raw_rank: int | None = None
-    filtered_rank: int | None = None
-    skipped: bool = False
-    reason: str = ""
-
-
-@dataclass
 class RankingReport:
+    """``results`` is one record array with a row per input triple:
+    ``triple`` (head, rel, tail), ``raw_rank`` and ``filtered_rank`` (0 on
+    skipped rows), ``skipped`` and the skip ``reason`` ("" on ranked rows)."""
+
     config: EvalConfig
-    results: list[TripleResult] = field(default_factory=list)
+    results: np.recarray
 
     @property
-    def evaluated(self) -> list[TripleResult]:
-        return [r for r in self.results if not r.skipped]
+    def evaluated(self) -> np.recarray:
+        return self.results[~self.results.skipped]
 
     @property
     def evaluated_count(self) -> int:
@@ -71,28 +69,28 @@ class RankingReport:
     def skipped_count(self) -> int:
         return len(self.results) - self.evaluated_count
 
-    def _ranks(self) -> list[int]:
-        use_filtered = self.config.filtered
-        return [r.filtered_rank if use_filtered else r.raw_rank for r in self.evaluated]
+    def _ranks(self) -> np.ndarray:
+        evaluated = self.evaluated
+        return evaluated.filtered_rank if self.config.filtered else evaluated.raw_rank
 
     @property
     def mr(self) -> float:
-        return _mean(self._ranks())
+        return _mean(self._ranks().tolist())
 
     @property
     def mrr_raw(self) -> float:
-        return _mean([1.0 / r.raw_rank for r in self.evaluated])
+        return _mean((1.0 / self.evaluated.raw_rank).tolist())
 
     @property
     def mrr_filtered(self) -> float:
-        return _mean([1.0 / r.filtered_rank for r in self.evaluated])
+        return _mean((1.0 / self.evaluated.filtered_rank).tolist())
 
     @property
     def hits(self) -> dict[int, float]:
         ranks = self._ranks()
-        if not ranks:
+        if len(ranks) == 0:
             return {k: float("nan") for k in self.config.hits_k}
-        return {k: sum(1 for x in ranks if x <= k) / len(ranks) for k in self.config.hits_k}
+        return {k: int(np.count_nonzero(ranks <= k)) / len(ranks) for k in self.config.hits_k}
 
     def summary(self) -> dict[str, float | int]:
         return {"evaluated": self.evaluated_count, "skipped": self.skipped_count,
@@ -199,21 +197,23 @@ def _evaluate_core(
     elif (map_model is None or entity_rows is None) and (query_ids >= num_e).any():
         raise ValueError("open-world query entity encountered but no map_model/entity_rows")
 
-    report = RankingReport(config, [TripleResult(triple, skipped=reason != "", reason=reason)
-                                    for triple, reason in zip(triples.tolist(), reasons.tolist())])
+    raw_rank, filtered_rank = np.zeros((2, len(triples)), dtype=np.int64)
     embeddings = (kgc_model.embeddings.entity_embedding(q) if q < num_e else
                   mapped_embedding(kgc_model, map_model, entity_rows.mean(q))
                   for q in query_ids.tolist())
     blocks = better_or_tied(kgc_model, embeddings, triples[ranked, 1], targets[ranked],
                             tail_direction)
-    for i, better in zip(ranked.tolist(), (row for block in blocks for row in block)):
-        result = report.results[i]
-        h, r, t = result.triple
+    rows = (row for block in blocks for row in block)
+    for i, h, r, t, better in zip(ranked.tolist(), *triples[ranked].T.tolist(), rows):
         true_ids = filter_index.tails(h, r) if tail_direction else filter_index.heads(r, t)
         true_ids = true_ids[:np.searchsorted(true_ids, num_e)]
-        result.raw_rank, result.filtered_rank = _rank_pair(
+        raw_rank[i], filtered_rank[i] = _rank_pair(
             better, targets[i], masks[slot[i]] if config.target_filtering else None, true_ids)
-    return report
+    results = np.rec.fromarrays(
+        [triples, raw_rank, filtered_rank, reasons != "", reasons],
+        dtype=[("triple", np.int64, (3,)), ("raw_rank", np.int64), ("filtered_rank", np.int64),
+               ("skipped", bool), ("reason", reasons.dtype)])
+    return RankingReport(config, results)
 
 
 def evaluate(
@@ -307,10 +307,9 @@ def write_report_tsv(path: str, graph: KnowledgeGraph, report: RankingReport) ->
     """Per-triple report: head, rel, tail, raw_rank, filtered_rank, reason."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("head\trel\ttail\traw_rank\tfiltered_rank\tskipped_reason\n")
-        for res in report.results:
-            h, r, t = res.triple
-            ranks = "\t" if res.skipped else f"{res.raw_rank}\t{res.filtered_rank}"
+        for (h, r, t), raw, filtered, skipped, reason in report.results.tolist():
+            ranks = "\t" if skipped else f"{raw}\t{filtered}"
             fh.write(
                 f"{graph.entity_name(h)}\t{graph.relations.name(r)}\t{graph.entity_name(t)}"
-                f"\t{ranks}\t{res.reason}\n"
+                f"\t{ranks}\t{reason}\n"
             )

@@ -251,7 +251,7 @@ def fit_map(
                      complex_pair=targets_imag is not None)
     adam = Adam(lr=hp.learning_rate)
     policy = EpochPolicy(validator, hp.valid_every, "valid_score", loss_digits=8)
-    best = None
+    arrays = [a for branch in model.branches().values() for a in branch.values()]
     for epoch in range(1, hp.epochs + 1):
         if resample and epoch > 1:
             del V  # the last epoch's inputs go before the next are averaged
@@ -268,10 +268,9 @@ def fit_map(
                 for branch, params in model.branches().items():
                     for name, param in params.items():
                         adam.update(f"{branch}/{name}", param, grads[f"{branch}/{name}"])
-        if policy.end_epoch(epoch, epoch_loss / m, model):
-            best = model.copy()
-    policy.write_log(log_path)
-    return best if best is not None else model
+        policy.end_epoch(epoch, epoch_loss / m, model, arrays)
+    policy.close(log_path, arrays)
+    return model
 
 
 def build_training_pairs(kgc_model: KgcModel, graph: KnowledgeGraph, entity_rows: EntityRows):

@@ -637,7 +637,7 @@ def train_kgc(
     K = hp.num_negatives
 
     policy = EpochPolicy(validator, hp.valid_every, "valid_mrr", loss_digits=6)
-    best_emb = None
+    arrays = list(emb.arrays().values())
 
     for epoch in range(1, hp.epochs + 1):
         perm = rng.permutation(n)
@@ -660,16 +660,9 @@ def train_kgc(
                     adam.update_rows(name, tables[name], rows, grad_rows)
         if family == "transe" and hp.learning_rate > 0:
             normalize_entities(emb)
-        if policy.end_epoch(epoch, epoch_loss / n, model):
-            if best_emb is None:
-                best_emb = emb.copy()
-            else:  # in place: a new table-sized copy each epoch fragments the heap
-                for best, now in zip(best_emb.arrays().values(), emb.arrays().values()):
-                    best[...] = now
-    policy.write_log(log_path)
+        policy.end_epoch(epoch, epoch_loss / n, model, arrays)
+    policy.close(log_path, arrays)
 
-    if best_emb is not None:
-        model = KgcModel(family, best_emb, hp)
     if not all(np.isfinite(a).all() for a in model.embeddings.arrays().values()):
         raise FloatingPointError("non-finite embeddings after training")
     return model

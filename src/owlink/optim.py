@@ -87,9 +87,9 @@ class Adam:
 class EpochPolicy:
     """What both trainers do at the end of an epoch: stop at a non-finite
     loss, run the ``validator`` (model -> score, higher is better) every
-    ``valid_every`` epochs (never when 0), tell the caller when the score is
-    the best so far (the caller keeps its own snapshot), and log the epoch,
-    its mean loss to ``loss_digits`` decimals and the score (``score_column``).
+    ``valid_every`` epochs (never when 0), keep a copy of the arrays of the
+    best-scoring epoch, and log the epoch, its mean loss to ``loss_digits``
+    decimals and the score (``score_column``).
     """
 
     def __init__(self, validator, valid_every: int, score_column: str, loss_digits: int) -> None:
@@ -97,26 +97,33 @@ class EpochPolicy:
         self.valid_every = valid_every
         self.loss_digits = loss_digits
         self.best_score = -np.inf
+        self.best: list[np.ndarray] | None = None
         self.log = [f"epoch\tloss\t{score_column}"]
 
-    def end_epoch(self, epoch: int, loss: float, model) -> bool:
-        """Close ``epoch`` with mean ``loss``; True when ``model`` scores best
-        so far. A non-finite loss raises ``FloatingPointError`` naming the
-        epoch, before any validation."""
+    def end_epoch(self, epoch: int, loss: float, model, arrays: list[np.ndarray]) -> None:
+        """Close ``epoch`` with mean ``loss``. When ``model`` scores best so
+        far, its ``arrays`` are copied, in place after the first copy (a new
+        table-sized copy each epoch fragments the heap). A non-finite loss
+        raises ``FloatingPointError`` naming the epoch, before any validation."""
         if not np.isfinite(loss):
             raise FloatingPointError(f"non-finite loss {loss} at epoch {epoch}")
         score = ""
-        best = False
         if self.validator is not None and self.valid_every > 0 and epoch % self.valid_every == 0:
             s = float(self.validator(model))
             score = f"{s:.6f}"
-            best = s > self.best_score
-            if best:
+            if s > self.best_score:
                 self.best_score = s
+                if self.best is None:
+                    self.best = [np.empty_like(a) for a in arrays]
+                for best, now in zip(self.best, arrays):
+                    best[...] = now
         self.log.append(f"{epoch}\t{loss:.{self.loss_digits}f}\t{score}")
-        return best
 
-    def write_log(self, path: str | None) -> None:
-        if path is not None:
-            with open(path, "w", encoding="utf-8") as fh:
+    def close(self, log_path: str | None, arrays: list[np.ndarray]) -> None:
+        """Write the log to ``log_path`` (no file when None) and copy the best
+        epoch's values, if any epoch was validated, back into ``arrays``."""
+        if log_path is not None:
+            with open(log_path, "w", encoding="utf-8") as fh:
                 fh.write("".join(line + "\n" for line in self.log))
+        for best, now in zip(self.best or (), arrays):
+            now[...] = best

@@ -168,7 +168,7 @@ def test_random_head_baseline_on_a_slice_of_test(assets, capsys):
     graph = load_graph(str(assets / "train.txt"), test_path=str(assets / "train.txt"))
     kgc = load_checkpoint(str(assets / "kgc" / "kgc.ckpt"))
     report = random_head_baseline(kgc, graph, EvalConfig(), seed=1, triples=graph.test[:5])
-    assert [res.triple for res in report.results] == graph.test[:5].tolist()
+    assert report.results.triple.tolist() == graph.test[:5].tolist()
     assert report.evaluated_count == 5
 
 

@@ -628,6 +628,37 @@ class TestMapFit:
         assert not (assets / "mismatch").exists()
 
 
+class TestKgcFit:
+    """Every command that loads --kgc-checkpoint checks, before making --out,
+    that the checkpoint has a row for each entity and relation of --train."""
+
+    EDITS = {  # the golden train lines -> the --train lines of each case
+        "more-entities": lambda lines: lines + ["e7\tnext\te8"],
+        "fewer-entities": lambda lines: [x for x in lines if "e7" not in x.split("\t")],
+        "more-relations": lambda lines: lines + ["e0\tback\te7"],
+    }
+    MESSAGE = {"more-entities": "8 entities, but {train} has 9",
+               "fewer-entities": "8 entities, but {train} has 7",
+               "more-relations": "2 relations, but {train} has 3"}
+
+    @pytest.mark.parametrize("case", sorted(EDITS))
+    @pytest.mark.parametrize("command", ["train-map", "eval", "robustness", "neighbors"])
+    def test_mismatch_names_the_files(self, assets, capsys, case, command):
+        commands = golden_commands(assets)
+        for name in ("train-kgc", "train-map"):
+            assert run(commands[name]) == 0, capsys.readouterr().err
+        train = assets / "other-train.txt"
+        lines = self.EDITS[case]((assets / "train.txt").read_text().splitlines())
+        train.write_text("".join(line + "\n" for line in lines))
+        capsys.readouterr()
+        argv = commands[command] + ["--train", train, "--out", assets / "mismatch"]
+        assert run(argv) == 1
+        message = self.MESSAGE[case].format(train=train)
+        assert capsys.readouterr().err == \
+            f"owlink: {assets / 'kgc' / 'kgc.ckpt'}: checkpoint has {message}\n"
+        assert not (assets / "mismatch").exists()
+
+
 class TestSweepPoint:
     """A robustness sweep point masks the command's one row CSR; it holds
     what a CSR rebuilt from corrupt_metadata's output holds."""
@@ -963,6 +994,29 @@ def test_golden_manifests(assets, capsys):
         out = Path(str(argv[argv.index("--out") + 1]))
         text = (out / "manifest.txt").read_text().replace(str(assets), "<tmp>")
         assert text == GOLDEN_MANIFESTS[name], name
+
+
+GOLDEN_OUTPUT_DIGESTS = {
+    "eval/report.tsv": "c9dff35c1c6735f677c3ecd9760a6a1b15402a3e5d7ed1714c5a3618a89c1db7",
+    "robust/robustness.tsv": "7336aab54c5270e50b34da9734322cc8bf929d31074b48df9c88134056413b6f",
+}
+
+
+def test_golden_eval_and_sweep_bytes(assets, capsys):
+    """The golden eval's per-triple report and the golden sweep's table,
+    byte for byte. summary.txt is not pinned: its repr floats come from
+    sum(), which Python 3.12 computes with compensated summation."""
+    commands = golden_commands(assets)
+    for name in ("train-kgc", "train-map", "eval", "robustness"):
+        assert run(commands[name]) == 0, capsys.readouterr().err
+    written = {name: hashlib.sha256((assets / name).read_bytes()).hexdigest()
+               for name in GOLDEN_OUTPUT_DIGESTS}
+    assert written == GOLDEN_OUTPUT_DIGESTS
+    summary = (assets / "eval" / "summary.txt").read_text().splitlines()
+    assert [line.split("=")[0] for line in summary] == [
+        "evaluated", "skipped", "mr", "mrr_raw", "mrr_filtered", "hits_1", "hits_3", "hits_10"]
+    for line in summary:  # plain Python reprs, not numpy scalar reprs
+        float(line.split("=")[1])
 
 
 def test_golden_commands_rerun_from_their_manifests(assets, capsys):
