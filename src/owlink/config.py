@@ -96,7 +96,7 @@ def load_config_file(path: str, convert=lambda key, text: text) -> dict[str, obj
     ``ValueError`` it raises is reported with ``path:line`` and the key. A
     line whose value converts to None is left out, as if it were absent."""
     values: dict[str, object] = {}
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.strip()
             if not line or line.startswith("#"):

@@ -88,11 +88,13 @@ class Vocab:
         self._names: list[str] = []
         self.extend(names)
 
-    def extend(self, names: Iterable[str]) -> None:
-        """Intern every name not yet present, in first-occurrence order."""
-        fresh = list(itertools.filterfalse(self._index.__contains__, dict.fromkeys(names)))
-        self._index.update(zip(fresh, range(len(self._names), len(self._names) + len(fresh))))
-        self._names.extend(fresh)
+    def extend(self, names: Iterable[str]) -> np.ndarray:
+        """Intern every name not yet present, in first-occurrence order; return
+        the int64 id of each of ``names``. New names are read off the index's end."""
+        index, start = self._index, len(self._names)
+        ids = np.fromiter((index.setdefault(name, len(index)) for name in names), dtype=np.int64)
+        self._names.extend(reversed(list(itertools.islice(reversed(index), len(index) - start))))
+        return ids
 
     def ids(self, names: list[str]) -> np.ndarray:
         """The ids of ``names`` as int64, -1 where a name is not interned."""
@@ -238,7 +240,7 @@ def _read_split(
     open_world: bool,
 ) -> np.ndarray:
     chunks = []
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for raw in iter(lambda: list(itertools.islice(fh, LOAD_CHUNK_LINES)), []):
             rows = _chunk_triples("".join(raw).split("\n"), entities, relations,
                                   open_entities, extend_vocab, open_world)
@@ -271,18 +273,14 @@ def _chunk_triples(
     fields = "\t".join(lines).split("\t") if lines else []
     rels = fields[1::3]
     del fields[1::3]  # heads and tails, interleaved in line order
-    if extend_vocab:
-        entities.extend(fields)
-        relations.extend(rels)
-    rel_ids = relations.ids(rels)
-    ent_ids = entities.ids(fields)
+    intern = Vocab.extend if extend_vocab else Vocab.ids
+    rel_ids, ent_ids = intern(relations, rels), intern(entities, fields)
     unknown = np.flatnonzero(ent_ids < 0)
     if (rel_ids < 0).any() or (len(unknown) and not open_world):
         return None
     if len(unknown):
         names = [fields[i] for i in unknown.tolist()]
-        open_entities.extend(names)
-        ent_ids[unknown] = len(entities) + open_entities.ids(names)
+        ent_ids[unknown] = len(entities) + open_entities.extend(names)
     rows = np.empty((len(rels), 3), dtype=np.int64)
     rows[:, 0] = ent_ids[0::2]
     rows[:, 1] = rel_ids
@@ -447,7 +445,7 @@ def load_entity_text(path: str) -> dict[str, EntityText]:
     metadata) and :class:`ParseError` on a malformed line.
     """
     records: dict[str, EntityText] = {}
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.rstrip("\r\n")
             if not line:

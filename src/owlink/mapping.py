@@ -20,12 +20,13 @@ root); the two differ only in gradient weighting.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .graph import EntityText, KnowledgeGraph
-from .models import ConfigError, KgcModel, _flag, _positive_int, read_checkpoint, write_checkpoint
+from .models import (ConfigError, KgcModel, _flag, _positive_int, check_loop, read_checkpoint,
+                     write_checkpoint)
 from .optim import Adam, EpochPolicy
 from .text import EntityRows, WordEmbeddingStore, batch_mean, text_embedding
 
@@ -46,22 +47,13 @@ class MapHyperparams:
     valid_every: int = 10
 
     def validate(self) -> None:
-        if self.epochs < 0:
-            raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
-        if not self.learning_rate >= 0:  # NaN fails too
-            raise ConfigError(f"learning_rate must be >= 0, got {self.learning_rate}")
-        if self.learning_rate == np.inf:
-            raise ConfigError(f"learning_rate must be finite, got {self.learning_rate}")
-        if self.batch_size <= 0:
-            raise ConfigError(f"batch_size must be positive, got {self.batch_size}")
+        check_loop(self)
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
         if self.hidden_dim is not None and self.hidden_dim < 1:
             raise ConfigError(f"hidden_dim must be >= 1, got {self.hidden_dim}")
         if self.loss not in LOSS_MODES:
             raise ConfigError(f"unknown loss mode {self.loss!r}")
-        if self.valid_every < 0:
-            raise ConfigError(f"valid_every must be >= 0 (0: never), got {self.valid_every}")
 
 
 @dataclass
@@ -96,10 +88,6 @@ class MapModel:
 
     def param_names(self) -> list[str]:
         return list(self.param_shapes())
-
-    def copy(self) -> "MapModel":
-        return replace(self, **{branch: {k: v.copy() for k, v in params.items()}
-                                for branch, params in self.branches().items()})
 
 
 def _init_param(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:

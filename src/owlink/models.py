@@ -54,22 +54,27 @@ class KgcHyperparams:
     def validate(self) -> None:
         if self.dim <= 0:
             raise ConfigError(f"dim must be positive, got {self.dim}")
-        if not self.learning_rate >= 0:  # NaN fails too
-            raise ConfigError(f"learning_rate must be >= 0, got {self.learning_rate}")
-        if self.learning_rate == np.inf:
-            raise ConfigError(f"learning_rate must be finite, got {self.learning_rate}")
-        if self.epochs < 0:
-            raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
-        if self.batch_size <= 0:
-            raise ConfigError(f"batch_size must be positive, got {self.batch_size}")
+        check_loop(self)
         if not self.margin > 0:
             raise ConfigError(f"margin must be positive, got {self.margin}")
         if not self.reg_weight >= 0:
             raise ConfigError(f"reg_weight must be >= 0, got {self.reg_weight}")
         if self.num_negatives < 1:
             raise ConfigError(f"num_negatives must be >= 1, got {self.num_negatives}")
-        if self.valid_every < 0:
-            raise ConfigError(f"valid_every must be >= 0 (0: never), got {self.valid_every}")
+
+
+def check_loop(hp) -> None:
+    """Check the settings both epoch loops read (``train_kgc``, ``mapping.fit_map``)."""
+    if hp.epochs < 0:
+        raise ConfigError(f"epochs must be >= 0, got {hp.epochs}")
+    if not hp.learning_rate >= 0:  # NaN fails too
+        raise ConfigError(f"learning_rate must be >= 0, got {hp.learning_rate}")
+    if hp.learning_rate == np.inf:
+        raise ConfigError(f"learning_rate must be finite, got {hp.learning_rate}")
+    if hp.batch_size <= 0:
+        raise ConfigError(f"batch_size must be positive, got {hp.batch_size}")
+    if hp.valid_every < 0:
+        raise ConfigError(f"valid_every must be >= 0 (0: never), got {hp.valid_every}")
 
 
 @dataclass
@@ -107,9 +112,6 @@ class EmbeddingTable:
             out["entity_imag"] = self.entity_imag
             out["relation_imag"] = self.relation_imag
         return out
-
-    def copy(self) -> "EmbeddingTable":
-        return EmbeddingTable(**{name: a.copy() for name, a in self.arrays().items()})
 
     def entity_embedding(self, entity_id: int) -> tuple[np.ndarray, np.ndarray | None]:
         real = self.entity_real[entity_id]

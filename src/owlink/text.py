@@ -272,7 +272,7 @@ def load_word_embeddings(path: str, phrase_template: str = "{name}",
         if wanted is None or key in wanted:
             matrix[rows.setdefault(key, len(rows))] = vector
 
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         numbered = enumerate(fh, 1)
         for lineno, raw in numbered:  # up to the first vector, which sets the dimension
             line = raw.rstrip("\n")

@@ -564,6 +564,12 @@ class TestFailedCommandLeavesNoOutput:
         ("train-kgc", ["--reg-weight", "nan"], "reg_weight must be >= 0, got nan"),
         ("train-map", ["--learning-rate", "nan"], "learning_rate must be >= 0, got nan"),
         ("train-map", ["--learning-rate", "inf"], "learning_rate must be finite, got inf"),
+        ("train-map", ["--epochs", "-1"], "epochs must be >= 0, got -1"),
+        ("train-map", ["--batch-size", "0"], "batch_size must be positive, got 0"),
+        ("robustness", ["--learning-rate", "nan"], "learning_rate must be >= 0, got nan"),
+        ("robustness", ["--learning-rate", "inf"], "learning_rate must be finite, got inf"),
+        ("robustness", ["--batch-size", "0"], "batch_size must be positive, got 0"),
+        ("train-kgc", ["--valid-every", "-1"], "valid_every must be >= 0 (0: never), got -1"),
     ])
     def test_rejected_setting(self, assets, capsys, command, flags, message):
         commands = golden_commands(assets)
@@ -709,6 +715,11 @@ class TestConfigHelpers:
     def test_load_config_file(self, tmp_path):
         p = tmp_path / "c.cfg"
         p.write_text("# comment\nalpha = 1\nbeta=two words\n\n")
+        assert load_config_file(str(p)) == {"alpha": "1", "beta": "two words"}
+
+    def test_byte_order_mark_is_not_part_of_the_first_key(self, tmp_path):
+        p = tmp_path / "c.cfg"
+        p.write_text("\ufeffalpha = 1\nbeta=two words\n", encoding="utf-8")
         assert load_config_file(str(p)) == {"alpha": "1", "beta": "two words"}
 
     def test_malformed_line(self, tmp_path):
@@ -1017,6 +1028,20 @@ def test_golden_eval_and_sweep_bytes(assets, capsys):
         "evaluated", "skipped", "mr", "mrr_raw", "mrr_filtered", "hits_1", "hits_3", "hits_10"]
     for line in summary:  # plain Python reprs, not numpy scalar reprs
         float(line.split("=")[1])
+
+
+def test_golden_bytes_from_inputs_with_a_byte_order_mark(assets, capsys):
+    """Every text input (triples, metadata, vectors, the --config file) read
+    with a leading UTF-8 byte-order mark gives the same golden bytes."""
+    commands = golden_commands(assets)
+    for name in ("train.txt", "valid.txt", "test.txt", "metadata.tsv", "vectors.txt", "map.cfg"):
+        path = assets / name
+        path.write_text("\ufeff" + path.read_text(encoding="utf-8"), encoding="utf-8")
+    for name in ("train-kgc", "train-map", "eval", "robustness"):
+        assert run(commands[name]) == 0, capsys.readouterr().err
+    written = {name: hashlib.sha256((assets / name).read_bytes()).hexdigest()
+               for name in GOLDEN_OUTPUT_DIGESTS}
+    assert written == GOLDEN_OUTPUT_DIGESTS
 
 
 def test_golden_commands_rerun_from_their_manifests(assets, capsys):

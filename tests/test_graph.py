@@ -87,6 +87,55 @@ class TestLoadGraph:
         assert g2.relations == g.relations
 
 
+class TestVocab:
+    def test_extend_returns_first_occurrence_ids(self):
+        vocab = Vocab()
+        assert vocab.extend(["x", "y", "x", "y"]).tolist() == [0, 1, 0, 1]
+        assert vocab.extend(iter(["z", "x", "z", "y"])).tolist() == [2, 0, 2, 1]
+        empty = vocab.extend([])
+        assert empty.dtype == np.int64 and empty.shape == (0,)
+        assert vocab.names == ["x", "y", "z"]
+        assert [vocab.name(i) for i in range(3)] == ["x", "y", "z"]
+        assert vocab.ids(["z", "w", "x"]).tolist() == [2, -1, 0]
+
+
+class TestByteOrderMark:
+    """A UTF-8 byte-order mark opening a text input is not part of its first
+    field: each file loads as its copy without the mark does."""
+
+    SPLITS = {"train": TRAIN, "valid": [("a", "s", "c"), ("b", "r", "a")],
+              "test": [("c", "r", "a"), ("a", "s", "b")]}
+    OPEN_SPLITS = {"train": TRAIN, "valid": [("n1", "s", "c"), ("b", "r", "a")],
+                   "test": [("n2", "r", "a"), ("n1", "s", "b")]}
+
+    @staticmethod
+    def load(root, splits, marked, open_world):
+        root.mkdir()
+        for name, rows in splits.items():
+            body = "".join("\t".join(row) + "\n" for row in rows)
+            (root / f"{name}.txt").write_text("\ufeff" * (name == marked) + body, encoding="utf-8")
+        return load_graph(*(str(root / f"{name}.txt") for name in splits), open_world=open_world)
+
+    @pytest.mark.parametrize("open_world", [False, True])
+    @pytest.mark.parametrize("marked", ["train", "valid", "test"])
+    def test_triples(self, tmp_path, marked, open_world):
+        splits = self.OPEN_SPLITS if open_world else self.SPLITS
+        got = self.load(tmp_path / "bom", splits, marked, open_world)
+        want = self.load(tmp_path / "plain", splits, None, open_world)
+        for vocab in ("entities", "relations", "open_entities"):
+            assert getattr(got, vocab).names == getattr(want, vocab).names
+        for split in ("train", "valid", "test"):
+            assert np.array_equal(got.split(split), want.split(split))
+
+    def test_metadata(self, tmp_path):
+        body = "E1\tBram Stoker\tnovelist\nE2\tParma\t\n"
+        (tmp_path / "bom.tsv").write_text("\ufeff" + body, encoding="utf-8")
+        (tmp_path / "plain.tsv").write_text(body, encoding="utf-8")
+        got = load_entity_text(str(tmp_path / "bom.tsv"))
+        assert got == load_entity_text(str(tmp_path / "plain.tsv"))
+        assert list(got) == ["E1", "E2"]
+
+
 def write_lines(path, lines, rng):
     """``lines`` with a random mix of LF and CRLF endings; sometimes none
     after the last line."""

@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import zlib
 
@@ -236,7 +237,7 @@ class TestFit:
         scores = iter([0.3, 0.9, 0.1, 0.2])
 
         def validator(model):
-            snapshots.append(model.copy())
+            snapshots.append(copy.deepcopy(model))
             return next(scores)
 
         hp = MapHyperparams(epochs=4, valid_every=1, learning_rate=1e-2)

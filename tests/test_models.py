@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import tracemalloc
 import zlib
@@ -678,7 +679,7 @@ class TestTraining:
         scores = iter([0.3, 0.9, 0.1, 0.2])
 
         def validator(model):
-            snapshots.append(model.embeddings.copy())
+            snapshots.append(copy.deepcopy(model.embeddings))
             return next(scores)
 
         hp = KgcHyperparams(dim=4, epochs=4, learning_rate=0.05)

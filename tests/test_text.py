@@ -54,6 +54,16 @@ class TestLoader:
         store = load_word_embeddings(str(path))
         assert len(store) == 2 and store.dim == 3
 
+    @pytest.mark.parametrize("header", ["", "2 3\n"])
+    def test_byte_order_mark_is_not_part_of_the_first_line(self, tmp_path, header):
+        body = header + "cat 1 2 3\ndog 4 5 6\n"
+        (tmp_path / "bom.txt").write_text("\ufeff" + body, encoding="utf-8")
+        (tmp_path / "plain.txt").write_text(body, encoding="utf-8")
+        got = load_word_embeddings(str(tmp_path / "bom.txt"))
+        want = load_word_embeddings(str(tmp_path / "plain.txt"))
+        assert got.rows == want.rows == {"cat": 0, "dog": 1}
+        assert bits(got.matrix) == bits(want.matrix)
+
     def test_two_field_first_line_without_numbers_is_data(self, tmp_path):
         path = tmp_path / "vec.txt"
         path.write_text("cat 1.5\ndog 2.5\n")
