@@ -290,8 +290,12 @@ def cmd_robustness(s: Settings) -> None:
             corrupted = sampler.corrupt_metadata(raw_meta, mode, fraction,
                                                  seed=stage_seed(seed, stage))
             point = _sweep_point(entity_rows, graph, corrupted)
-            map_model = mapping.train_map(kgc, graph, point, kind, hp,
-                                          seed=stage_seed(seed, stage + ":map"))
+            map_model = None
+            if len(mapping.build_training_pairs(kgc, graph, point)[0].entities):
+                map_model = mapping.train_map(kgc, graph, point, kind, hp,
+                                              seed=stage_seed(seed, stage + ":map"))
+            else:  # no training text: no map and no text, so each open query is no-metadata
+                point = point.select(np.zeros(len(point.entities), dtype=bool))
             report = evaluation.evaluate(kgc, graph, config, map_model, point)
             add_row(mode, fraction, report)
 

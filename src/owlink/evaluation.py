@@ -152,7 +152,6 @@ def _evaluate_core(
     triples,
     map_model: MapModel | None = None,
     entity_rows: EntityRows | None = None,
-    filter_index=None,
     rng: np.random.Generator | None = None,
 ) -> RankingReport:
     """The one ranking loop over ``triples`` (``graph.test`` when None). Before
@@ -165,8 +164,7 @@ def _evaluate_core(
     config = config if config is not None else EvalConfig()
     config.validate()
     triples = as_triples(triples if triples is not None else graph.test)
-    if filter_index is None:
-        filter_index = build_filter_index(graph, config.filter_splits, triples)
+    filter_index = build_filter_index(graph, config.filter_splits, triples)
     tail_direction = config.direction == "tail"
     num_e = graph.num_entities
     q_col, t_col = (0, 2) if tail_direction else (2, 0)
@@ -238,19 +236,17 @@ def evaluate(
 def closed_world_validator(graph: KnowledgeGraph, max_triples: int | None = None):
     """Filtered MRR over tail and head prediction of the first ``max_triples``
     (all when None) of ``graph.valid``, as a ``model -> score`` callable for
-    ``models.train_kgc``. The train+valid filter index of those triples is built
-    once, here."""
+    ``models.train_kgc``. Each call ranks through ``_evaluate_core``, which builds
+    the train+valid filter index of those triples, as every ranking does."""
     if max_triples is not None and max_triples < 1:
         raise ValueError(f"valid max triples must be >= 1, got {max_triples}")
     triples = graph.valid[:max_triples]
-    filter_index = build_filter_index(graph, ("train", "valid"), triples)
     configs = [EvalConfig(direction=d, filter_splits=("train", "valid")) for d in ("tail", "head")]
 
     def validator(kgc_model: KgcModel) -> float:
         if len(triples) == 0:
             return 0.0
-        tails, heads = [_evaluate_core(kgc_model, graph, config, triples,
-                                       filter_index=filter_index) for config in configs]
+        tails, heads = [_evaluate_core(kgc_model, graph, config, triples) for config in configs]
         total = 0.0  # one rank at a time, tail before head: the order fixes the last bits
         for tail, head in zip(tails.results, heads.results):
             total = total + 1.0 / tail.filtered_rank + 1.0 / head.filtered_rank

@@ -25,8 +25,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graph import EntityText, KnowledgeGraph
-from .models import (ConfigError, KgcModel, _flag, _positive_int, check_loop, read_checkpoint,
-                     write_checkpoint)
+from .models import (ConfigError, KgcModel, _flag, _positive_int, check_loop, check_setting,
+                     read_checkpoint, write_checkpoint)
 from .optim import Adam, EpochPolicy
 from .text import EntityRows, WordEmbeddingStore, batch_mean, text_embedding
 
@@ -48,10 +48,9 @@ class MapHyperparams:
 
     def validate(self) -> None:
         check_loop(self)
-        if not 0.0 <= self.dropout < 1.0:
-            raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
-        if self.hidden_dim is not None and self.hidden_dim < 1:
-            raise ConfigError(f"hidden_dim must be >= 1, got {self.hidden_dim}")
+        check_setting("dropout", self.dropout, 0.0 <= self.dropout < 1.0, "in [0, 1)")
+        check_setting("hidden_dim", self.hidden_dim,
+                      self.hidden_dim is None or self.hidden_dim >= 1, ">= 1")
         if self.loss not in LOSS_MODES:
             raise ConfigError(f"unknown loss mode {self.loss!r}")
 

@@ -52,29 +52,28 @@ class KgcHyperparams:
     valid_every: int = 1
 
     def validate(self) -> None:
-        if self.dim <= 0:
-            raise ConfigError(f"dim must be positive, got {self.dim}")
+        check_setting("dim", self.dim, self.dim > 0, "positive")
         check_loop(self)
-        if not self.margin > 0:
-            raise ConfigError(f"margin must be positive, got {self.margin}")
-        if not self.reg_weight >= 0:
-            raise ConfigError(f"reg_weight must be >= 0, got {self.reg_weight}")
-        if self.num_negatives < 1:
-            raise ConfigError(f"num_negatives must be >= 1, got {self.num_negatives}")
+        check_setting("margin", self.margin, self.margin > 0, "positive")
+        check_setting("reg_weight", self.reg_weight, self.reg_weight >= 0, ">= 0")
+        check_setting("num_negatives", self.num_negatives, self.num_negatives >= 1, ">= 1")
+
+
+def check_setting(name: str, value, ok: bool, rule: str) -> None:
+    """The one rule for a numeric setting: ``ok`` says it is in its range
+    (written so that NaN fails every range), and it must also be finite."""
+    if not ok:
+        raise ConfigError(f"{name} must be {rule}, got {value}")
+    if value in (np.inf, -np.inf):
+        raise ConfigError(f"{name} must be finite, got {value}")
 
 
 def check_loop(hp) -> None:
     """Check the settings both epoch loops read (``train_kgc``, ``mapping.fit_map``)."""
-    if hp.epochs < 0:
-        raise ConfigError(f"epochs must be >= 0, got {hp.epochs}")
-    if not hp.learning_rate >= 0:  # NaN fails too
-        raise ConfigError(f"learning_rate must be >= 0, got {hp.learning_rate}")
-    if hp.learning_rate == np.inf:
-        raise ConfigError(f"learning_rate must be finite, got {hp.learning_rate}")
-    if hp.batch_size <= 0:
-        raise ConfigError(f"batch_size must be positive, got {hp.batch_size}")
-    if hp.valid_every < 0:
-        raise ConfigError(f"valid_every must be >= 0 (0: never), got {hp.valid_every}")
+    check_setting("epochs", hp.epochs, hp.epochs >= 0, ">= 0")
+    check_setting("learning_rate", hp.learning_rate, hp.learning_rate >= 0, ">= 0")
+    check_setting("batch_size", hp.batch_size, hp.batch_size > 0, "positive")
+    check_setting("valid_every", hp.valid_every, hp.valid_every >= 0, ">= 0 (0: never)")
 
 
 @dataclass
@@ -132,8 +131,7 @@ def init_embeddings(
     """Seeded uniform(-1/sqrt(d), 1/sqrt(d)) initialization."""
     if family not in FAMILIES:
         raise ConfigError(f"unknown model family {family!r}")
-    if dim <= 0:
-        raise ConfigError(f"dim must be positive, got {dim}")
+    check_setting("dim", dim, dim > 0, "positive")
     bound = 1.0 / np.sqrt(dim)
 
     def table(n: int) -> np.ndarray:
@@ -623,8 +621,6 @@ def train_kgc(
     """
     hp = hyperparams if hyperparams is not None else KgcHyperparams()
     hp.validate()
-    if family not in FAMILIES:
-        raise ConfigError(f"unknown model family {family!r}")
     if len(graph.train) == 0:
         raise ConfigError("cannot train on an empty train split")
 

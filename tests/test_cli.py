@@ -299,6 +299,26 @@ class TestPipeline:
         assert code == 0
         assert "w1 w2" in calls and max(calls.values()) == 1
 
+    def test_robustness_default_sweep_point_without_training_text(self, assets, capsys):
+        """The default sweep ends at mode all, fraction 1.0, which leaves no
+        training entity with text: that point trains no map, skips every open
+        query as no-metadata and writes nan. valid.txt's queries are all open."""
+        assert run(golden_commands(assets)["train-kgc"]) == 0, capsys.readouterr().err
+        out = assets / "robust"
+        code = run(["robustness", "--train", assets / "train.txt", "--test", assets / "valid.txt",
+                    "--kgc-checkpoint", assets / "kgc" / "kgc.ckpt",
+                    "--metadata", assets / "metadata.tsv", "--embeddings", assets / "vectors.txt",
+                    "--epochs", "2", "--out", out])
+        assert code == 0, capsys.readouterr().err
+        rows = [line.split("\t") for line in (out / "robustness.tsv").read_text().splitlines()]
+        defaults = OPTIONS["robustness"]
+        points = [(mode, fraction) for mode in defaults["modes"].default
+                  for fraction in defaults["fractions"].default]
+        assert [(row[0], float(row[1])) for row in rows[1:-1]] == points
+        assert rows[-1][0] == "random-head-baseline"
+        assert "nan" not in rows[1]  # descriptions 0.0 ranks both queries
+        assert rows[-2] == ["all", "1.0"] + ["nan"] * 5
+
 
 class TestRankedSplitRequired:
     """eval ranks the file of --split and robustness that of --test: a
@@ -570,6 +590,8 @@ class TestFailedCommandLeavesNoOutput:
         ("robustness", ["--learning-rate", "inf"], "learning_rate must be finite, got inf"),
         ("robustness", ["--batch-size", "0"], "batch_size must be positive, got 0"),
         ("train-kgc", ["--valid-every", "-1"], "valid_every must be >= 0 (0: never), got -1"),
+        ("train-kgc", ["--margin", "inf"], "margin must be finite, got inf"),
+        ("train-kgc", ["--reg-weight", "inf"], "reg_weight must be finite, got inf"),
     ])
     def test_rejected_setting(self, assets, capsys, command, flags, message):
         commands = golden_commands(assets)
