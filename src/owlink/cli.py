@@ -50,11 +50,9 @@ def _fields(cls, *names: str) -> list[Option]:
 
 
 def _build(s: Settings, cls, **fixed):
-    """``cls`` with every field the command has an option for read from ``s``, validated."""
-    built = cls(**{f.name: s.get(_flag(f.name)) for f in fields(cls)
-                   if f.name not in fixed and _flag(f.name) in s}, **fixed)
-    built.validate()
-    return built
+    """``cls`` with every field the command has an option for read from ``s``."""
+    return cls(**{f.name: s.get(_flag(f.name)) for f in fields(cls)
+                  if f.name not in fixed and _flag(f.name) in s}, **fixed)
 
 
 COMMON = [Option("out", help="output directory"), *_fields(sampler.SamplerConfig, "seed")]

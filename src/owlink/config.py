@@ -1,4 +1,4 @@
-"""Option declarations, flat key=value config files, manifests, and seed derivation.
+"""Option declarations, the settings rule, config files, manifests, and seed derivation.
 
 Every CLI option is declared once as an :class:`Option`: its name is the
 flag (``--name``), the config-file key and the manifest key. A flag value
@@ -8,11 +8,15 @@ both are checked for the same type and choices. Config files hold
 name wins. Each command echoes its resolved configuration into a manifest
 file in the output directory, so a run is reproducible from the manifest
 alone: the manifest can be passed back as the command's config file.
-"""
+
+:func:`check_setting` is every layer's one rule for a setting's range or
+allowed values (the frozen settings dataclasses call it when built), so
+this module imports no owlink module at load time."""
 
 from __future__ import annotations
 
 import argparse
+import math
 import typing
 import zlib
 from dataclasses import dataclass
@@ -27,6 +31,20 @@ _EXPECTED = {int: ("an integer", "integers"), float: ("a number", "numbers"),
 
 class OptionError(argparse.ArgumentTypeError, ValueError):
     """A flag or config value that does not fit its option."""
+
+
+class ConfigError(ValueError):
+    """A setting outside its range or allowed values."""
+
+
+def check_setting(name: str, value, ok: bool, rule: str) -> None:
+    """The one rule for a setting: ``ok`` says it is in its range or among
+    its allowed values (written so that NaN fails every range), and a number
+    must also be finite. ``value`` is shown as given."""
+    if not ok:
+        raise ConfigError(f"{name} must be {rule}, got {value}")
+    if value in (math.inf, -math.inf):
+        raise ConfigError(f"{name} must be finite, got {value}")
 
 
 class Items(tuple):

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import check_setting
 from .graph import SPLITS, KnowledgeGraph, as_triples, build_filter_index, distinct
 from .mapping import MapModel, mapped_embedding
 from .models import KgcModel, better_or_tied
@@ -32,7 +33,7 @@ SKIP_OPEN_TARGET = "open-target"
 DIRECTIONS = ("tail", "head")
 
 
-@dataclass
+@dataclass(frozen=True)
 class EvalConfig:
     direction: str = "tail"
     filtered: bool = True
@@ -40,12 +41,15 @@ class EvalConfig:
     target_filtering: bool = False
     hits_k: tuple[int, ...] = (1, 3, 10)
 
+    def __post_init__(self) -> None:
+        self.validate()
+
     def validate(self) -> None:
-        if self.direction not in DIRECTIONS:
-            raise ValueError(f"direction must be 'tail' or 'head', got {self.direction!r}")
+        check_setting("direction", repr(self.direction), self.direction in DIRECTIONS,
+                      "'tail' or 'head'")
         hits = self.hits_k
-        if not hits or hits[0] < 1 or any(a >= b for a, b in zip(hits, hits[1:])):
-            raise ValueError(f"hits_k must be strictly ascending and >= 1, got {hits}")
+        ok = bool(hits) and hits[0] >= 1 and all(a < b for a, b in zip(hits, hits[1:]))
+        check_setting("hits_k", hits, ok, "strictly ascending and >= 1")
 
 
 @dataclass
@@ -162,7 +166,6 @@ def _evaluate_core(
     (one GEMM per block, the kernel only where its rounding bound cannot
     decide); each query is embedded on its own, in row order."""
     config = config if config is not None else EvalConfig()
-    config.validate()
     triples = as_triples(triples if triples is not None else graph.test)
     filter_index = build_filter_index(graph, config.filter_splits, triples)
     tail_direction = config.direction == "tail"
@@ -238,8 +241,7 @@ def closed_world_validator(graph: KnowledgeGraph, max_triples: int | None = None
     (all when None) of ``graph.valid``, as a ``model -> score`` callable for
     ``models.train_kgc``. Each call ranks through ``_evaluate_core``, which builds
     the train+valid filter index of those triples, as every ranking does."""
-    if max_triples is not None and max_triples < 1:
-        raise ValueError(f"valid max triples must be >= 1, got {max_triples}")
+    check_setting("valid max triples", max_triples, max_triples is None or max_triples >= 1, ">= 1")
     triples = graph.valid[:max_triples]
     configs = [EvalConfig(direction=d, filter_splits=("train", "valid")) for d in ("tail", "head")]
 
@@ -286,14 +288,11 @@ def nearest_neighbors(
 ) -> list[tuple[int, float]]:
     """k nearest known entities by Euclidean distance on the real part,
     ascending, ties broken by entity id."""
-    if isinstance(query_embedding, tuple):
-        query = np.asarray(query_embedding[0])
-    else:
-        query = np.asarray(query_embedding)
+    query = query_embedding[0] if isinstance(query_embedding, tuple) else query_embedding
     table = kgc_model.embeddings.entity_real
-    if not 1 <= k <= len(table):
-        raise ValueError(f"k must be between 1 and the number of entities {len(table)}, got {k}")
-    diff = table - query
+    check_setting("k", k, 1 <= k <= len(table),
+                  f"between 1 and the number of entities {len(table)}")
+    diff = table - np.asarray(query)
     dist = np.sqrt((diff * diff).sum(axis=1))
     order = np.lexsort((np.arange(len(table)), dist))[:k]
     return [(int(i), float(dist[i])) for i in order]

@@ -29,6 +29,8 @@ from typing import Iterable, NamedTuple, NoReturn
 
 import numpy as np
 
+from .config import check_setting
+
 logger = logging.getLogger(__name__)
 
 # Lines of a triple file split and interned at a time. A chunk's field
@@ -225,8 +227,7 @@ class KnowledgeGraph:
         return None
 
     def split(self, name: str) -> np.ndarray:
-        if name not in SPLITS:
-            raise ValueError(f"unknown split {name!r}")
+        check_setting("split", repr(name), name in SPLITS, f"one of {SPLITS}")
         return getattr(self, name)
 
 
@@ -367,13 +368,12 @@ def save_triples(path: str, graph: KnowledgeGraph, triples: np.ndarray) -> None:
 @dataclass
 class FilterIndex:
     """The true tails of each (head, rel) and the true heads of each
-    (rel, tail) over ``splits``, keyed by the pair packed as
+    (rel, tail) over the splits it was built from, keyed by the pair packed as
     ``first * base + second`` (no key when ``second`` is out of range)."""
 
     true_tails: IdSets
     true_heads: IdSets
     base: int
-    splits: tuple[str, ...] = SPLITS
 
     def tails(self, head: int, rel: int) -> np.ndarray:
         return self.true_tails[head * self.base + rel if 0 <= rel < self.base else -1]
@@ -393,7 +393,6 @@ def build_filter_index(
     triples query are indexed, each with the same ids as in the full index
     (none when no split holds the key); without, every key of the splits.
     """
-    splits = tuple(splits)
     indexed = [graph.split(name) for name in splits]
     if triples is None:
         queried = np.concatenate([as_triples(None), *indexed])
@@ -401,7 +400,7 @@ def build_filter_index(
         queried = as_triples(triples)
     base = 1 + max(int(rows.max(initial=0)) for rows in [queried, *indexed])
     return FilterIndex(_true_ids(indexed, queried, base, (0, 1), 2),
-                       _true_ids(indexed, queried, base, (1, 2), 0), base, splits)
+                       _true_ids(indexed, queried, base, (1, 2), 0), base)
 
 
 def _true_ids(indexed: list[np.ndarray], queried: np.ndarray, base: int,

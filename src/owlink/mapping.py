@@ -24,9 +24,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import ConfigError, check_setting
 from .graph import EntityText, KnowledgeGraph
-from .models import (ConfigError, KgcModel, _flag, _positive_int, check_loop, check_setting,
-                     read_checkpoint, write_checkpoint)
+from .models import KgcModel, _flag, _positive_int, check_loop, read_checkpoint, write_checkpoint
 from .optim import Adam, EpochPolicy
 from .text import EntityRows, WordEmbeddingStore, batch_mean, text_embedding
 
@@ -36,7 +36,7 @@ LOSS_MODES = ("squared", "euclidean")
 _EUCLIDEAN_GUARD = 1e-12
 
 
-@dataclass
+@dataclass(frozen=True)
 class MapHyperparams:
     epochs: int = 200
     learning_rate: float = 1e-3
@@ -46,13 +46,15 @@ class MapHyperparams:
     loss: str = "squared"
     valid_every: int = 10
 
+    def __post_init__(self) -> None:
+        self.validate()
+
     def validate(self) -> None:
         check_loop(self)
         check_setting("dropout", self.dropout, 0.0 <= self.dropout < 1.0, "in [0, 1)")
         check_setting("hidden_dim", self.hidden_dim,
                       self.hidden_dim is None or self.hidden_dim >= 1, ">= 1")
-        if self.loss not in LOSS_MODES:
-            raise ConfigError(f"unknown loss mode {self.loss!r}")
+        check_setting("loss", repr(self.loss), self.loss in LOSS_MODES, f"one of {LOSS_MODES}")
 
 
 @dataclass
@@ -106,10 +108,8 @@ def init_map(
     complex_pair: bool = False,
 ) -> MapModel:
     """Xavier-uniform weights, zero biases; seeded via ``rng``, real branch first."""
-    if kind not in KINDS:
-        raise ConfigError(f"unknown transformation kind {kind!r}")
-    if in_dim <= 0 or out_dim <= 0:
-        raise ConfigError(f"dims must be positive, got {in_dim} -> {out_dim}")
+    check_setting("kind", repr(kind), kind in KINDS, f"one of {KINDS}")
+    check_setting("dims", f"{in_dim} -> {out_dim}", min(in_dim, out_dim) > 0, "positive")
     h = hidden_dim if hidden_dim is not None else out_dim
     hidden = (h, h, h) if kind == "mlp" else ()
     shapes = MapModel(kind, in_dim, out_dim, hidden).param_shapes()
@@ -188,8 +188,7 @@ def map_loss_and_gradients(
     ``imag/<name>``. For paired models the real and imaginary losses are
     summed.
     """
-    if mode not in LOSS_MODES:
-        raise ConfigError(f"unknown loss mode {mode!r}")
+    check_setting("loss", repr(mode), mode in LOSS_MODES, f"one of {LOSS_MODES}")
     if model.is_complex and targets_imag is None:
         raise ValueError("paired map model requires imaginary targets")
     targets = {"real": targets_real, "imag": targets_imag}
@@ -213,7 +212,7 @@ def fit_map(
     validator=None,
     log_path: str | None = None,
 ) -> MapModel:
-    """Fit a transformation on (text embedding, graph embedding) pairs.
+    """Fit a map on (text, graph) embedding pairs; ``hyperparams`` is checked when built.
 
     ``inputs`` is either an (m, d') array or a callable ``rng -> array``
     re-sampled every epoch (used for word dropout). Epochs end in an
@@ -222,7 +221,6 @@ def fit_map(
     Deterministic for a fixed seed.
     """
     hp = hyperparams if hyperparams is not None else MapHyperparams()
-    hp.validate()
     rng = np.random.default_rng(seed)
 
     resample = callable(inputs)
@@ -283,11 +281,10 @@ def train_map(
 
     The text embeddings of all training entities are averaged in one
     :func:`text.batch_mean`; word dropout (``hyperparams.dropout``)
-    re-samples them every epoch. Raises :class:`ConfigError` when no
-    training entity has usable text.
+    re-samples them every epoch; ``hyperparams`` is checked when built.
+    Raises :class:`ConfigError` when no training entity has usable text.
     """
     hp = hyperparams if hyperparams is not None else MapHyperparams()
-    hp.validate()
     pairs, u_real, u_imag = build_training_pairs(kgc_model, graph, entity_rows)
     if not len(pairs.entities):
         raise ConfigError("no training entity has usable textual metadata")

@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import ConfigError, check_setting
 from .graph import KnowledgeGraph
 from .optim import Adam, EpochPolicy
 
@@ -36,11 +37,7 @@ FAMILIES = ("transe", "distmult", "complex")
 GradKey = tuple[str, int]
 
 
-class ConfigError(ValueError):
-    """Invalid model or training hyperparameter."""
-
-
-@dataclass
+@dataclass(frozen=True)
 class KgcHyperparams:
     dim: int = 300
     epochs: int = 100
@@ -51,21 +48,15 @@ class KgcHyperparams:
     num_negatives: int = 1
     valid_every: int = 1
 
+    def __post_init__(self) -> None:
+        self.validate()
+
     def validate(self) -> None:
         check_setting("dim", self.dim, self.dim > 0, "positive")
         check_loop(self)
         check_setting("margin", self.margin, self.margin > 0, "positive")
         check_setting("reg_weight", self.reg_weight, self.reg_weight >= 0, ">= 0")
         check_setting("num_negatives", self.num_negatives, self.num_negatives >= 1, ">= 1")
-
-
-def check_setting(name: str, value, ok: bool, rule: str) -> None:
-    """The one rule for a numeric setting: ``ok`` says it is in its range
-    (written so that NaN fails every range), and it must also be finite."""
-    if not ok:
-        raise ConfigError(f"{name} must be {rule}, got {value}")
-    if value in (np.inf, -np.inf):
-        raise ConfigError(f"{name} must be finite, got {value}")
 
 
 def check_loop(hp) -> None:
@@ -129,8 +120,7 @@ def init_embeddings(
     family: str, num_entities: int, num_relations: int, dim: int, rng: np.random.Generator
 ) -> EmbeddingTable:
     """Seeded uniform(-1/sqrt(d), 1/sqrt(d)) initialization."""
-    if family not in FAMILIES:
-        raise ConfigError(f"unknown model family {family!r}")
+    check_setting("family", repr(family), family in FAMILIES, f"one of {FAMILIES}")
     check_setting("dim", dim, dim > 0, "positive")
     bound = 1.0 / np.sqrt(dim)
 
@@ -612,7 +602,7 @@ def train_kgc(
     validator=None,
     log_path: str | None = None,
 ) -> KgcModel:
-    """Train a link prediction model with uniform negative sampling.
+    """Train a model with uniform negative sampling (``hyperparams`` is checked when built).
 
     Deterministic for a fixed seed in this single-threaded mode. Epochs end
     in an :class:`optim.EpochPolicy`: with a ``validator`` (such as
@@ -620,7 +610,6 @@ def train_kgc(
     embeddings are returned, otherwise the final epoch's.
     """
     hp = hyperparams if hyperparams is not None else KgcHyperparams()
-    hp.validate()
     if len(graph.train) == 0:
         raise ConfigError("cannot train on an empty train split")
 
@@ -696,9 +685,9 @@ def read_checkpoint(path: str, magic: str, fields: dict):
 
     ``fields`` maps each required header key to a parser. Returns the parsed
     fields and a reader ``blocks(shapes)`` that yields one float64 array per
-    shape and requires the payload to hold exactly those blocks. Every
-    malformed file raises ValueError naming ``path``, including a header
-    line that is not ``key=value`` and a key given twice.
+    shape and requires the payload to hold exactly those blocks, all finite.
+    Every malformed file raises ValueError naming ``path``, including a
+    header line that is not ``key=value`` and a key given twice.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -732,11 +721,12 @@ def read_checkpoint(path: str, magic: str, fields: dict):
             raise ValueError(f"{path}: truncated checkpoint payload")
         if len(payload) > sum(sizes):
             raise ValueError(f"{path}: {len(payload) - sum(sizes)} trailing bytes after the payload")
+        # a float64 sum of float32 values cannot overflow: it is finite exactly when they are
+        if not np.isfinite(np.frombuffer(payload, dtype="<f4").sum(dtype=np.float64)):
+            raise ValueError(f"{path}: non-finite value in checkpoint payload")
         offsets = np.cumsum([0] + sizes)
-        return [
-            np.frombuffer(payload[a:b], dtype="<f4").reshape(shape).astype(np.float64)
-            for a, b, shape in zip(offsets, offsets[1:], shapes)
-        ]
+        return [np.frombuffer(payload[a:b], dtype="<f4").reshape(shape).astype(np.float64)
+                for a, b, shape in zip(offsets, offsets[1:], shapes)]
 
     return meta, blocks
 

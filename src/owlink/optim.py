@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .config import check_setting
+
 
 class Adam:
     def __init__(
@@ -25,8 +27,7 @@ class Adam:
         beta2: float = 0.999,
         eps: float = 1e-8,
     ) -> None:
-        if lr < 0:
-            raise ValueError(f"learning rate must be >= 0, got {lr}")
+        check_setting("learning rate", lr, lr >= 0, ">= 0")
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2

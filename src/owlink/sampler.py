@@ -23,6 +23,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from .config import ConfigError, check_setting
 from .graph import EntityText, KnowledgeGraph, _first_occurrences, as_triples, distinct
 
 MODES = ("descriptions", "all")
@@ -32,7 +33,7 @@ class SamplerError(ValueError):
     """Open-world sampling cannot satisfy its invariants."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class SamplerConfig:
     seed: int = 0
     head_fraction: float | None = None   # fraction of distinct heads to extract
@@ -40,17 +41,17 @@ class SamplerConfig:
     closed_valid_fraction: float = 0.05  # of the remaining train triples
     open_valid_fraction: float = 0.1     # of each test pool
 
+    def __post_init__(self) -> None:
+        self.validate()
+
     def validate(self) -> None:
-        if (self.head_fraction is None) == (self.head_count is None):
-            raise SamplerError("exactly one of head_fraction / head_count must be set")
-        if self.head_fraction is not None and not 0.0 <= self.head_fraction < 1.0:
-            raise SamplerError(f"head_fraction must be in [0, 1), got {self.head_fraction}")
-        if self.head_count is not None and self.head_count < 0:
-            raise SamplerError(f"head_count must be >= 0, got {self.head_count}")
-        if not 0.0 <= self.closed_valid_fraction < 1.0:
-            raise SamplerError("closed_valid_fraction must be in [0, 1)")
-        if not 0.0 <= self.open_valid_fraction < 1.0:
-            raise SamplerError("open_valid_fraction must be in [0, 1)")
+        hf, hc = self.head_fraction, self.head_count
+        if (hf is None) == (hc is None):
+            raise ConfigError("exactly one of head_fraction / head_count must be set")
+        check_setting("head_fraction", hf, hf is None or 0.0 <= hf < 1.0, "in [0, 1)")
+        check_setting("head_count", hc, hc is None or hc >= 0, ">= 0")
+        for name in ("closed_valid_fraction", "open_valid_fraction"):
+            check_setting(name, getattr(self, name), 0.0 <= getattr(self, name) < 1.0, "in [0, 1)")
 
 
 @dataclass
@@ -85,8 +86,7 @@ def _rows_in_order(rows: np.ndarray, order: np.ndarray):
 
 
 def sample_open_world(graph: KnowledgeGraph, config: SamplerConfig) -> OwSplit:
-    """Construct an open-world split from a closed-world source graph."""
-    config.validate()
+    """Construct an open-world split of a closed-world graph (``config`` is checked when built)."""
     rng = np.random.default_rng(config.seed)
 
     train = graph.train
@@ -215,10 +215,9 @@ def validate_split(split: OwSplit) -> list[str]:
 
 
 def check_fraction(value) -> float:
-    """``value`` as a float when it is in [0, 1]; raises ``ValueError`` otherwise."""
+    """``value`` as a float when it is in [0, 1]; raises ``ConfigError`` otherwise."""
     fraction = float(value)
-    if not 0.0 <= fraction <= 1.0:
-        raise ValueError(f"fraction must be in [0, 1], got {value}")
+    check_setting("fraction", value, 0.0 <= fraction <= 1.0, "in [0, 1]")
     return fraction
 
 
@@ -233,8 +232,7 @@ def corrupt_metadata(
     ``mode="descriptions"`` blanks the description (name kept);
     ``mode="all"`` removes the record entirely. Deterministic under seed.
     """
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    check_setting("mode", repr(mode), mode in MODES, f"one of {MODES}")
     check_fraction(fraction)
     rng = np.random.default_rng(seed)
     keys = sorted(metadata)

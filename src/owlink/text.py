@@ -26,6 +26,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
+from .config import check_setting
 from .graph import EntityText
 
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
@@ -340,8 +341,7 @@ def batch_mean(matrix: np.ndarray, rows: np.ndarray, offsets: np.ndarray,
     lengths = np.diff(offsets)
     if not lengths.all():
         raise NoTextError("cannot aggregate an empty embedding sequence")
-    if not 0.0 <= dropout_rate < 1.0:
-        raise ValueError(f"dropout_rate must be in [0, 1), got {dropout_rate}")
+    check_setting("dropout_rate", dropout_rate, 0.0 <= dropout_rate < 1.0, "in [0, 1)")
     keep = None
     if dropout_rate > 0.0:
         if rng is None:

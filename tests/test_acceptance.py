@@ -413,31 +413,95 @@ needs_assets = pytest.mark.skipif(
 )
 
 
-@pytest.fixture(scope="session")
-def fb_assets():
+def build_fb_assets(dataset_dir, embedding_path, dim, epochs, map_epochs, template="{name}"):
+    """Criteria 8-10's inputs: the open-world graph and metadata in
+    ``dataset_dir`` (train.txt, valid.txt, test.txt, metadata.tsv), the entity
+    rows over the vectors at ``embedding_path``, a ComplEx model of ``dim``
+    trained ``epochs`` epochs with the uncapped closed-world validator, and
+    the settings of every map fit (``map_epochs`` epochs)."""
     graph = load_graph(
-        os.path.join(DATASET_DIR, "train.txt"),
-        os.path.join(DATASET_DIR, "valid.txt"),
-        os.path.join(DATASET_DIR, "test.txt"),
+        os.path.join(dataset_dir, "train.txt"),
+        os.path.join(dataset_dir, "valid.txt"),
+        os.path.join(dataset_dir, "test.txt"),
         open_world=True,
     )
-    raw_meta = load_entity_text(os.path.join(DATASET_DIR, "metadata.tsv"))
+    raw_meta = load_entity_text(os.path.join(dataset_dir, "metadata.tsv"))
     metadata = resolve_metadata(raw_meta, graph)
-    template = os.environ.get("OWLINK_PHRASE_TEMPLATE", "{name}")
     # only the vectors the metadata can use: the full Wikipedia2Vec file does not fit in memory
     keys = collect_keys(metadata, template)
-    rows = keys.rows(load_word_embeddings(EMBEDDING_PATH, template, keys.keys))
-    hp = KgcHyperparams(dim=300, epochs=100, learning_rate=1e-3, batch_size=128)
+    rows = keys.rows(load_word_embeddings(str(embedding_path), template, keys.keys))
+    hp = KgcHyperparams(dim=dim, epochs=epochs, learning_rate=1e-3, batch_size=128)
     kgc = train_kgc(graph, "complex", hp, seed=0, validator=closed_world_validator(graph))
-    return graph, kgc, raw_meta, rows
+    map_hp = MapHyperparams(epochs=map_epochs, learning_rate=1e-3, batch_size=128)
+    return graph, kgc, raw_meta, rows, map_hp
+
+
+@pytest.fixture(scope="session")
+def fb_assets():
+    return build_fb_assets(DATASET_DIR, EMBEDDING_PATH, dim=300, epochs=100, map_epochs=200,
+                           template=os.environ.get("OWLINK_PHRASE_TEMPLATE", "{name}"))
 
 
 def _trained_eval(fb, kind, seed=1):
-    graph, kgc, _, rows = fb
-    hp = MapHyperparams(epochs=200, learning_rate=1e-3, batch_size=128)
+    graph, kgc, _, rows, hp = fb
     mm = train_map(kgc, graph, rows, kind, hp, seed=seed)
     rep = evaluate(kgc, graph, EvalConfig(), mm, rows)
     return rep
+
+
+def _robustness_mrrs(fb):
+    """Criterion 10's filtered MRRs in percent: full metadata, every
+    description blanked, and half of the records dropped."""
+    from owlink.cli import _sweep_point
+    from owlink.sampler import corrupt_metadata
+
+    graph, kgc, raw_meta, rows, hp = fb
+    config = EvalConfig()
+
+    def run(mode, fraction, seed):
+        corrupted = corrupt_metadata(raw_meta, mode, fraction, seed=seed)
+        point = _sweep_point(rows, graph, corrupted)
+        mm = train_map(kgc, graph, point, "affine", hp, seed=seed)
+        return 100 * evaluate(kgc, graph, config, mm, point).mrr_filtered
+
+    return run("descriptions", 0.0, 1), run("descriptions", 1.0, 2), run("all", 0.5, 3)
+
+
+def write_owe_assets(path, n=30, dim=6):
+    """A small open-world asset set in ``path``, laid out as criteria 8-10
+    expect: closed train and valid triples over ``n`` entities, test triples
+    with open heads and closed heads, metadata for every entity and a word
+    vector file (``vectors.txt``) for every metadata token."""
+    rng = np.random.default_rng(8)
+    ring = [(f"e{i}", f"r{k}", f"e{(i + step) % n}")
+            for i in range(n) for k, step in enumerate((1, 3, 7))]
+    write_triples(path / "train.txt", ring[3:])
+    write_triples(path / "valid.txt", ring[:3])
+    write_triples(path / "test.txt", [(f"o{j}", "r0", f"e{3 * j}") for j in range(6)]
+                  + [(f"e{j}", "r2", f"e{j + 2}") for j in range(4)])
+    entities = [f"e{i}" for i in range(n)] + [f"o{j}" for j in range(6)]
+    with open(path / "metadata.tsv", "w", encoding="utf-8") as fh:
+        for i, ent in enumerate(entities):
+            fh.write(f"{ent}\tw{i % n}\tw{(i + 1) % n} w{(i + 2) % n}\n")
+    with open(path / "vectors.txt", "w", encoding="utf-8") as fh:
+        for i in range(n):
+            fh.write(f"w{i} " + " ".join(f"{v:.6f}" for v in rng.normal(size=dim)) + "\n")
+
+
+class TestCriteria8To10CodePath:
+    """Criteria 8-10's code, at a scale of seconds, on generated assets:
+    every criterion produces finite numbers (not the paper's thresholds)."""
+
+    def test_runs_on_generated_assets(self, tmp_path):
+        write_owe_assets(tmp_path)
+        fb = build_fb_assets(tmp_path, tmp_path / "vectors.txt", dim=8, epochs=3, map_epochs=3)
+        graph = fb[0]
+        assert graph.num_open_entities == 6 and len(graph.valid) == 3
+        criterion_9 = [_trained_eval(fb, kind) for kind in ("linear", "affine", "mlp")]
+        assert all(rep.evaluated_count == len(graph.test) for rep in criterion_9)
+        numbers = [rep.mrr_filtered for rep in criterion_9] + [criterion_9[1].hits[10]]
+        numbers += _robustness_mrrs(fb)  # criterion 8 is criterion 9's affine report
+        assert np.isfinite(numbers).all(), numbers
 
 
 @needs_assets
@@ -464,22 +528,7 @@ class TestCriterion9:
 @needs_assets
 class TestCriterion10:
     def test_metadata_dropping_robustness(self, fb_assets):
-        from owlink.cli import _sweep_point
-        from owlink.sampler import corrupt_metadata
-
-        graph, kgc, raw_meta, rows = fb_assets
-        hp = MapHyperparams(epochs=200, learning_rate=1e-3, batch_size=128)
-        config = EvalConfig()
-
-        def run(mode, fraction, seed):
-            corrupted = corrupt_metadata(raw_meta, mode, fraction, seed=seed)
-            point = _sweep_point(rows, graph, corrupted)
-            mm = train_map(kgc, graph, point, "affine", hp, seed=seed)
-            return 100 * evaluate(kgc, graph, config, mm, point).mrr_filtered
-
-        full = run("descriptions", 0.0, 1)
-        no_desc = run("descriptions", 1.0, 2)
-        half_all = run("all", 0.5, 3)
+        full, no_desc, half_all = _robustness_mrrs(fb_assets)
         ok = (full - no_desc) <= 5.0 and (full - half_all) <= 2.0
         report_line(10, "metadata-dropping robustness within tolerance",
                     ok, f"full {full:.1f}, no-descriptions {no_desc:.1f}, "

@@ -306,7 +306,6 @@ class TestRestrictedFilterIndex:
                                int(rng.integers(n_ids + 2))) for _ in range(int(rng.integers(0, 4)))]
             full = build_filter_index(g, splits)
             restricted = build_filter_index(g, splits, queried)
-            assert restricted.splits == full.splits
             keys = {divmod(k, restricted.base) for k in restricted.true_tails.keys.tolist()}
             assert keys == {(h, r) for h, r, _ in queried}
             keys = {divmod(k, restricted.base) for k in restricted.true_heads.keys.tolist()}

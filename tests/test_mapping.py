@@ -378,6 +378,18 @@ class TestCheckpoint:
             load_map(str(path))
         assert str(path) in str(info.value)
 
+    @pytest.mark.parametrize("value", [np.nan, -np.inf])
+    def test_non_finite_payload_rejected(self, tmp_path, value):
+        model = init_map("affine", 3, 2, np.random.default_rng(19))
+        path = tmp_path / "map.ckpt"
+        save_map(str(path), model)
+        data = path.read_bytes()
+        at = data.index(b"\nend\n") + 5 + 4 * 4  # a value of W
+        path.write_bytes(data[:at] + np.array(value, dtype="<f4").tobytes() + data[at + 4:])
+        with pytest.raises(ValueError, match="non-finite value in checkpoint payload") as info:
+            load_map(str(path))
+        assert str(path) in str(info.value)
+
     def test_wrong_magic_rejected(self, tmp_path):
         path = tmp_path / "map.ckpt"
         path.write_bytes(b"something else\nend\n")

@@ -751,6 +751,18 @@ class TestCheckpoint:
             load_checkpoint(str(path))
         assert str(path) in str(info.value)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_payload_rejected(self, tmp_path, value):
+        model = random_model("complex", 4, 2, 3, np.random.default_rng(13))
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(str(path), model)
+        data = path.read_bytes()
+        at = data.index(b"\nend\n") + 5 + 4 * 7  # a value of entity row 2
+        path.write_bytes(data[:at] + np.array(value, dtype="<f4").tobytes() + data[at + 4:])
+        with pytest.raises(ValueError, match="non-finite value in checkpoint payload") as info:
+            load_checkpoint(str(path))
+        assert str(path) in str(info.value)
+
 
 class TestTrainGolden:
     """Two seeded epochs per family pinned to the sha256 of the checkpoint and

@@ -3,6 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from owlink.config import ConfigError
 from owlink.graph import EntityText, KnowledgeGraph, Triple, Vocab
 from owlink.sampler import (
     OwSplit,
@@ -35,19 +36,19 @@ def chain_graph(tmp_path, n=30, relations=("r", "s")):
 
 class TestConfig:
     def test_exactly_one_selector(self):
-        with pytest.raises(SamplerError):
+        with pytest.raises(ConfigError):
             SamplerConfig(seed=0).validate()
-        with pytest.raises(SamplerError):
+        with pytest.raises(ConfigError):
             SamplerConfig(seed=0, head_fraction=0.1, head_count=2).validate()
         SamplerConfig(seed=0, head_fraction=0.1).validate()
         SamplerConfig(seed=0, head_count=2).validate()
 
     def test_ranges(self):
-        with pytest.raises(SamplerError):
+        with pytest.raises(ConfigError):
             SamplerConfig(head_fraction=1.0).validate()
-        with pytest.raises(SamplerError):
+        with pytest.raises(ConfigError):
             SamplerConfig(head_count=-1).validate()
-        with pytest.raises(SamplerError):
+        with pytest.raises(ConfigError):
             SamplerConfig(head_count=1, open_valid_fraction=1.0).validate()
 
 
