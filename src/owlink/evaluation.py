@@ -47,6 +47,9 @@ class EvalConfig:
     def validate(self) -> None:
         check_setting("direction", repr(self.direction), self.direction in DIRECTIONS,
                       "'tail' or 'head'")
+        splits = self.filter_splits
+        check_setting("filter_splits", ",".join(splits), set(splits) <= set(SPLITS),
+                      f"each one of {SPLITS}")
         hits = self.hits_k
         ok = bool(hits) and hits[0] >= 1 and all(a < b for a, b in zip(hits, hits[1:]))
         check_setting("hits_k", hits, ok, "strictly ascending and >= 1")

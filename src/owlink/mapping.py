@@ -21,6 +21,7 @@ root); the two differ only in gradient weighting.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -28,7 +29,7 @@ from .config import ConfigError, check_setting
 from .graph import EntityText, KnowledgeGraph
 from .models import KgcModel, _flag, _positive_int, check_loop, read_checkpoint, write_checkpoint
 from .optim import Adam, EpochPolicy
-from .text import EntityRows, WordEmbeddingStore, batch_mean, text_embedding
+from .text import EntityRows, WordEmbeddingStore, batch_mean, keep_rows, text_embedding
 
 KINDS = ("linear", "affine", "mlp")
 LOSS_MODES = ("squared", "euclidean")
@@ -214,11 +215,15 @@ def fit_map(
 ) -> MapModel:
     """Fit a map on (text, graph) embedding pairs; ``hyperparams`` is checked when built.
 
-    ``inputs`` is either an (m, d') array or a callable ``rng -> array``
-    re-sampled every epoch (used for word dropout). Epochs end in an
-    :class:`optim.EpochPolicy`: with a ``validator`` the best-scoring
-    epoch's parameters are returned, otherwise the final epoch's.
-    Deterministic for a fixed seed.
+    ``inputs`` is either an (m, d') array or a callable ``rng -> inputs``,
+    called again before each epoch's permutation (the first time before the
+    map's initial weights). What it returns has a ``shape`` of (m, d') and,
+    indexed by a batch's positions, gives that batch's (len, d') array. For
+    word dropout it is a :class:`text.KeptRows`, so each batch averages
+    only its own entities' kept rows and no (m, d') array is made. Epochs
+    end in an :class:`optim.EpochPolicy`: with a ``validator`` the
+    best-scoring epoch's parameters are returned, otherwise the final
+    epoch's. Deterministic for a fixed seed.
     """
     hp = hyperparams if hyperparams is not None else MapHyperparams()
     rng = np.random.default_rng(seed)
@@ -239,7 +244,7 @@ def fit_map(
     arrays = [a for branch in model.branches().values() for a in branch.values()]
     for epoch in range(1, hp.epochs + 1):
         if resample and epoch > 1:
-            del V  # the last epoch's inputs go before the next are averaged
+            del V  # the last epoch's kept rows go before the next are drawn
             V = inputs(rng)
         perm = rng.permutation(m)
         epoch_loss = 0.0
@@ -279,21 +284,23 @@ def train_map(
 ) -> MapModel:
     """Train the text-to-graph transformation on training entities with text.
 
-    The text embeddings of all training entities are averaged in one
-    :func:`text.batch_mean`; word dropout (``hyperparams.dropout``)
-    re-samples them every epoch; ``hyperparams`` is checked when built.
-    Raises :class:`ConfigError` when no training entity has usable text.
+    Without word dropout the text embeddings of all training entities are
+    averaged once, in one :func:`text.batch_mean`. With it
+    (``hyperparams.dropout``), each epoch draws which rows to keep with
+    :func:`text.keep_rows`, and each batch averages its own entities' kept
+    rows, bit for bit the rows of the (m, d') ``batch_mean`` of that epoch.
+    ``hyperparams`` is checked when built. Raises :class:`ConfigError` when
+    no training entity has usable text.
     """
     hp = hyperparams if hyperparams is not None else MapHyperparams()
     pairs, u_real, u_imag = build_training_pairs(kgc_model, graph, entity_rows)
     if not len(pairs.entities):
         raise ConfigError("no training entity has usable textual metadata")
 
-    def inputs(rng: np.random.Generator | None = None) -> np.ndarray:
-        return batch_mean(pairs.store.matrix, pairs.rows, pairs.offsets[::3], hp.dropout, rng)
-
-    return fit_map(inputs if hp.dropout > 0 else inputs(), u_real, u_imag, kind, hp, seed,
-                   validator, log_path)
+    matrix, rows, offsets = pairs.store.matrix, pairs.rows, pairs.offsets[::3]
+    inputs = (partial(keep_rows, matrix, rows, offsets, hp.dropout) if hp.dropout > 0
+              else batch_mean(matrix, rows, offsets))
+    return fit_map(inputs, u_real, u_imag, kind, hp, seed, validator, log_path)
 
 
 def check_fit(map_model: MapModel, kgc_model: KgcModel, text_dim: int, map_path: str,

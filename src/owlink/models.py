@@ -219,10 +219,15 @@ def score_all_heads(model: KgcModel, r: int, t_embedding) -> np.ndarray:
     return _score_query(model, t_embedding, r, rows, query_is_head=False)
 
 
-# Bytes of each (queries, N) float64 array of better_or_tied: a block of
-# RANK_BLOCK_BYTES // (8 N) queries (at least one) shares one GEMM, which is
-# 4 queries at N = 14,541 entities. Blocks of 9 (1 MiB) were 25 % faster but
-# raised train-map's peak RSS by 3 MiB on the owe-complex benchmark.
+# The least bytes of each (queries, N) float64 array of better_or_tied. A
+# block shares one GEMM over the entity table; it holds
+# max(RANK_BLOCK_BYTES, table bytes // 16) // (8 N) queries (at least one),
+# so the arrays stay a sixteenth of the table (8 N d per part, two parts for
+# ComplEx) above the floor. At N = 14,541 the floor gives 4 queries (ComplEx
+# to d = 36, TransE and DistMult to d = 72); at d = 300 a block holds 37
+# ComplEx or 18 TransE queries. The floor stays at 512 KiB: blocks of 9
+# (1 MiB) at d = 32 were 25 % faster but raised train-map's peak RSS by
+# 3 MiB on the owe-complex benchmark.
 RANK_BLOCK_BYTES = 1 << 19
 
 _U = 2.0 ** -53  # unit roundoff of float64
@@ -389,7 +394,8 @@ def better_or_tied(model: KgcModel, queries, relations, targets, query_is_head: 
     relations, targets = np.asarray(relations), np.asarray(targets)
     squares, norms = _row_norms(emb)
     queries = iter(queries)
-    block = max(1, RANK_BLOCK_BYTES // (8 * max(num_e, 1)))
+    table_bytes = 8 * num_e * emb.dim * (2 if emb.is_complex else 1)
+    block = max(1, max(RANK_BLOCK_BYTES, table_bytes // 16) // (8 * max(num_e, 1)))
     for start in range(0, len(relations), block):
         r, t = relations[start:start + block], targets[start:start + block]
         pairs = [_query_pair(model, next(queries)) for _ in range(len(r))]
@@ -657,14 +663,20 @@ def train_kgc(
 
 # Checkpoint format, shared with mapping's map checkpoints: a magic line,
 # ASCII key=value header lines and an "end" line, then row-major
-# little-endian float32 blocks.
+# little-endian float32 blocks. A block is converted and written
+# CHECKPOINT_BLOCK_ROWS rows at a time, so no float32 copy of a whole table
+# is made.
+CHECKPOINT_BLOCK_ROWS = 1024
+
 
 def write_checkpoint(path: str, magic: str, fields: dict[str, object], blocks) -> None:
     header = "".join(f"{key}={value}\n" for key, value in fields.items())
     with open(path, "wb") as fh:
         fh.write(f"{magic}\n{header}end\n".encode("ascii"))
         for arr in blocks:
-            fh.write(np.ascontiguousarray(arr, dtype="<f4"))  # through the buffer, no bytes copy
+            for start in range(0, len(arr), CHECKPOINT_BLOCK_ROWS):
+                # through the buffer, no bytes copy
+                fh.write(np.ascontiguousarray(arr[start:start + CHECKPOINT_BLOCK_ROWS], dtype="<f4"))
 
 
 def _positive_int(value: str) -> int:

@@ -48,6 +48,7 @@ class SamplerConfig:
         hf, hc = self.head_fraction, self.head_count
         if (hf is None) == (hc is None):
             raise ConfigError("exactly one of head_fraction / head_count must be set")
+        check_setting("seed", self.seed, self.seed >= 0, ">= 0")
         check_setting("head_fraction", hf, hf is None or 0.0 <= hf < 1.0, "in [0, 1)")
         check_setting("head_count", hc, hc is None or hc >= 0, ">= 0")
         for name in ("closed_valid_fraction", "open_valid_fraction"):

@@ -6,13 +6,15 @@ An entity's name and description become a sequence of row ids (a single
 phrase row for the full name when the store has one, token-wise rows
 otherwise; description tokens after the name), and the mean of those
 rows is the text-based entity embedding. During training, word dropout
-replaces a random subset of the rows with zeros before averaging;
-dropped tokens still count in the denominator.
+leaves a random subset of the rows out of the sum; dropped tokens still
+count in the denominator.
 
 A command's entity text is one :class:`EntityRows` (CSR of store rows):
 ``collect_keys`` gives each key an id, ``load_word_embeddings`` keeps those
 keys' vectors alone, and :meth:`TextKeys.rows` resolves the ids;
-``entity_tokens`` is the one-entity case. ``batch_mean`` is the one mean rule.
+``entity_tokens`` is the one-entity case. The one mean rule is a
+:class:`KeptRows` indexed by entities: :func:`keep_rows` draws the dropout
+and :func:`batch_mean` averages every entity at once.
 """
 
 from __future__ import annotations
@@ -317,53 +319,96 @@ def entity_tokens(meta: EntityText, store: WordEmbeddingStore) -> tuple[np.ndarr
     return rows, int(np.count_nonzero(rows == len(store)))
 
 
-def batch_mean(matrix: np.ndarray, rows: np.ndarray, offsets: np.ndarray,
-               dropout_rate: float = 0.0, rng: np.random.Generator | None = None) -> np.ndarray:
-    """Per entity i, the mean of ``matrix[rows[offsets[i]:offsets[i + 1]]]``,
-    where ``offsets`` runs from 0 to ``len(rows)``.
+@dataclass(frozen=True)
+class KeptRows:
+    """Entities' vector rows after word dropout, in CSR form: entity i keeps
+    ``rows[offsets[i]:offsets[i + 1]]`` of ``matrix`` out of the ``counts[i]``
+    rows it had. Indexing with entity positions gives their (len, dim)
+    means, computed then; ``np.asarray`` gives every entity's mean, as
+    :func:`batch_mean` does."""
 
-    Word dropout replaces rows by zeros, one ``rng.random(len(rows))`` draw
-    per call (entity i's draws are those at its own offsets), but keeps each
-    denominator at the entity's row count; it is a training-time operation
-    and must be disabled (rate 0) at evaluation.
+    matrix: np.ndarray
+    rows: np.ndarray
+    offsets: np.ndarray
+    counts: np.ndarray
 
-    Entities of similar length are gathered together, about
-    ``MEAN_BLOCK_ROWS`` rows at a time, as an (entities, positions, dim)
-    block that is summed along positions. numpy adds those rows in order,
-    starting from +0.0, as ``matrix[rows_i].sum(axis=0)`` does, so each mean
-    is bit for bit that of the entity alone when rows have two or more
-    columns (numpy sums a single column pairwise). Dropped rows and the
-    padding after a shorter entity are set to +0.0: adding +0.0 leaves a sum
-    that starts at +0.0 unchanged, and a dropped finite row would only have
-    added a signed zero.
+    @property
+    def shape(self) -> tuple[int, int]:
+        return len(self.counts), self.matrix.shape[1]
+
+    def __getitem__(self, ids) -> np.ndarray:
+        """Per entity position of ``ids``, the sum of its kept rows divided
+        by its full row count.
+
+        Entities of similar kept length are gathered together, about
+        ``MEAN_BLOCK_ROWS`` rows at a time, as an (entities, positions, dim)
+        block that is summed along positions; the padding after a shorter
+        entity is set to +0.0.
+        """
+        ids = np.asarray(ids, dtype=np.int64)
+        starts, ends = self.offsets[ids], self.offsets[ids + 1]
+        kept = ends - starts
+        out = np.empty((len(ids), self.matrix.shape[1]))
+        order = np.argsort(kept, kind="stable")
+        per_block = max(1, MEAN_BLOCK_ROWS // int(kept.max(initial=1)))
+        for start in range(0, len(order), per_block):
+            block_ids = order[start:start + per_block]  # ascending, so the last is the longest
+            at = starts[block_ids, None] + np.arange(kept[block_ids[-1]])
+            pad = at >= ends[block_ids, None]
+            at[pad] = 0
+            block = self.matrix[self.rows[at]]
+            block[pad] = 0.0
+            out[block_ids] = block.sum(axis=1)
+        out /= self.counts[ids, None]
+        return out
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        out = self[np.arange(len(self.counts))]
+        return out if dtype is None else out.astype(dtype, copy=False)
+
+
+def keep_rows(matrix: np.ndarray, rows: np.ndarray, offsets: np.ndarray,
+              dropout_rate: float = 0.0, rng: np.random.Generator | None = None) -> KeptRows:
+    """The rows of entity i, ``rows[offsets[i]:offsets[i + 1]]`` (``offsets``
+    runs from 0 to ``len(rows)``), that word dropout keeps, as a
+    :class:`KeptRows` of ``matrix``.
+
+    Dropout drops each row at ``dropout_rate``, by one
+    ``rng.random(len(rows))`` draw per call (entity i's draws are those at
+    its own offsets), and the kept rows are copied once into their own CSR;
+    without dropout ``rows`` is used as it is. It is a training-time
+    operation and must be disabled (rate 0) at evaluation.
     """
     offsets = np.asarray(offsets, dtype=np.int64)
-    lengths = np.diff(offsets)
-    if not lengths.all():
+    counts = np.diff(offsets)
+    if not counts.all():
         raise NoTextError("cannot aggregate an empty embedding sequence")
     check_setting("dropout_rate", dropout_rate, 0.0 <= dropout_rate < 1.0, "in [0, 1)")
-    keep = None
     if dropout_rate > 0.0:
         if rng is None:
             raise ValueError("dropout requires a random generator")
-        keep = rng.random(len(rows)) >= dropout_rate
-    out = np.empty((len(lengths), matrix.shape[1]))
-    if not len(lengths):
-        return out
-    order = np.argsort(lengths, kind="stable")
-    per_block = max(1, MEAN_BLOCK_ROWS // int(lengths.max()))
-    for start in range(0, len(order), per_block):
-        ids = order[start:start + per_block]
-        n = lengths[ids]  # ascending, so the last is the block's longest
-        at = offsets[ids, None] + np.arange(n[-1])
-        pad = at >= offsets[ids + 1, None]
-        at[pad] = 0
-        block = matrix[rows[at]]
-        block[pad if keep is None else pad | ~keep[at]] = 0.0
-        sums = block.sum(axis=1)
-        sums /= n[:, None]
-        out[ids] = sums
-    return out
+        kept = np.flatnonzero(rng.random(len(rows)) >= dropout_rate)
+        offsets = np.searchsorted(kept, offsets)  # kept rows before each entity's first
+        rows = rows[kept]
+    return KeptRows(matrix, rows, offsets, counts)
+
+
+def batch_mean(matrix: np.ndarray, rows: np.ndarray, offsets: np.ndarray,
+               dropout_rate: float = 0.0, rng: np.random.Generator | None = None) -> np.ndarray:
+    """Per entity i, the mean of ``matrix[rows[offsets[i]:offsets[i + 1]]]``:
+    the :class:`KeptRows` of :func:`keep_rows` as one array.
+
+    Word dropout removes rows but keeps each denominator at the entity's
+    row count, so a dropped row counts as a zero row. numpy adds a block's
+    rows in order, starting from +0.0, as ``matrix[rows_i].sum(axis=0)``
+    does, so each mean is bit for bit that of the entity alone with its
+    dropped rows set to zero, when rows have two or more columns (numpy
+    sums a single column pairwise). A sum that starts at +0.0 is never
+    -0.0, and adding +0.0 (a padding row) or a signed zero (a dropped
+    finite row times zero) leaves it unchanged; an entity whose every row
+    is dropped gets a +0.0 row.
+    """
+    return np.asarray(keep_rows(matrix, rows, offsets, dropout_rate, rng))
 
 
 def aggregate(embeddings: np.ndarray, dropout_rate: float = 0.0,

@@ -1,6 +1,7 @@
 """Shared test utilities: tiny graph builders, random models, an
-independent brute-force ranking oracle (explicit candidate lists, sorted)
-and line-loop oracles of the loader and the open-world sampler."""
+independent brute-force ranking oracle (explicit candidate lists, sorted),
+line-loop oracles of the loader and the open-world sampler, and a map fit
+on dense word-dropout inputs."""
 
 from __future__ import annotations
 
@@ -11,7 +12,7 @@ import numpy as np
 from owlink.graph import (EntityText, KnowledgeGraph, ParseError, Triple, VocabularyError,
                           load_graph)
 from owlink.models import EmbeddingTable, KgcHyperparams, KgcModel, score_all_heads, score_all_tails
-from owlink.mapping import mapped_entity_embedding
+from owlink.mapping import build_training_pairs, fit_map, mapped_entity_embedding
 from owlink.sampler import OwSplit, SamplerError
 from owlink.text import NoTextError, WordEmbeddingStore
 
@@ -29,6 +30,26 @@ def store_from_vectors(vectors, dim, phrase_template="{name}"):
         matrix[row] = vec
     return WordEmbeddingStore(matrix, {tok: row for row, tok in enumerate(vectors)},
                               phrase_template)
+
+
+def dense_dropout_means(matrix, rows, offsets, dropout_rate, rng):
+    """Every entity's word-dropout mean as one (m, d') array: one
+    ``rng.random(len(rows))`` draw, every row gathered and the dropped ones
+    zeroed, then entity i's rows ``offsets[i]:offsets[i + 1]`` summed from
+    +0.0 and divided by their count."""
+    keep = rng.random(len(rows)) >= dropout_rate
+    gathered = matrix[rows] * keep[:, None]
+    return np.stack([gathered[a:b].sum(axis=0) / (b - a)
+                     for a, b in zip(offsets[:-1], offsets[1:])])
+
+
+def reference_dropout_map(kgc_model, graph, entity_rows, kind, hyperparams, seed):
+    """``train_map`` under word dropout with dense inputs: each epoch builds
+    the whole (m, d') array of :func:`dense_dropout_means`."""
+    pairs, u_real, u_imag = build_training_pairs(kgc_model, graph, entity_rows)
+    matrix, rows, offsets = pairs.store.matrix, pairs.rows, pairs.offsets[::3]
+    return fit_map(lambda rng: dense_dropout_means(matrix, rows, offsets, hyperparams.dropout, rng),
+                   u_real, u_imag, kind, hyperparams, seed)
 
 
 def graph_from_triples(tmp_path, train, valid=None, test=None, open_world=False):

@@ -393,6 +393,13 @@ class TestSampleOwe:
         assert "head_fraction must be in [0, 1), got 1.5" in capsys.readouterr().err
         assert not (assets / "owe_bad").exists()
 
+    def test_negative_seed_is_rejected_before_the_output_is_made(self, assets, capsys):
+        code = run(["sample-owe", "--train", assets / "train.txt", "--head-count", "2",
+                    "--seed", "-1", "--out", assets / "owe_bad"])
+        assert code == 1
+        assert "seed must be >= 0, got -1" in capsys.readouterr().err
+        assert not (assets / "owe_bad").exists()
+
     SPLIT_FILES = ("train.txt", "valid.txt", "test_tail.txt", "test_head.txt",
                    "valid_tail.txt", "valid_head.txt", "open_entities.txt")
 

@@ -67,12 +67,18 @@ class TestSettingsObjects:
          "closed_valid_fraction must be in [0, 1), got 1.0"),
         (lambda: SamplerConfig(head_count=1, open_valid_fraction=math.nan),
          "open_valid_fraction must be in [0, 1), got nan"),
+        (lambda: SamplerConfig(head_count=1, seed=-1), "seed must be >= 0, got -1"),
         (lambda: EvalConfig(direction="sideways"),
          "direction must be 'tail' or 'head', got 'sideways'"),
         (lambda: EvalConfig(hits_k=(1, 1, 3)),
          "hits_k must be strictly ascending and >= 1, got (1, 1, 3)"),
+        (lambda: EvalConfig(filter_splits=("dev",)),
+         "filter_splits must be each one of ('train', 'valid', 'test'), got dev"),
+        (lambda: EvalConfig(filter_splits=("train", "tset")),
+         "filter_splits must be each one of ('train', 'valid', 'test'), got train,tset"),
     ], ids=["dim", "dropout", "head-selector", "head-fraction", "head-count",
-            "closed-valid-fraction", "open-valid-fraction", "direction", "hits"])
+            "closed-valid-fraction", "open-valid-fraction", "seed", "direction", "hits",
+            "filter-splits", "filter-splits-typo"])
     def test_checked_when_built(self, build, message):
         with pytest.raises(ConfigError) as info:
             build()

@@ -1,5 +1,6 @@
 import copy
 import hashlib
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -23,7 +24,7 @@ from owlink.mapping import (
 )
 from owlink.models import ConfigError
 from owlink.text import entity_rows
-from helpers import graph_from_triples, random_model
+from helpers import graph_from_triples, random_model, reference_dropout_map
 from test_text import make_store
 
 
@@ -338,6 +339,55 @@ class TestTrainMapIntegration:
         np.testing.assert_array_equal(m1.real["W"], m2.real["W"])
 
 
+class TestDropoutInputs:
+    """Under word dropout each batch averages only its own entities' kept
+    rows: the fit is bitwise the one on each epoch's dense (m, d') means,
+    and no such array is made."""
+
+    @staticmethod
+    def build(tmp_path, num_entities, text_dim, family, seed, description_tokens=30):
+        rng = np.random.default_rng(seed)
+        train = [(f"e{i}", "r", f"e{(i + 1) % num_entities}") for i in range(num_entities)]
+        g = graph_from_triples(tmp_path, train)
+        model = random_model(family, g.num_entities, g.num_relations, 4, rng)
+        words = [f"w{i}" for i in range(40)]
+        store = make_store(words, dim=text_dim, seed=seed + 1)
+
+        def text(low, high, pool):
+            return " ".join(rng.choice(pool, size=int(rng.integers(low, high))))
+
+        # one-row entities lose every row at times
+        metadata = {e: EntityText(g.entity_name(e), text(1, 3, words),
+                                  text(0, description_tokens + 1, words + ["oov"]))
+                    for e in range(g.num_entities)}
+        return g, model, entity_rows(metadata, store)
+
+    @pytest.mark.parametrize("kind", ["affine", "mlp"])
+    @pytest.mark.parametrize("paired", [False, True])
+    def test_fit_is_the_dense_fit_bitwise(self, tmp_path, kind, paired):
+        g, model, rows = self.build(tmp_path, 300, 6, "complex" if paired else "distmult", 41)
+        hp = MapHyperparams(epochs=3, learning_rate=0.01, batch_size=32, dropout=0.4)
+        got = train_map(model, g, rows, kind, hp, seed=42)
+        want = reference_dropout_map(model, g, rows, kind, hp, seed=42)
+        assert got.is_complex == paired
+        for branch, params in want.branches().items():
+            for name, value in params.items():
+                assert got.branches()[branch][name].tobytes() == value.tobytes(), (branch, name)
+
+    def test_no_text_matrix_is_held(self, tmp_path):
+        num_entities, text_dim = 6000, 64
+        g, model, rows = self.build(tmp_path, num_entities, text_dim, "distmult", 43,
+                                    description_tokens=8)
+        hp = MapHyperparams(epochs=2, dropout=0.3)
+        tracemalloc.start()
+        try:
+            train_map(model, g, rows, "mlp", hp, seed=44)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < num_entities * text_dim * 8
+
+
 class TestCheckpoint:
     @pytest.mark.parametrize("kind", ["linear", "affine", "mlp"])
     @pytest.mark.parametrize("complex_pair", [False, True])
@@ -400,7 +450,7 @@ class TestCheckpoint:
 class TestMapGolden:
     """Seeded map fits pinned to the sha256 of the saved checkpoint and of
     the training log, for every kind with one branch and with the paired
-    (ComplEx) branches. Word dropout re-averages the inputs every epoch, and
+    (ComplEx) branches. Word dropout draws new kept rows every epoch, and
     the validator's best epoch is the first validation for the paired fits
     and the last for the others, so both the best-epoch snapshot and the
     final model are saved somewhere in the table."""

@@ -764,6 +764,28 @@ class TestCheckpoint:
         assert str(path) in str(info.value)
 
 
+    def test_blocks_are_written_in_row_chunks_bitwise(self, tmp_path, monkeypatch):
+        model = random_model("complex", 10, 4, 3, np.random.default_rng(14))
+        monkeypatch.setattr(models, "CHECKPOINT_BLOCK_ROWS", 3)  # chunks of 3, 3, 3 and 1
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(str(path), model)
+        data = path.read_bytes()
+        payload = b"".join(np.ascontiguousarray(a, dtype="<f4").tobytes()
+                           for a in model.embeddings.arrays().values())
+        assert data[data.index(b"\nend\n") + 5:] == payload
+
+    def test_writing_allocates_less_than_a_float32_table(self, tmp_path):
+        num_entities, dim = 20000, 32
+        model = random_model("transe", num_entities, 2, dim, np.random.default_rng(15))
+        tracemalloc.start()
+        try:
+            save_checkpoint(str(tmp_path / "m.ckpt"), model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < num_entities * dim  # a quarter of the table's float32 bytes
+
+
 class TestTrainGolden:
     """Two seeded epochs per family pinned to the sha256 of the checkpoint and
     of the training log. Repeated rows, rows seen once, TransE's inactive

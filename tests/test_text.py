@@ -17,6 +17,7 @@ from owlink.text import (
     collect_keys,
     entity_rows,
     entity_tokens,
+    keep_rows,
     load_word_embeddings,
     text_embedding,
     tokenize,
@@ -635,6 +636,34 @@ class TestReferenceMean:
                 out = batch_mean(store.matrix, rows, offsets, rate, rng_new)
                 expected = np.stack([reference_mean(seqs[i], rate, rng_ref) for i in kept])
                 assert bits(out) == bits(expected)
+
+    @pytest.mark.parametrize("rate", [0.3, 0.7])
+    def test_kept_rows_per_batch_bitwise(self, rate):
+        rng = np.random.default_rng(10)
+        matrix = rng.normal(size=(30, 5))
+        matrix[7] = -0.0
+        matrix[-1] = 0.0
+        lengths = rng.choice([1, 2, 3, 40, 700], size=200)  # 700 fills more than a block
+        offsets = np.concatenate([[0], np.cumsum(lengths)])
+        rows = rng.integers(0, len(matrix), size=offsets[-1])
+        rows[offsets[0]:offsets[2]] = 7  # two entities of -0.0 rows only
+        seqs = [matrix[rows[a:b]] for a, b in zip(offsets[:-1], offsets[1:])]
+        rng_ref = np.random.default_rng(12)
+        expected = np.stack([reference_mean(s, rate, rng_ref) for s in seqs])
+        keep = np.random.default_rng(12).random(len(rows)) >= rate
+        dropped = [i for i, (a, b) in enumerate(zip(offsets[:-1], offsets[1:]))
+                   if not keep[a:b].any()]
+        assert dropped  # entities whose every row is dropped
+        kept = keep_rows(matrix, rows, offsets, rate, np.random.default_rng(12))
+        assert len(kept.rows) == keep.sum() and kept.shape == expected.shape
+        order = rng.permutation(len(lengths))
+        for start in range(0, len(order), 32):  # short and long entities share batches
+            batch = order[start:start + 32]
+            assert bits(kept[batch]) == bits(expected[batch])
+        assert bits(kept) == bits(expected)
+        assert not np.signbit(expected[[0, 1, *dropped]]).any()
+        assert bits(batch_mean(matrix, rows, offsets, rate, np.random.default_rng(12))) == \
+            bits(expected)
 
     def test_batch_mean_rejects_an_entity_without_rows(self):
         with pytest.raises(NoTextError):
