@@ -373,10 +373,10 @@ def cmd_sample_owe(s: Settings) -> None:
 def cmd_drop_metadata(s: Settings) -> None:
     """Corrupt a metadata file."""
     metadata = graphmod.load_entity_text(_input_file(s, "metadata"))
-    out = _out_dir(s)
     corrupted = sampler.corrupt_metadata(
         metadata, mode=s.get("mode"), fraction=s.get("fraction"), seed=s.get("seed")
     )
+    out = _out_dir(s)
     graphmod.save_entity_text(str(out / "metadata.tsv"), corrupted)
     write_manifest(out, "drop-metadata", s.resolved)
 

@@ -23,8 +23,8 @@ import numpy as np
 from .config import check_setting
 from .graph import SPLITS, KnowledgeGraph, as_triples, build_filter_index, distinct
 from .mapping import MapModel, mapped_embedding
-from .models import KgcModel, better_or_tied
-from .text import EntityRows
+from .models import NORM_BLOCK_ROWS, KgcModel, better_or_tied
+from .text import EntityRows, keep_rows
 
 SKIP_NO_METADATA = "no-metadata"
 SKIP_TARGET_FILTERING = "target-filtering"
@@ -165,9 +165,9 @@ def _evaluate_core(
     any scoring, each row gets the first skip reason that holds (module
     docstring) and each ranked row a query id: its own, or with ``rng`` one
     draw per ranked row, in row order, from the train entities in its role.
-    Ranked rows are compared in blocks of queries by ``models.better_or_tied``
-    (one GEMM per block, the kernel only where its rounding bound cannot
-    decide); each query is embedded on its own, in row order."""
+    Open queries are averaged in one :func:`text.keep_rows` call and mapped
+    once each. Ranked rows go in blocks through ``models.better_or_tied`` (one
+    GEMM per block, the kernel where its rounding bound cannot decide)."""
     config = config if config is not None else EvalConfig()
     triples = as_triples(triples if triples is not None else graph.test)
     filter_index = build_filter_index(graph, config.filter_splits, triples)
@@ -198,12 +198,17 @@ def _evaluate_core(
         if len(pool) == 0:
             raise ValueError("empty training split")
         query_ids = pool[rng.integers(0, len(pool), size=len(ranked))]
-    elif (map_model is None or entity_rows is None) and (query_ids >= num_e).any():
-        raise ValueError("open-world query entity encountered but no map_model/entity_rows")
+    open_ids, mapped = query_ids[query_ids >= num_e], {}
+    if len(open_ids):  # each has rows: the no-metadata skip came first
+        if map_model is None or entity_rows is None:
+            raise ValueError("open-world query entity encountered but no map_model/entity_rows")
+        texts = entity_rows.select(np.isin(entity_rows.entities, open_ids))
+        means = np.asarray(keep_rows(texts.store.matrix, texts.rows, texts.offsets[::3]))
+        mapped = {q: mapped_embedding(kgc_model, map_model, mean)
+                  for q, mean in zip(texts.entities.tolist(), means)}
 
     raw_rank, filtered_rank = np.zeros((2, len(triples)), dtype=np.int64)
-    embeddings = (kgc_model.embeddings.entity_embedding(q) if q < num_e else
-                  mapped_embedding(kgc_model, map_model, entity_rows.mean(q))
+    embeddings = (kgc_model.embeddings.entity_embedding(q) if q < num_e else mapped[q]
                   for q in query_ids.tolist())
     blocks = better_or_tied(kgc_model, embeddings, triples[ranked, 1], targets[ranked],
                             tail_direction)
@@ -232,7 +237,7 @@ def evaluate(
 
     Closed-world query entities use their trained embedding rows; open-world
     ones map the mean of their rows in ``entity_rows`` through ``map_model``,
-    one query at a time, and are skipped when they have no rows. An open
+    once per distinct entity, and are skipped when they have no rows. An open
     query that would be ranked without both raises ValueError before any
     scoring.
     """
@@ -290,13 +295,17 @@ def nearest_neighbors(
     kgc_model: KgcModel, query_embedding, k: int
 ) -> list[tuple[int, float]]:
     """k nearest known entities by Euclidean distance on the real part,
-    ascending, ties broken by entity id."""
-    query = query_embedding[0] if isinstance(query_embedding, tuple) else query_embedding
+    ascending, ties broken by entity id. Distances go ``NORM_BLOCK_ROWS``
+    rows at a time, so no table-sized temporary is made."""
+    query = np.asarray(query_embedding[0] if isinstance(query_embedding, tuple)
+                       else query_embedding)
     table = kgc_model.embeddings.entity_real
     check_setting("k", k, 1 <= k <= len(table),
                   f"between 1 and the number of entities {len(table)}")
-    diff = table - np.asarray(query)
-    dist = np.sqrt((diff * diff).sum(axis=1))
+    dist = np.empty(len(table))
+    for start in range(0, len(table), NORM_BLOCK_ROWS):
+        diff = table[start:start + NORM_BLOCK_ROWS] - query
+        dist[start:start + NORM_BLOCK_ROWS] = np.sqrt((diff * diff).sum(axis=1))
     order = np.lexsort((np.arange(len(table)), dist))[:k]
     return [(int(i), float(dist[i])) for i in order]
 

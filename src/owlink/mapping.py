@@ -29,7 +29,7 @@ from .config import ConfigError, check_setting
 from .graph import EntityText, KnowledgeGraph
 from .models import KgcModel, _flag, _positive_int, check_loop, read_checkpoint, write_checkpoint
 from .optim import Adam, EpochPolicy
-from .text import EntityRows, WordEmbeddingStore, batch_mean, keep_rows, text_embedding
+from .text import EntityRows, WordEmbeddingStore, keep_rows, text_embedding
 
 KINDS = ("linear", "affine", "mlp")
 LOSS_MODES = ("squared", "euclidean")
@@ -285,10 +285,10 @@ def train_map(
     """Train the text-to-graph transformation on training entities with text.
 
     Without word dropout the text embeddings of all training entities are
-    averaged once, in one :func:`text.batch_mean`. With it
+    averaged once, as one array of :func:`text.keep_rows`. With it
     (``hyperparams.dropout``), each epoch draws which rows to keep with
     :func:`text.keep_rows`, and each batch averages its own entities' kept
-    rows, bit for bit the rows of the (m, d') ``batch_mean`` of that epoch.
+    rows, bit for bit the rows of that epoch's whole (m, d') mean array.
     ``hyperparams`` is checked when built. Raises :class:`ConfigError` when
     no training entity has usable text.
     """
@@ -299,7 +299,7 @@ def train_map(
 
     matrix, rows, offsets = pairs.store.matrix, pairs.rows, pairs.offsets[::3]
     inputs = (partial(keep_rows, matrix, rows, offsets, hp.dropout) if hp.dropout > 0
-              else batch_mean(matrix, rows, offsets))
+              else np.asarray(keep_rows(matrix, rows, offsets)))
     return fit_map(inputs, u_real, u_imag, kind, hp, seed, validator, log_path)
 
 

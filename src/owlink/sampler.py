@@ -235,6 +235,7 @@ def corrupt_metadata(
     """
     check_setting("mode", repr(mode), mode in MODES, f"one of {MODES}")
     check_fraction(fraction)
+    check_setting("seed", seed, seed >= 0, ">= 0")
     rng = np.random.default_rng(seed)
     keys = sorted(metadata)
     n_hit = int(round(fraction * len(keys)))

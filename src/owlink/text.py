@@ -13,8 +13,8 @@ A command's entity text is one :class:`EntityRows` (CSR of store rows):
 ``collect_keys`` gives each key an id, ``load_word_embeddings`` keeps those
 keys' vectors alone, and :meth:`TextKeys.rows` resolves the ids;
 ``entity_tokens`` is the one-entity case. The one mean rule is a
-:class:`KeptRows` indexed by entities: :func:`keep_rows` draws the dropout
-and :func:`batch_mean` averages every entity at once.
+:class:`KeptRows` indexed by entities: :func:`keep_rows` draws the dropout,
+and indexing or ``np.asarray`` averages the entities asked for.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 # chunk's text is held about three times over while it is parsed, and 1,024
 # lines were no faster.
 LOAD_CHUNK_LINES = 256
-# Vector rows (entities x positions) gathered at a time by batch_mean; at 300
+# Vector rows (entities x positions) gathered at a time by KeptRows; at 300
 # columns a block stays in cache, and 2,048 rows were about 20 % slower.
 MEAN_BLOCK_ROWS = 512
 
@@ -127,9 +127,9 @@ class EntityRows:
         return np.diff(self.offsets[::3]) > 0
 
     def mean(self, entity: int) -> np.ndarray:
-        """The :func:`batch_mean` of ``entity``'s rows; NoTextError when it has none."""
+        """The mean of ``entity``'s rows (:func:`keep_rows`); NoTextError when it has none."""
         rows = self[entity]
-        return batch_mean(self.store.matrix, rows, np.array([0, len(rows)]))[0]
+        return np.asarray(keep_rows(self.store.matrix, rows, np.array([0, len(rows)])))[0]
 
     def select(self, entities: np.ndarray, segments: np.ndarray | None = None) -> "EntityRows":
         """The entities of the boolean mask ``entities``, with only the segments
@@ -324,8 +324,13 @@ class KeptRows:
     """Entities' vector rows after word dropout, in CSR form: entity i keeps
     ``rows[offsets[i]:offsets[i + 1]]`` of ``matrix`` out of the ``counts[i]``
     rows it had. Indexing with entity positions gives their (len, dim)
-    means, computed then; ``np.asarray`` gives every entity's mean, as
-    :func:`batch_mean` does."""
+    means, computed then; ``np.asarray`` gives every entity's mean. numpy
+    adds a block's rows in order from +0.0, as ``matrix[rows_i].sum(axis=0)``
+    does, so each mean is bit for bit that of the entity alone with its
+    dropped rows zeroed, whichever entities share its block (for two or
+    more columns; numpy sums one column pairwise): a sum from +0.0 is never
+    -0.0, and adding +0.0 (padding) or a signed zero (a zeroed dropped row)
+    leaves it unchanged. An entity whose every row is dropped gets a +0.0 row."""
 
     matrix: np.ndarray
     rows: np.ndarray
@@ -377,7 +382,8 @@ def keep_rows(matrix: np.ndarray, rows: np.ndarray, offsets: np.ndarray,
     ``rng.random(len(rows))`` draw per call (entity i's draws are those at
     its own offsets), and the kept rows are copied once into their own CSR;
     without dropout ``rows`` is used as it is. It is a training-time
-    operation and must be disabled (rate 0) at evaluation.
+    operation and must be disabled (rate 0) at evaluation. An entity
+    without rows raises :class:`NoTextError`.
     """
     offsets = np.asarray(offsets, dtype=np.int64)
     counts = np.diff(offsets)
@@ -393,30 +399,12 @@ def keep_rows(matrix: np.ndarray, rows: np.ndarray, offsets: np.ndarray,
     return KeptRows(matrix, rows, offsets, counts)
 
 
-def batch_mean(matrix: np.ndarray, rows: np.ndarray, offsets: np.ndarray,
-               dropout_rate: float = 0.0, rng: np.random.Generator | None = None) -> np.ndarray:
-    """Per entity i, the mean of ``matrix[rows[offsets[i]:offsets[i + 1]]]``:
-    the :class:`KeptRows` of :func:`keep_rows` as one array.
-
-    Word dropout removes rows but keeps each denominator at the entity's
-    row count, so a dropped row counts as a zero row. numpy adds a block's
-    rows in order, starting from +0.0, as ``matrix[rows_i].sum(axis=0)``
-    does, so each mean is bit for bit that of the entity alone with its
-    dropped rows set to zero, when rows have two or more columns (numpy
-    sums a single column pairwise). A sum that starts at +0.0 is never
-    -0.0, and adding +0.0 (a padding row) or a signed zero (a dropped
-    finite row times zero) leaves it unchanged; an entity whose every row
-    is dropped gets a +0.0 row.
-    """
-    return np.asarray(keep_rows(matrix, rows, offsets, dropout_rate, rng))
-
-
 def aggregate(embeddings: np.ndarray, dropout_rate: float = 0.0,
               rng: np.random.Generator | None = None) -> np.ndarray:
     """Mean of the rows of an (n, d) array, optionally with word dropout:
-    :func:`batch_mean` of one entity, so one ``rng.random(n)`` draw per call."""
+    :func:`keep_rows` of one entity, so one ``rng.random(n)`` draw per call."""
     n = len(embeddings)
-    return batch_mean(embeddings, np.arange(n), np.array([0, n]), dropout_rate, rng)[0]
+    return np.asarray(keep_rows(embeddings, np.arange(n), np.array([0, n]), dropout_rate, rng))[0]
 
 
 def text_embedding(

@@ -599,6 +599,7 @@ class TestFailedCommandLeavesNoOutput:
         ("train-kgc", ["--valid-every", "-1"], "valid_every must be >= 0 (0: never), got -1"),
         ("train-kgc", ["--margin", "inf"], "margin must be finite, got inf"),
         ("train-kgc", ["--reg-weight", "inf"], "reg_weight must be finite, got inf"),
+        ("drop-metadata", ["--seed", "-1"], "seed must be >= 0, got -1"),
     ])
     def test_rejected_setting(self, assets, capsys, command, flags, message):
         commands = golden_commands(assets)

@@ -3,6 +3,7 @@ and the import layering that lets every module call the rule."""
 
 import ast
 import math
+import sys
 from dataclasses import FrozenInstanceError, fields
 from pathlib import Path
 
@@ -17,7 +18,7 @@ from owlink.mapping import MapHyperparams, init_map, map_loss_and_gradients
 from owlink.models import KgcHyperparams, init_embeddings
 from owlink.optim import Adam
 from owlink.sampler import SamplerConfig, check_fraction, corrupt_metadata
-from owlink.text import batch_mean
+from owlink.text import keep_rows
 from helpers import random_model
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "owlink"
@@ -101,11 +102,12 @@ class TestEveryLayerUsesTheRule:
          "valid max triples must be >= 1, got nan"),
         (lambda: closed_world_validator(_graph_with_valid(), 0),
          "valid max triples must be >= 1, got 0"),
-        (lambda: batch_mean(np.ones((2, 2)), np.array([0]), np.array([0, 1]), 1.0),
+        (lambda: np.asarray(keep_rows(np.ones((2, 2)), np.array([0]), np.array([0, 1]), 1.0)),
          "dropout_rate must be in [0, 1), got 1.0"),
         (lambda: check_fraction("1.5"), "fraction must be in [0, 1], got 1.5"),
         (lambda: corrupt_metadata({}, "some", 0.0),
          "mode must be one of ('descriptions', 'all'), got 'some'"),
+        (lambda: corrupt_metadata({}, "all", 0.0, seed=-1), "seed must be >= 0, got -1"),
         (lambda: nearest_neighbors(random_model("distmult", 5, 1, 2, np.random.default_rng(0)),
                                    np.zeros(2), 0),
          "k must be between 1 and the number of entities 5, got 0"),
@@ -123,8 +125,8 @@ class TestEveryLayerUsesTheRule:
         (lambda: _graph_with_valid().split("dev"),
          "split must be one of ('train', 'valid', 'test'), got 'dev'"),
     ], ids=["adam-negative", "adam-nan", "adam-inf", "validator-cap-nan", "validator-cap-0",
-            "dropout-rate", "fraction", "corrupt-mode", "neighbors-k", "family", "kind", "dims",
-            "hyperparams-loss", "batch-loss", "split"])
+            "dropout-rate", "fraction", "corrupt-mode", "corrupt-seed", "neighbors-k", "family",
+            "kind", "dims", "hyperparams-loss", "batch-loss", "split"])
     def test_config_error(self, call, message):
         with pytest.raises(ConfigError) as info:
             call()
@@ -177,3 +179,18 @@ class TestLayering:
     def test_lower_layers_do_not_import_upper_layers(self, lower):
         upper = {"models", "mapping", "evaluation", "cli"}
         assert owlink_imports(lower, module_level=False) & upper == set()
+
+
+class TestNumpyOnly:
+    """owlink needs numpy and the standard library alone."""
+
+    def test_every_import_is_owlink_numpy_or_the_standard_library(self):
+        found = set()
+        for path in SRC.glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Import):
+                    found |= {a.name.split(".")[0] for a in node.names}
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    found.add(node.module.split(".")[0])
+        assert "numpy" in found and "re" in found  # the walk sees both kinds
+        assert found - {"owlink", "numpy"} - set(sys.stdlib_module_names) == set()

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -272,6 +274,25 @@ class TestOpenWorldEvaluate:
                           entity_rows=entity_rows(metadata, store), triples=triples)
         assert report.results[0].reason == SKIP_TARGET_FILTERING
 
+    def test_each_open_query_is_averaged_and_mapped_once(self, tmp_path, monkeypatch):
+        g, model, store, metadata, mm = self.build(tmp_path)
+        new1, new2 = g.entity_id("new1"), g.entity_id("new2")
+        triples = [Triple(new1, 0, 1), Triple(0, 0, 1), Triple(new1, 1, 0), Triple(new2, 1, 2),
+                   Triple(new1, 0, 2), Triple(new2, 0, 1)]
+        calls = {"keep_rows": 0, "mapped_embedding": 0}
+        for name in calls:
+            def counted(*args, _name=name, _call=getattr(evaluation, name)):
+                calls[_name] += 1
+                return _call(*args)
+            monkeypatch.setattr(evaluation, name, counted)
+        config = EvalConfig(filter_splits=("train", "test"))
+        report = evaluate(model, g, config, map_model=mm,
+                          entity_rows=entity_rows(metadata, store), triples=triples)
+        assert calls == {"keep_rows": 1, "mapped_embedding": 2}
+        assert report.evaluated_count == len(triples)
+        oracle = brute_force_report(model, g, config, triples, metadata, mm, store)
+        assert_reports_equal(report, oracle)
+
     def test_open_query_without_map_errors(self, tmp_path):
         g, model, store, metadata, mm = self.build(tmp_path)
         with pytest.raises(ValueError, match="open-world"):
@@ -437,6 +458,28 @@ class TestNearestNeighbors:
         model = random_model("distmult", 5, 1, 2, np.random.default_rng(13))
         with pytest.raises(ValueError, match="between 1 and the number of entities 5, got"):
             nearest_neighbors(model, np.zeros(2), k)
+
+    @pytest.mark.parametrize("num_entities", [models.NORM_BLOCK_ROWS - 1,
+                                              2 * models.NORM_BLOCK_ROWS + 37])
+    def test_distances_bitwise_across_blocks(self, num_entities):
+        model = random_model("transe", num_entities, 1, 5, np.random.default_rng(14))
+        query = np.random.default_rng(15).normal(size=5)
+        diff = model.embeddings.entity_real - query
+        dist = np.sqrt((diff * diff).sum(axis=1))
+        order = np.lexsort((np.arange(num_entities), dist))
+        assert nearest_neighbors(model, query, num_entities) == \
+            [(int(i), float(dist[i])) for i in order]
+
+    def test_no_table_sized_temporary(self):
+        model = random_model("distmult", 20_000, 1, 64, np.random.default_rng(16))
+        table = model.embeddings.entity_real
+        tracemalloc.start()
+        try:
+            nearest_neighbors(model, table[7] + 0.5, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < table.nbytes
 
 
 class TestReportOutput:

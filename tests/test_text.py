@@ -13,7 +13,6 @@ from owlink.text import (
     WordEmbeddingFormatError,
     WordEmbeddingStore,
     aggregate,
-    batch_mean,
     collect_keys,
     entity_rows,
     entity_tokens,
@@ -633,7 +632,7 @@ class TestReferenceMean:
         for rate in (0.0, 0.3, 0.7):
             rng_new, rng_ref = np.random.default_rng(9), np.random.default_rng(9)
             for _ in range(2):
-                out = batch_mean(store.matrix, rows, offsets, rate, rng_new)
+                out = np.asarray(keep_rows(store.matrix, rows, offsets, rate, rng_new))
                 expected = np.stack([reference_mean(seqs[i], rate, rng_ref) for i in kept])
                 assert bits(out) == bits(expected)
 
@@ -662,13 +661,14 @@ class TestReferenceMean:
             assert bits(kept[batch]) == bits(expected[batch])
         assert bits(kept) == bits(expected)
         assert not np.signbit(expected[[0, 1, *dropped]]).any()
-        assert bits(batch_mean(matrix, rows, offsets, rate, np.random.default_rng(12))) == \
-            bits(expected)
+        assert bits(np.asarray(keep_rows(matrix, rows, offsets, rate,
+                                         np.random.default_rng(12)))) == bits(expected)
 
     def test_batch_mean_rejects_an_entity_without_rows(self):
         with pytest.raises(NoTextError):
-            batch_mean(np.ones((3, 2)), np.array([0, 1]), np.array([0, 2, 2]))
-        assert batch_mean(np.ones((3, 2)), np.zeros(0, np.int64), np.array([0])).shape == (0, 2)
+            np.asarray(keep_rows(np.ones((3, 2)), np.array([0, 1]), np.array([0, 2, 2])))
+        empty = keep_rows(np.ones((3, 2)), np.zeros(0, np.int64), np.array([0]))
+        assert np.asarray(empty).shape == (0, 2)
 
 
 class TestCollectKeys:
