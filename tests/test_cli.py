@@ -1,9 +1,11 @@
 import hashlib
 import os
+import shutil
 import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -1072,6 +1074,31 @@ def test_golden_bytes_from_inputs_with_a_byte_order_mark(assets, capsys):
     written = {name: hashlib.sha256((assets / name).read_bytes()).hexdigest()
                for name in GOLDEN_OUTPUT_DIGESTS}
     assert written == GOLDEN_OUTPUT_DIGESTS
+
+
+def test_golden_outputs_from_a_warm_vector_store(assets, capsys):
+    """The golden text commands write the same bytes when they parse
+    vectors.txt (no store yet) and when they read the store the first parse
+    wrote beside it; the store is the only file they add outside --out."""
+    commands = golden_commands(assets)
+    assert run(commands["train-kgc"]) == 0, capsys.readouterr().err
+    names = ("train-map", "eval", "robustness")
+    outs = [Path(str(commands[name][commands[name].index("--out") + 1])) for name in names]
+    before = set(os.listdir(assets))
+    written = []
+    for route in ("text", "store"):
+        with mock.patch.object(text, "_parse_chunk", wraps=text._parse_chunk) as parse:
+            for name in names:
+                assert run(commands[name]) == 0, capsys.readouterr().err
+        assert parse.called == (route == "text"), route
+        written.append({str(p.relative_to(assets)): p.read_bytes()
+                        for out in outs for p in sorted(out.rglob("*"))})
+        assert set(os.listdir(assets)) - before == {"vectors.txt.store", *(o.name for o in outs)}
+        for out in outs:
+            shutil.rmtree(out)
+    assert written[0] == written[1]
+    assert {name: hashlib.sha256(written[1][name]).hexdigest()
+            for name in GOLDEN_OUTPUT_DIGESTS} == GOLDEN_OUTPUT_DIGESTS
 
 
 def test_golden_commands_rerun_from_their_manifests(assets, capsys):

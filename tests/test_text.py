@@ -1,4 +1,10 @@
+import errno
+import io
+import logging
+import os
 from collections import Counter
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,6 +15,7 @@ from owlink.graph import EntityText
 from owlink.mapping import MapHyperparams, train_map
 from owlink.text import (
     LOAD_CHUNK_LINES,
+    STORE_SUFFIX,
     NoTextError,
     WordEmbeddingFormatError,
     WordEmbeddingStore,
@@ -37,6 +44,19 @@ def vec(store, token):
 
 def bits(a):
     return np.asarray(a, dtype=np.float64).tobytes()
+
+
+def load_by(route, path, *args, **kwargs):
+    """``load_word_embeddings``, asserting that it parsed the text (``route``
+    "text") or read the vector store beside it ("store")."""
+    with mock.patch.object(text, "_parse_chunk", wraps=text._parse_chunk) as parse:
+        store = load_word_embeddings(str(path), *args, **kwargs)
+    assert parse.called == (route == "text"), route
+    return store
+
+
+def store_file(path):
+    return Path(f"{path}{STORE_SUFFIX}")
 
 
 class TestLoader:
@@ -121,14 +141,13 @@ class TestLoaderMatrix:
         path = tmp_path / "vec.txt"
         # the vectors set the dim, and the file's lines bound the rows
         path.write_text("1 9\ncat 1 2\ndog 3 4\nemu 5 6\n")
-        store = load_word_embeddings(str(path))
+        store = load_by("text", path)
         assert store.matrix.shape == (4, 2) and store.dim == 2
         assert store.rows == {"cat": 0, "dog": 1, "emu": 2}
         np.testing.assert_array_equal(store.matrix, [[1, 2], [3, 4], [5, 6], [0, 0]])
-        for count in (10, 10**15):
+        for count in (10, 10**15):  # each rewrite is parsed, not read from the store
             path.write_text(f"{count} 2\ncat 1 2\n")
-            np.testing.assert_array_equal(load_word_embeddings(str(path)).matrix,
-                                          [[1, 2], [0, 0]])
+            np.testing.assert_array_equal(load_by("text", path).matrix, [[1, 2], [0, 0]])
 
     def test_header_only_on_the_first_line(self, tmp_path):
         path = tmp_path / "vec.txt"
@@ -251,20 +270,24 @@ def odd_file(path, odd, position, n_lines, header, end, trailing=""):
 
 
 def assert_load_matches_reference(path, keys) -> bool:
-    """Whether the file loads; either way the loader agrees with the reference."""
+    """Whether the file loads; either way the parser agrees with the
+    reference, and so does the store of a file that loads."""
+    store_file(path).unlink(missing_ok=True)
     try:
         expected = reference_load(str(path))
     except WordEmbeddingFormatError as exc:
         with pytest.raises(WordEmbeddingFormatError) as got:
             load_word_embeddings(str(path), keys=keys)
         assert str(got.value) == str(exc)
+        assert sorted(os.listdir(path.parent)) == [path.name]  # no store, no temporary file
         return False
     if keys is not None:
         expected = {k: v for k, v in expected.items() if k in keys}
-    store = load_word_embeddings(str(path), keys=keys)
-    assert list(store.rows) == list(expected)
     table = np.asarray(list(expected.values()) + [[0.0] * 3], dtype=np.float64)
-    assert bits(store.matrix) == bits(table)
+    for route in ("text", "store"):
+        store = load_by(route, path, keys=keys)
+        assert list(store.rows) == list(expected)
+        assert bits(store.matrix) == bits(table)
     return True
 
 
@@ -309,16 +332,20 @@ class TestLoaderEquivalence:
         for keys in (None, {"k7", "k2999"}):
             assert assert_load_matches_reference(path, keys)
         # word2vec's layout is read in bulk: only the first vector line goes line by line
-        store = load_word_embeddings(str(path))
+        store_file(path).unlink()
+        store = load_by("text", path)
         assert len(store) == 3000 and calls["line"] == 3
 
     def test_keys_keep_the_file_order_and_size_the_matrix(self, tmp_path):
         path = tmp_path / "vec.txt"
         path.write_text("emu 1 1\ncat 2 2\ndog 3 3\ncat 4 4\nyak 5 5\n")
-        store = load_word_embeddings(str(path), keys=["dog", "cat", "gnu"])
-        assert store.rows == {"cat": 0, "dog": 1}
-        np.testing.assert_array_equal(store.matrix, [[4, 4], [3, 3], [0, 0]])
-        assert load_word_embeddings(str(path), keys=[]).matrix.shape == (1, 2)
+        for keys, rows, matrix in ((["dog", "cat", "gnu"], {"cat": 0, "dog": 1},
+                                    [[4, 4], [3, 3], [0, 0]]), ([], {}, [[0, 0]])):
+            store_file(path).unlink(missing_ok=True)
+            for route in ("text", "store"):
+                store = load_by(route, path, keys=keys)
+                assert store.rows == rows
+                np.testing.assert_array_equal(store.matrix, matrix)
 
 
 class TestPhraseTemplate:
@@ -761,3 +788,158 @@ class TestEntityRows:
         expected = entity_rows({0: EntityText("x", "a", ""), 2: metadata[2]}, store)
         for field in ("entities", "offsets", "rows"):
             assert getattr(point, field).tolist() == getattr(expected, field).tolist()
+
+
+def vector_lines(vectors):
+    return [f"{k} " + " ".join(repr(x) for x in v.tolist()) for k, v in vectors.items()]
+
+
+def store_lines():
+    """Vector lines with phrase keys, -0.0 rows, non-ASCII and empty keys and
+    a repeated key (w7)."""
+    vectors, _ = seeded_text(6)
+    return vector_lines(vectors) + ["h\u00e9llo 1 2 3 4 5", "\u65e5\u672c 0.5 -0 0 1e-300 7",
+                                    " 0.25 0.5 0.75 1 1.25", "w7 9 8 7 6 5"]
+
+
+def store_variant(name):
+    """``store_lines`` as a file: plain, after a "count dim" header (and a
+    byte-order mark), with each line ending, or around a whole parser chunk
+    of blank lines."""
+    lines = store_lines()
+    end, body = {"plain": ("\n", lines), "header": ("\n", [f"{len(lines)} 5"] + lines),
+                 "bom": ("\n", [f"\ufeff{len(lines)} 5"] + lines),
+                 "crlf": ("\r\n", lines), "cr": ("\r", lines),
+                 "blank_chunk": ("\n", lines[:3] + [""] * (2 * LOAD_CHUNK_LINES) + lines[3:]),
+                 }[name]
+    return end.join(body + [""]).encode()
+
+
+class TestVectorStore:
+    """The store beside a vectors file serves a repeated load of the same
+    bytes, bit for bit as the parse; anything else is parsed again."""
+
+    @pytest.mark.parametrize("variant", ["plain", "header", "bom", "crlf", "cr", "blank_chunk"])
+    @pytest.mark.parametrize("template", ["{name}", "P/{name}"])
+    def test_warm_load_equals_cold_parse(self, tmp_path, variant, template):
+        path = tmp_path / "vec.txt"
+        path.write_bytes(store_variant(variant))
+        _, metadata = seeded_text(6)
+        phrase_keys = collect_keys(metadata, template).keys
+        subsets = [None, phrase_keys, ["w7", "h\u00e9llo", "", "missing"], []]
+        for keys in subsets:
+            store_file(path).unlink(missing_ok=True)
+            cold = load_by("text", path, template, keys)
+            warm = load_by("store", path, template, keys)
+            assert list(warm.rows.items()) == list(cold.rows.items())
+            assert bits(warm.matrix) == bits(cold.matrix) and warm.matrix.flags.c_contiguous
+            assert warm.phrase_template == template
+        everything = load_by("store", path)
+        assert everything.rows["w7"] < everything.rows["h\u00e9llo"]  # w7's first place...
+        np.testing.assert_array_equal(vec(everything, "w7"), [9, 8, 7, 6, 5])  # ...last vector
+        assert np.signbit(vec(everything, "\u65e5\u672c")).tolist() == [0, 1, 0, 0, 0]
+        # 8 bytes per value of every line, duplicates too, and the keys
+        lines = store_lines()
+        keys = "".join(line.partition(" ")[0] + "\n" for line in lines).encode()
+        assert store_file(path).stat().st_size == (text._STORE_HEADER.size + 8 * 5 * len(lines)
+                                                   + len(keys))
+
+    def test_same_size_rewrite_is_parsed_again(self, tmp_path):
+        path = tmp_path / "vec.txt"
+        path.write_text("cat 1 2\ndog 3 4\n")
+        load_by("text", path)
+        stat = path.stat()
+        path.write_text("cat 5 6\ndog 7 8\n")
+        os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))  # same size and mtime
+        assert path.stat().st_size == stat.st_size
+        np.testing.assert_array_equal(load_by("text", path).matrix, [[5, 6], [7, 8], [0, 0]])
+        np.testing.assert_array_equal(load_by("store", path).matrix, [[5, 6], [7, 8], [0, 0]])
+
+    @pytest.mark.parametrize("bad", ["cat 1 2\ndog 3\n", "cat 1 2\ndog 3 nan\n", "\n\n"])
+    def test_bad_text_with_an_earlier_store_raises_its_error(self, tmp_path, caplog, bad):
+        fresh = tmp_path / "fresh"
+        fresh.mkdir()
+        (fresh / "vec.txt").write_text(bad)
+        with pytest.raises(WordEmbeddingFormatError) as expected:
+            load_word_embeddings(str(fresh / "vec.txt"))
+        path = tmp_path / "vec.txt"
+        path.write_text("cat 1 2\ndog 3 4\n")
+        load_by("text", path)
+        path.write_text(bad)
+        with caplog.at_level(logging.WARNING, logger="owlink.text"):
+            with pytest.raises(WordEmbeddingFormatError) as got:
+                load_word_embeddings(str(path))
+        assert str(got.value) == str(expected.value).replace(str(fresh), str(tmp_path))
+        assert str(store_file(path)) in caplog.text and "other text" in caplog.text
+
+    @pytest.mark.parametrize("damage", ["empty", "header_only", "cut_last_byte", "extra_byte",
+                                        "magic", "keys_not_utf8", "key_count", "nan_row",
+                                        "dim_grown", "dim_shrunk"])
+    def test_damaged_store_is_rebuilt_with_a_warning(self, tmp_path, caplog, damage):
+        path = tmp_path / "vec.txt"
+        # these values' bytes are ASCII without "\n", so with a shrunk dim the
+        # rows' tail reads as part of a first key and only the size check fails
+        path.write_text("cat 2 4\ndog 8 3\ncat 2.5 4\n")
+        want = load_by("text", path)
+        data = bytearray(store_file(path).read_bytes())
+        header = text._STORE_HEADER.size
+        if damage == "empty":
+            data = b""
+        elif damage == "header_only":
+            data = data[:header]
+        elif damage == "cut_last_byte":
+            data = data[:-1]
+        elif damage == "extra_byte":
+            data += b"\n"
+        elif damage == "magic":
+            data[0] ^= 1
+        elif damage == "keys_not_utf8":
+            data[-2] = 0xFF
+        elif damage == "key_count":
+            data[-4] = ord("\n")  # the last "cat" -> "\nat": one key more
+        elif damage == "nan_row":
+            data[header + 16:header + 24] = np.float64(np.nan).tobytes()
+        elif damage.startswith("dim"):
+            data[header - 24] += 1 if damage == "dim_grown" else -1
+        store_file(path).write_bytes(bytes(data))
+        with caplog.at_level(logging.WARNING, logger="owlink.text"):
+            got = load_by("text", path)
+        assert str(store_file(path)) in caplog.text
+        assert got.rows == want.rows and bits(got.matrix) == bits(want.matrix)
+        caplog.clear()
+        again = load_by("store", path)  # rebuilt
+        assert again.rows == want.rows and bits(again.matrix) == bits(want.matrix)
+        assert not caplog.text
+
+    @pytest.mark.parametrize("fails", ["os.replace", "open", "tempfile", "disk_full"])
+    def test_write_failure_still_returns_the_parse(self, tmp_path, monkeypatch, fails):
+        """A store that cannot be written leaves no store and no temporary
+        file (simulated: the tests may run as root, whom chmod cannot stop)."""
+        path = tmp_path / "vec.txt"
+        path.write_text("cat 1 2\ndog 3 4\n" * 300)
+        writer_file = {"open": NoSpace, "disk_full": FillsUp}.get(fails, io.FileIO)
+        monkeypatch.setattr(text, "open", lambda file, mode="r", *args, **kwargs: (
+            writer_file(file, mode) if "x" in mode else open(file, mode, *args, **kwargs)),
+            raising=False)
+        if fails == "os.replace":
+            monkeypatch.setattr(text.os, "replace", NoSpace)
+        elif fails == "tempfile":
+            monkeypatch.setattr(text.tempfile, "TemporaryFile", NoSpace)
+        store = load_by("text", path)
+        assert store.rows == {"cat": 0, "dog": 1}
+        np.testing.assert_array_equal(store.matrix, [[1, 2], [3, 4], [0, 0]])
+        assert sorted(os.listdir(tmp_path)) == ["vec.txt"]
+
+
+class NoSpace:
+    def __init__(self, *args, **kwargs):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+class FillsUp(io.FileIO):
+    """A file whose disk fills up once its first bytes are written."""
+
+    def write(self, data):
+        if self.tell():
+            NoSpace()
+        return super().write(data)
