@@ -213,6 +213,8 @@ def cmd_train_map(s: Settings) -> None:
     graph = _load_graph(s, open_world=True)
     kgc = _load_kgc(s, graph)
     _, entity_rows = _load_text_assets(s, graph)
+    if not len(mapping.build_training_pairs(kgc, graph, entity_rows)[0].entities):
+        raise CliError("no training entity has usable textual metadata")
 
     validator = None
     if len(graph.valid):
@@ -346,11 +348,11 @@ def cmd_sample_owe(s: Settings) -> None:
     """Construct an open-world split."""
     config = _build(s, sampler.SamplerConfig)
     graph = graphmod.load_graph(_input_file(s, "train"))
-    out = _out_dir(s)
     split = sampler.sample_open_world(graph, config)
     violations = sampler.validate_split(split)
     if violations:
         raise CliError("generated split violates invariants: " + "; ".join(violations[:5]))
+    out = _out_dir(s)
 
     files = {
         "train.txt": split.train,

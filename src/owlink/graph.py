@@ -11,11 +11,18 @@ Entity and relation ids are interned to dense integers (first occurrence
 wins, file order). Open-world entities (unseen in train) get ids starting
 at ``num_entities``, so a single integer id space covers both vocabularies.
 
-Each split is an ``(n, 3)`` int64 array of ``(head, rel, tail)`` rows,
-read ``LOAD_CHUNK_LINES`` lines at a time. The ids held per integer key
-are one :class:`IdSets` (sorted CSR): the train entities of each relation
-(``known_tails``/``known_heads``) and the filter index's true tails and
-heads, keyed by packed pairs.
+Each split is an ``(n, 3)`` int64 array of ``(head, rel, tail)`` rows.
+A split file is parsed on its own, ``LOAD_CHUNK_LINES`` lines at a time,
+into its names in first-occurrence order and its distinct triples in those
+local ids; the train file's names are the vocabularies, and a valid or test
+file's are looked up in them once each. The first parse of a file's bytes
+also writes that parse to ``<file>.store`` beside it, and a later load of
+the same bytes reads it from there (:mod:`owlink.stores`). A vocabulary
+miss that must raise reads the text line by line, so every error names its
+``file:line``. The ids held per integer key are one :class:`IdSets`
+(sorted CSR): the train entities of each relation (``known_tails`` /
+``known_heads``) and the filter index's true tails and heads, keyed by
+packed pairs.
 """
 
 from __future__ import annotations
@@ -24,11 +31,13 @@ import functools
 import itertools
 import logging
 import re
+import sys
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, NoReturn
 
 import numpy as np
 
+from . import stores
 from .config import check_setting
 
 logger = logging.getLogger(__name__)
@@ -231,57 +240,95 @@ class KnowledgeGraph:
         return getattr(self, name)
 
 
-def _read_split(
-    path: str,
-    entities: Vocab,
-    relations: Vocab,
-    open_entities: Vocab,
-    split: str,
-    extend_vocab: bool,
-    open_world: bool,
-) -> np.ndarray:
-    chunks = []
+class _Parse(NamedTuple):
+    """A split file's own parse: its names in first-occurrence order (heads
+    and tails interleaved, line order), its distinct triples in those local
+    ids and in first-occurrence order, and its count of dropped duplicates."""
+
+    entities: Vocab
+    relations: Vocab
+    triples: np.ndarray
+    duplicates: int
+
+
+# The store of a split file: a header (magic, the sha256 of its text, then
+# the counts of entities, relations, triples, duplicates and name bytes),
+# the triples as little-endian int64 rows, then each entity name and each
+# relation name followed by "\n" (no name holds one).
+_TRIPLES = stores.Format("triple", b"owlink-triples1\n", 5,
+                         lambda entities, relations, triples, duplicates, name_bytes:
+                         24 * triples + name_bytes)
+
+
+def _parse_text(path: str, writer: stores.Writer, _lines: int) -> _Parse:
+    """The parse of the split file ``path``, read ``LOAD_CHUNK_LINES`` lines at
+    a time; it also goes to ``writer``. ParseError names the first line
+    without exactly three fields."""
+    entities, relations, chunks = Vocab(), Vocab(), []
     with open(path, encoding="utf-8-sig") as fh:
         for raw in iter(lambda: list(itertools.islice(fh, LOAD_CHUNK_LINES)), []):
-            rows = _chunk_triples("".join(raw).split("\n"), entities, relations,
-                                  open_entities, extend_vocab, open_world)
+            rows = _chunk_triples("".join(raw).split("\n"), entities, relations)
             if rows is None:  # every chunk before this one is full
                 _raise_first_bad_line(path, raw, len(chunks) * LOAD_CHUNK_LINES + 1, entities,
-                                      relations, extend_vocab, open_world)
+                                      relations, extend_vocab=True, open_world=False)
             chunks.append(rows)
     triples = np.concatenate(chunks) if chunks else as_triples(None)
     first = _first_occurrences(triples)
     duplicates = len(triples) - len(first)
     if duplicates:
-        logger.warning("%s: dropped %d duplicate triples in %s split", path, duplicates, split)
         triples = triples[first]
-    return triples
+    names = "".join(name + "\n" for name in entities.names + relations.names).encode()
+    writer.write(np.ascontiguousarray(triples, "<i8"))
+    writer.write(names)
+    writer.publish(len(entities), len(relations), len(triples), duplicates, len(names))
+    return _Parse(entities, relations, triples, duplicates)
 
 
-def _chunk_triples(
-    lines: list[str],
-    entities: Vocab,
-    relations: Vocab,
-    open_entities: Vocab,
-    extend_vocab: bool,
-    open_world: bool,
-) -> np.ndarray | None:
+def _read_store(fh, num_entities: int, num_relations: int, num_triples: int, duplicates: int,
+                name_bytes: int) -> _Parse:
+    """The parse from the split store open as ``fh``; its names must be
+    distinct and its ids in range."""
+    triples, names = np.empty((num_triples, 3), dtype=np.int64), bytearray(name_bytes)
+    stores.read_into(fh, triples)
+    stores.read_into(fh, names)
+    if sys.byteorder == "big":
+        triples.byteswap(inplace=True)
+    try:
+        names = names.decode("utf-8").split("\n")
+    except UnicodeDecodeError:
+        raise stores.BadStore("malformed names") from None
+    if len(names) != num_entities + num_relations + 1 or names.pop():
+        raise stores.BadStore("malformed names")
+    entities, relations = Vocab(names[:num_entities]), Vocab(names[num_entities:])
+    if len(entities) != num_entities or len(relations) != num_relations:
+        raise stores.BadStore("repeated names")
+    if len(triples) and (triples.min() < 0 or triples[:, 1].max() >= num_relations
+                         or max(triples[:, 0].max(), triples[:, 2].max()) >= num_entities):
+        raise stores.BadStore("ids out of range")
+    return _Parse(entities, relations, triples, duplicates)
+
+
+def _load_split(path: str) -> _Parse:
+    """The parse of the split file ``path``, from its store or its text."""
+    return stores.load(path, _TRIPLES, _read_store, functools.partial(_parse_text, path))
+
+
+def _warn_duplicates(path: str, split: str, parse: _Parse) -> None:
+    if parse.duplicates:
+        logger.warning("%s: dropped %d duplicate triples in %s split", path, parse.duplicates,
+                       split)
+
+
+def _chunk_triples(lines: list[str], entities: Vocab, relations: Vocab) -> np.ndarray | None:
     """The triples of the non-blank ``lines``, interned in line order, or
-    None (with nothing interned) when a line fails a check."""
+    None (with nothing interned) when a line has not exactly three fields."""
     lines = list(filter(None, lines))
     if list(map(str.count, lines, itertools.repeat("\t"))).count(2) != len(lines):
         return None
     fields = "\t".join(lines).split("\t") if lines else []
     rels = fields[1::3]
     del fields[1::3]  # heads and tails, interleaved in line order
-    intern = Vocab.extend if extend_vocab else Vocab.ids
-    rel_ids, ent_ids = intern(relations, rels), intern(entities, fields)
-    unknown = np.flatnonzero(ent_ids < 0)
-    if (rel_ids < 0).any() or (len(unknown) and not open_world):
-        return None
-    if len(unknown):
-        names = [fields[i] for i in unknown.tolist()]
-        ent_ids[unknown] = len(entities) + open_entities.extend(names)
+    rel_ids, ent_ids = relations.extend(rels), entities.extend(fields)
     rows = np.empty((len(rels), 3), dtype=np.int64)
     rows[:, 0] = ent_ids[0::2]
     rows[:, 1] = rel_ids
@@ -289,12 +336,12 @@ def _chunk_triples(
     return rows
 
 
-def _raise_first_bad_line(path: str, lines: list[str], first_lineno: int, entities: Vocab,
+def _raise_first_bad_line(path: str, lines: Iterable[str], first_lineno: int, entities: Vocab,
                           relations: Vocab, extend_vocab: bool, open_world: bool) -> NoReturn:
-    """Raise the error of the first of ``lines``, a failed chunk of ``path``
-    from line ``first_lineno`` on, to fail the line rule: three fields, then
-    (unless the vocabulary is being built) a known relation, then a known
-    head and tail (unless ``open_world``). A chunk fails when a line does."""
+    """Raise the error of the first of ``lines``, lines of ``path`` from line
+    ``first_lineno`` on, to fail the line rule: three fields, then (unless
+    the vocabulary is being built) a known relation, then a known head and
+    tail (unless ``open_world``)."""
     for lineno, raw in enumerate(lines, first_lineno):
         line = raw.rstrip("\r\n")
         if not line:
@@ -311,6 +358,37 @@ def _raise_first_bad_line(path: str, lines: list[str], first_lineno: int, entiti
             if not open_world and name not in entities:
                 raise VocabularyError(
                     f"{path}:{lineno}: unknown entity {name!r} in closed-world mode")
+
+
+def _read_split(path: str, split: str, entities: Vocab, relations: Vocab,
+                open_entities: Vocab, open_world: bool) -> np.ndarray:
+    """The triples of a valid or test file in the ids of the train
+    vocabularies: each distinct name of the file is looked up once, its open
+    entities interned in first-occurrence order, and its triples remapped in
+    one gather."""
+    try:
+        parse = _load_split(path)
+    except ParseError:  # an earlier line may break the vocabulary rule
+        _raise_first_bad_text_line(path, entities, relations, open_world)
+    names = parse.entities.names
+    rel_ids, ent_ids = relations.ids(parse.relations.names), entities.ids(names)
+    unknown = np.flatnonzero(ent_ids < 0)
+    if (rel_ids < 0).any() or (len(unknown) and not open_world):
+        _raise_first_bad_text_line(path, entities, relations, open_world)
+    if len(unknown):
+        ent_ids[unknown] = len(entities) + open_entities.extend([names[i] for i in unknown.tolist()])
+    _warn_duplicates(path, split, parse)
+    local = parse.triples
+    return np.column_stack([ent_ids[local[:, 0]], rel_ids[local[:, 1]], ent_ids[local[:, 2]]])
+
+
+def _raise_first_bad_text_line(path: str, entities: Vocab, relations: Vocab,
+                               open_world: bool) -> NoReturn:
+    """Read the valid or test file ``path`` line by line to raise the error
+    of its first line that fails the line rule against the vocabularies."""
+    with open(path, encoding="utf-8-sig") as fh:
+        _raise_first_bad_line(path, fh, 1, entities, relations, extend_vocab=False,
+                              open_world=open_world)
 
 
 def _first_occurrences(triples: np.ndarray) -> np.ndarray:
@@ -339,21 +417,18 @@ def load_graph(
     ``num_entities``); otherwise they raise :class:`VocabularyError`.
     Unknown relations are always an error. Duplicate triples within a split
     are dropped with a warning; the first occurrence of each is kept.
+
+    Each file's own parse comes from its store, ``path + stores.SUFFIX``,
+    when that was made from the same bytes; otherwise the text is parsed
+    and the store written (see :mod:`owlink.stores`).
     """
-    entities = Vocab()
-    relations = Vocab()
-    open_entities = Vocab()
-    train = _read_split(train_path, entities, relations, open_entities,
-                        "train", extend_vocab=True, open_world=False)
-    valid = None
-    if valid_path is not None:
-        valid = _read_split(valid_path, entities, relations, open_entities,
-                            "valid", extend_vocab=False, open_world=open_world)
-    test = None
-    if test_path is not None:
-        test = _read_split(test_path, entities, relations, open_entities,
-                           "test", extend_vocab=False, open_world=open_world)
-    return KnowledgeGraph(entities, relations, train, valid, test, open_entities)
+    train = _load_split(train_path)
+    _warn_duplicates(train_path, "train", train)
+    entities, relations, open_entities = train.entities, train.relations, Vocab()
+    valid, test = (None if path is None else
+                   _read_split(path, split, entities, relations, open_entities, open_world)
+                   for split, path in (("valid", valid_path), ("test", test_path)))
+    return KnowledgeGraph(entities, relations, train.triples, valid, test, open_entities)
 
 
 def save_triples(path: str, graph: KnowledgeGraph, triples: np.ndarray) -> None:

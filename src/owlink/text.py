@@ -16,38 +16,29 @@ keys' vectors alone, and :meth:`TextKeys.rows` resolves the ids;
 :class:`KeptRows` indexed by entities: :func:`keep_rows` draws the dropout,
 and indexing or ``np.asarray`` averages the entities asked for.
 
-The vector store: the first load that parses a vectors file also writes
-every row it parsed, as float64 (about 8 bytes per vector value on disk),
-and the rows' keys to ``<vectors>.store`` beside it, under the sha256 of
-the text. A later load of the same bytes reads only its keys' rows from
-the store, bit for bit what the parse gives. A store whose sha256 does not
-match the text, or that is truncated or malformed, is parsed over and
-rewritten with a warning; one that cannot be written is skipped. The text
-stays the reference and the source of every ``file:line`` error, so
-deleting a store is always safe.
+The vector store (:mod:`owlink.stores`): the first load that parses a
+vectors file also writes every row it parsed, as float64 (about 8 bytes per
+vector value on disk), and the rows' keys to ``<vectors>.store`` beside it.
+A later load of the same bytes reads only its keys' rows from the store,
+bit for bit what the parse gives.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
-import logging
 import math
-import os
 import re
-import shutil
 import string
-import struct
 import sys
-import tempfile
 from dataclasses import dataclass, replace
 from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
+from . import stores
 from .config import check_setting
 from .graph import EntityText
-
-logger = logging.getLogger(__name__)
 
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 
@@ -62,9 +53,8 @@ MEAN_BLOCK_ROWS = 256
 # The vector store written beside a vectors file: a header (magic, the sha256
 # of the text it was parsed from, dim, row count, key bytes), every parsed
 # row in file order as little-endian float64, then each row's key and "\n".
-STORE_SUFFIX = ".store"
-_STORE_MAGIC = b"owlink-vectors1\n"
-_STORE_HEADER = struct.Struct("<16s32sQQQ")
+_VECTORS = stores.Format("vector", b"owlink-vectors1\n", 3,
+                         lambda dim, count, key_bytes: 8 * dim * count + key_bytes)
 
 # ASCII characters numpy's parser reads as blanks that float() rejects.
 _PARSER_ONLY_BLANKS = "\x1c\x1d\x1e\x1f"
@@ -213,22 +203,6 @@ def entity_rows(metadata: Mapping[int, EntityText], store: WordEmbeddingStore) -
     return collect_keys(metadata, store.phrase_template).rows(store)
 
 
-def _scan(path: str, count_lines: bool = True) -> tuple[bytes, int]:
-    """The sha256 of the file's bytes and, with ``count_lines``, at least its
-    number of lines (text mode ends a line at "\\n", "\\r" or "\\r\\n"; the
-    bytes up to "\\r" include all three), in one pass."""
-    import hashlib  # here: loading OpenSSL costs about 3.5 MiB of RSS, which a
-    # command that reads no vectors need not pay
-
-    digest, bound = hashlib.sha256(), 0
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(chunk)
-            if count_lines:
-                bound += int(np.count_nonzero(np.frombuffer(chunk, np.uint8) <= ord("\r")))
-    return digest.digest(), bound
-
-
 def _parse_line(path: str, lineno: int, line: str, dim: int | None) -> tuple[str, list[float]]:
     """One ``key value...`` line by the reference rule: fields split on single
     spaces, empty fields ignored, each value read by ``float``."""
@@ -282,71 +256,6 @@ def _parse_chunk(path: str, chunk: list[tuple[int, str]], dim: int
     return keys, values
 
 
-class _BadStore(Exception):
-    """A vector store that cannot serve a load; the text is parsed instead."""
-
-
-class _StoreWriter:
-    """Streams a parse's rows (as little-endian float64) into a temporary
-    file beside the store, and their keys into an anonymous one;
-    :meth:`publish` joins them under the header and renames the file into
-    place. An ``OSError`` at any step only means that no store is written."""
-
-    def __init__(self, path: str, digest: bytes) -> None:
-        self.path, self.digest, self.count = path, digest, 0
-        self.tmp = f"{path}.{os.getpid()}-{os.urandom(4).hex()}.tmp"
-        self.rows = self.keys = None
-        try:
-            self.rows = open(self.tmp, "xb")
-            self.rows.write(bytes(_STORE_HEADER.size))
-            self.keys = tempfile.TemporaryFile()
-        except OSError as exc:
-            self._give_up(exc)
-
-    def _give_up(self, exc: OSError) -> None:
-        logger.info("%s: not written: %s", self.path, exc)
-        self.discard()
-
-    def add(self, keys: list[str], values: np.ndarray) -> None:
-        if self.rows is None:
-            return
-        try:
-            self.rows.write(np.ascontiguousarray(values, "<f8"))
-            self.keys.write("".join(key + "\n" for key in keys).encode())
-            self.count += len(keys)
-        except OSError as exc:
-            self._give_up(exc)
-
-    def publish(self, dim: int) -> None:
-        if self.rows is None:
-            return
-        try:
-            self.keys.seek(0)
-            shutil.copyfileobj(self.keys, self.rows)
-            header = _STORE_HEADER.pack(_STORE_MAGIC, self.digest, dim, self.count,
-                                        self.keys.tell())
-            self.rows.seek(0)
-            self.rows.write(header)
-            self.rows.close()
-            os.replace(self.tmp, self.path)
-        except OSError as exc:
-            self._give_up(exc)
-
-    def discard(self) -> None:
-        """Close both files and remove the temporary one, if still there."""
-        for fh in (self.rows, self.keys):
-            if fh is not None:
-                try:
-                    fh.close()
-                except OSError:
-                    pass
-        self.rows = self.keys = None
-        try:
-            os.unlink(self.tmp)
-        except OSError:
-            pass
-
-
 def _store_keys(fh, count: int) -> Iterator[str]:
     """The ``count`` keys that end a store, read 1 MiB at a time from the
     file position of the first, so that only a piece of them is held."""
@@ -357,59 +266,49 @@ def _store_keys(fh, count: int) -> Iterator[str]:
         try:
             keys = piece[:cut].decode("utf-8").split("\n")[:-1]
         except UnicodeDecodeError:
-            raise _BadStore("malformed keys") from None
+            raise stores.BadStore("malformed keys") from None
         seen += len(keys)
         yield from keys
         rest = piece[cut:]
     if rest or seen != count:
-        raise _BadStore("malformed keys")
+        raise stores.BadStore("malformed keys")
 
 
-def _read_store(path: str, digest: bytes, wanted: set[str] | None
+def _read_store(wanted: set[str] | None, fh, dim: int, count: int, key_bytes: int
                 ) -> tuple[np.ndarray, dict[str, int]]:
-    """The matrix and rows the parse of the text with sha256 ``digest`` gives,
-    from its store at ``path``: each wanted key at the row of its first line
-    with the vector of its last. Only those rows are read, by positioned
-    reads straight into the matrix, and they are checked finite. Raises
-    :class:`_BadStore` when the store was made from other text or is damaged."""
-    with open(path, "rb", buffering=0) as fh:
-        header = fh.read(_STORE_HEADER.size)
-        if len(header) != _STORE_HEADER.size or not header.startswith(_STORE_MAGIC):
-            raise _BadStore("not an owlink vector store")
-        _, text_digest, dim, count, key_bytes = _STORE_HEADER.unpack(header)
-        if text_digest != digest:
-            raise _BadStore("made from other text")
-        keys_at = _STORE_HEADER.size + 8 * dim * count
-        if not (dim and count) or os.fstat(fh.fileno()).st_size != keys_at + key_bytes:
-            raise _BadStore("truncated or malformed")
-        fh.seek(keys_at)
-        last = {key: i for i, key in enumerate(_store_keys(fh, count))
-                if wanted is None or key in wanted}
-        source = np.fromiter(last.values(), np.int64, len(last))
-        matrix = np.empty((len(source) + 1, dim))
-        # one read per run of consecutive source rows
-        row_bytes, into = 8 * dim, memoryview(matrix).cast("B")
-        edges = np.flatnonzero(np.diff(source, prepend=-2, append=-2) != 1)
-        offsets = _STORE_HEADER.size + row_bytes * source[edges[:-1]]
-        for start, end, offset in zip(edges[:-1].tolist(), edges[1:].tolist(), offsets.tolist()):
-            run = into[row_bytes * start:row_bytes * end]
-            fh.seek(offset)
-            if fh.readinto(run) != len(run):
-                raise _BadStore("truncated")
+    """The matrix and rows the parse gives, from the vector store open as
+    ``fh``: each wanted key at the row of its first line with the vector of
+    its last. Only those rows are read, by positioned reads straight into
+    the matrix, and they are checked finite."""
+    if not (dim and count):
+        raise stores.BadStore("truncated or malformed")
+    fh.seek(_VECTORS.header.size + 8 * dim * count)
+    last = {key: i for i, key in enumerate(_store_keys(fh, count))
+            if wanted is None or key in wanted}
+    source = np.fromiter(last.values(), np.int64, len(last))
+    matrix = np.empty((len(source) + 1, dim))
+    # one read per run of consecutive source rows
+    row_bytes, into = 8 * dim, memoryview(matrix).cast("B")
+    edges = np.flatnonzero(np.diff(source, prepend=-2, append=-2) != 1)
+    offsets = _VECTORS.header.size + row_bytes * source[edges[:-1]]
+    for start, end, offset in zip(edges[:-1].tolist(), edges[1:].tolist(), offsets.tolist()):
+        fh.seek(offset)
+        stores.read_into(fh, into[row_bytes * start:row_bytes * end])
     if sys.byteorder == "big":
         matrix.byteswap(inplace=True)
     matrix[-1] = 0.0
     if not np.isfinite(matrix).all():
-        raise _BadStore("non-finite vector value")
+        raise stores.BadStore("non-finite vector value")
     return matrix, dict(zip(last, range(len(last))))
 
 
-def _parse_text(path: str, wanted: set[str] | None, capacity: int, writer: _StoreWriter
+def _parse_text(path: str, wanted: set[str] | None, writer: stores.Writer, lines: int
                 ) -> tuple[np.ndarray, dict[str, int]]:
-    """The matrix and rows of :func:`load_word_embeddings` by parsing the text,
-    with room for ``capacity`` kept rows; every parsed row and its key also
-    go to ``writer``."""
+    """The matrix and rows of :func:`load_word_embeddings` by parsing the text
+    of at most ``lines`` lines; every parsed row and its key also go to
+    ``writer``. The matrix has room for every kept row from the start."""
     rows: dict[str, int] = {}
+    count = key_bytes = 0
     with open(path, encoding="utf-8-sig") as fh:
         numbered = enumerate(fh, 1)
         for lineno, raw in numbered:  # up to the first vector, which sets the dimension
@@ -427,16 +326,20 @@ def _parse_text(path: str, wanted: set[str] | None, capacity: int, writer: _Stor
             break
         else:
             raise WordEmbeddingFormatError(f"{path}: no embeddings found")
+        capacity = lines + 1 if wanted is None else min(len(wanted), lines + 1)
         matrix = np.empty((capacity + 1, dim))  # every kept row and the zero row
         # the first vector line again, so that every row takes one path
         numbered = itertools.chain([(lineno, raw)], numbered)
         for chunk in iter(lambda: list(itertools.islice(numbered, LOAD_CHUNK_LINES)), []):
             chunk_keys, values = _parse_chunk(path, chunk, dim)
-            writer.add(chunk_keys, values)
+            keys = "".join(key + "\n" for key in chunk_keys).encode()
+            writer.write(np.ascontiguousarray(values, "<f8"))
+            writer.write(keys, tail=True)
+            count, key_bytes = count + len(chunk_keys), key_bytes + len(keys)
             for key, vector in zip(chunk_keys, values):
                 if wanted is None or key in wanted:
                     matrix[rows.setdefault(key, len(rows))] = vector
-    writer.publish(dim)
+    writer.publish(dim, count, key_bytes)
     matrix.resize((len(rows) + 1, dim), refcheck=False)
     matrix[-1] = 0.0
     return matrix, rows
@@ -458,27 +361,15 @@ def load_word_embeddings(path: str, phrase_template: str = "{name}",
     key keeps its first row and its last vector.
 
     The first parse of a file's bytes also writes its vector store,
-    ``path + STORE_SUFFIX``; a later load whose text has the sha256 the
+    ``path + stores.SUFFIX``; a later load whose text has the sha256 the
     store records reads the kept rows from the store instead, bit for bit
-    the same. A store that does not match or is damaged is parsed over
-    and rewritten, with a warning naming it.
+    the same (see :mod:`owlink.stores`).
     """
     check_phrase_template(phrase_template)
     wanted = None if keys is None else set(keys)
-    store_path = os.fspath(path) + STORE_SUFFIX
-    if os.path.exists(store_path):
-        digest, _ = _scan(path, count_lines=False)
-        try:
-            return WordEmbeddingStore(*_read_store(store_path, digest, wanted), phrase_template)
-        except (_BadStore, OSError) as exc:
-            logger.warning("%s: %s; parsing %s and writing it again", store_path, exc, path)
-    digest, bound = _scan(path)
-    capacity = bound + 1 if wanted is None else min(len(wanted), bound + 1)
-    writer = _StoreWriter(store_path, digest)
-    try:
-        return WordEmbeddingStore(*_parse_text(path, wanted, capacity, writer), phrase_template)
-    finally:
-        writer.discard()
+    matrix, rows = stores.load(path, _VECTORS, functools.partial(_read_store, wanted),
+                               functools.partial(_parse_text, path, wanted), count_lines=True)
+    return WordEmbeddingStore(matrix, rows, phrase_template)
 
 
 def tokenize(text: str) -> list[str]:

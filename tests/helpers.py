@@ -5,9 +5,13 @@ on dense word-dropout inputs."""
 
 from __future__ import annotations
 
+import errno
+import io
 from types import SimpleNamespace
 
 import numpy as np
+
+import owlink.stores as stores
 
 from owlink.graph import (EntityText, KnowledgeGraph, ParseError, Triple, VocabularyError,
                           load_graph)
@@ -15,6 +19,38 @@ from owlink.models import EmbeddingTable, KgcHyperparams, KgcModel, score_all_he
 from owlink.mapping import build_training_pairs, fit_map, mapped_entity_embedding
 from owlink.sampler import OwSplit, SamplerError
 from owlink.text import NoTextError, WordEmbeddingStore
+
+
+# Each step of a store write that can fail: the temporary file's creation,
+# a write to it once the disk is full, the anonymous tail file, the rename.
+STORE_WRITE_FAILURES = ["os.replace", "open", "tempfile", "disk_full"]
+
+
+class NoSpace:
+    def __init__(self, *args, **kwargs):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+class FillsUp(io.FileIO):
+    """A file whose disk fills up once its first bytes are written."""
+
+    def write(self, data):
+        if self.tell():
+            NoSpace()
+        return super().write(data)
+
+
+def fail_store_writes(monkeypatch, fails):
+    """Make the ``fails`` step of every store write raise ENOSPC (simulated:
+    the tests may run as root, whom chmod cannot stop)."""
+    writer_file = {"open": NoSpace, "disk_full": FillsUp}.get(fails, io.FileIO)
+    monkeypatch.setattr(stores, "open", lambda file, mode="r", *args, **kwargs: (
+        writer_file(file, mode) if "x" in mode else open(file, mode, *args, **kwargs)),
+        raising=False)
+    if fails == "os.replace":
+        monkeypatch.setattr(stores.os, "replace", NoSpace)
+    elif fails == "tempfile":
+        monkeypatch.setattr(stores.tempfile, "TemporaryFile", NoSpace)
 
 
 def write_triples(path, triples):

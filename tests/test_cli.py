@@ -10,6 +10,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
+import owlink.graph as graphmod
 import owlink.text as text
 from owlink.cli import DECLARED, OPTIONS, _sweep_point, main
 from owlink.config import Option, Settings, load_config_file, stage_seed, write_manifest
@@ -602,6 +603,7 @@ class TestFailedCommandLeavesNoOutput:
         ("train-kgc", ["--margin", "inf"], "margin must be finite, got inf"),
         ("train-kgc", ["--reg-weight", "inf"], "reg_weight must be finite, got inf"),
         ("drop-metadata", ["--seed", "-1"], "seed must be >= 0, got -1"),
+        ("sample-owe", ["--head-fraction", "0.99"], "sampling would empty the train set"),
     ])
     def test_rejected_setting(self, assets, capsys, command, flags, message):
         commands = golden_commands(assets)
@@ -610,6 +612,16 @@ class TestFailedCommandLeavesNoOutput:
         capsys.readouterr()
         assert run(commands[command] + flags + ["--out", assets / "failed"]) == 1
         assert capsys.readouterr().err == f"owlink: {message}\n"
+        assert not (assets / "failed").exists()
+
+    def test_no_training_text(self, assets, capsys):
+        commands = golden_commands(assets)
+        assert run(commands["train-kgc"]) == 0, capsys.readouterr().err
+        (assets / "other.tsv").write_text("x0\tw0\tw1\nzz\tw2\tw3\n")
+        capsys.readouterr()
+        argv = commands["train-map"] + ["--metadata", assets / "other.tsv", "--out", assets / "failed"]
+        assert run(argv) == 1
+        assert capsys.readouterr().err == "owlink: no training entity has usable textual metadata\n"
         assert not (assets / "failed").exists()
 
     def test_open_query_without_a_map(self, assets, capsys):
@@ -1078,22 +1090,30 @@ def test_golden_bytes_from_inputs_with_a_byte_order_mark(assets, capsys):
 
 def test_golden_outputs_from_a_warm_vector_store(assets, capsys):
     """The golden text commands write the same bytes when they parse
-    vectors.txt (no store yet) and when they read the store the first parse
-    wrote beside it; the store is the only file they add outside --out."""
+    vectors.txt and the graph files (no stores yet) and when they read the
+    stores the first parses wrote beside them; the stores are the only files
+    they add outside --out. train-kgc writes train.txt's store first, and
+    the cold route starts without it."""
     commands = golden_commands(assets)
     assert run(commands["train-kgc"]) == 0, capsys.readouterr().err
     names = ("train-map", "eval", "robustness")
     outs = [Path(str(commands[name][commands[name].index("--out") + 1])) for name in names]
     before = set(os.listdir(assets))
+    assert "train.txt.store" in before
     written = []
     for route in ("text", "store"):
-        with mock.patch.object(text, "_parse_chunk", wraps=text._parse_chunk) as parse:
+        if route == "text":
+            (assets / "train.txt.store").unlink()
+        with mock.patch.object(text, "_parse_chunk", wraps=text._parse_chunk) as parse, \
+                mock.patch.object(graphmod, "_chunk_triples", wraps=graphmod._chunk_triples) as chunk:
             for name in names:
                 assert run(commands[name]) == 0, capsys.readouterr().err
         assert parse.called == (route == "text"), route
+        assert chunk.called == (route == "text"), route
         written.append({str(p.relative_to(assets)): p.read_bytes()
                         for out in outs for p in sorted(out.rglob("*"))})
-        assert set(os.listdir(assets)) - before == {"vectors.txt.store", *(o.name for o in outs)}
+        assert set(os.listdir(assets)) - before == {"vectors.txt.store", "valid.txt.store",
+                                                    "test.txt.store", *(o.name for o in outs)}
         for out in outs:
             shutil.rmtree(out)
     assert written[0] == written[1]

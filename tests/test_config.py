@@ -175,6 +175,11 @@ class TestLayering:
     def test_config_imports_no_owlink_module_when_loaded(self):
         assert owlink_imports("config", module_level=True) == set()
 
+    def test_stores_imports_no_owlink_module(self):
+        # graph and text both read their stores through it
+        assert owlink_imports("stores", module_level=False) == set()
+        assert {"stores"} <= owlink_imports("graph", True) & owlink_imports("text", True)
+
     @pytest.mark.parametrize("lower", ["graph", "text", "optim", "sampler"])
     def test_lower_layers_do_not_import_upper_layers(self, lower):
         upper = {"models", "mapping", "evaluation", "cli"}

@@ -1,6 +1,9 @@
 import logging
+import os
 import random
 import re
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,10 +26,21 @@ from owlink.graph import (
     save_triples,
     unescape_field,
 )
-from helpers import graph_from_triples, reference_load_graph, write_triples
+from helpers import (STORE_WRITE_FAILURES, fail_store_writes, graph_from_triples,
+                     reference_load_graph, write_triples)
 
 
 TRAIN = [("a", "r", "b"), ("a", "r", "c"), ("b", "s", "c")]
+
+
+def load_by(route, *paths, **kwargs):
+    """``load_graph``, asserting that it parsed some split's text (``route``
+    "text") or read every split from the store beside it ("store")."""
+    with mock.patch.object(graphmod, "_chunk_triples", wraps=graphmod._chunk_triples) as chunk:
+        try:
+            return load_graph(*(None if p is None else str(p) for p in paths), **kwargs)
+        finally:
+            assert chunk.called == (route == "text"), route
 
 
 class TestLoadGraph:
@@ -186,22 +200,25 @@ class TestLoaderMatchesLineLoop:
         for case in range(300):
             monkeypatch.setattr(graphmod, "LOAD_CHUNK_LINES", rng.randint(3, 7))
             open_world = rng.random() < 0.5
-            paths = self.random_files(rng, tmp_path, open_world)
+            (tmp_path / str(case)).mkdir()
+            paths = self.random_files(rng, tmp_path / str(case), open_world)
             ref = reference_load_graph(*paths, open_world=open_world)
-            caplog.clear()
-            with caplog.at_level(logging.WARNING, logger="owlink.graph"):
-                g = load_graph(*paths, open_world=open_world)
-            assert g.entities.names == list(ref.entities), case
-            assert g.relations.names == list(ref.relations), case
-            assert g.open_entities.names == list(ref.open_entities), case
-            for name in ("train", "valid", "test"):
-                assert g.split(name).dtype == np.int64 and g.split(name).shape[1:] == (3,)
-                assert g.split(name).tolist() == [list(t) for t in ref.splits[name]], (case, name)
-            dropped = {rec.args[2]: rec.args[1] for rec in caplog.records}
-            assert dropped == {k: v for k, v in ref.duplicates.items() if v}, case
-            for r in range(g.num_relations):
-                assert g.known_tails[r].tolist() == sorted(ref.known_tails.get(r, ())), case
-                assert g.known_heads[r].tolist() == sorted(ref.known_heads.get(r, ())), case
+            for route in ("text", "store"):  # the parse writes the stores the second load reads
+                caplog.clear()
+                with caplog.at_level(logging.WARNING, logger="owlink.graph"):
+                    g = load_by(route, *paths, open_world=open_world)
+                assert g.entities.names == list(ref.entities), case
+                assert g.relations.names == list(ref.relations), case
+                assert g.open_entities.names == list(ref.open_entities), case
+                for name in ("train", "valid", "test"):
+                    assert g.split(name).dtype == np.int64 and g.split(name).shape[1:] == (3,)
+                    assert g.split(name).tolist() == [list(t) for t in ref.splits[name]], \
+                        (case, name)
+                dropped = {rec.args[2]: rec.args[1] for rec in caplog.records}
+                assert dropped == {k: v for k, v in ref.duplicates.items() if v}, case
+                for r in range(g.num_relations):
+                    assert g.known_tails[r].tolist() == sorted(ref.known_tails.get(r, ())), case
+                    assert g.known_heads[r].tolist() == sorted(ref.known_heads.get(r, ())), case
 
     BAD = {
         "malformed": lambda rng: rng.choice(["e0\tr0", "e0\tr0\te1\te0", "e0", "\t\t\t"]),
@@ -240,8 +257,183 @@ class TestLoaderMatchesLineLoop:
                      write_lines(tmp_path / "test.txt", files["test"], rng)]
             with pytest.raises((ParseError, VocabularyError)) as expected:
                 reference_load_graph(*paths)
-            with pytest.raises(type(expected.value), match=re.escape(str(expected.value))):
-                load_graph(*paths)
+            # a well-formed file's store is written before the vocabulary
+            # check, so then the second load reads every split from its store
+            malformed = any(line and line.count("\t") != 2 for line in lines)
+            for route in ("text", "text" if malformed else "store"):
+                with pytest.raises(type(expected.value), match=re.escape(str(expected.value))):
+                    load_by(route, *paths)
+
+
+def split_variant(name):
+    """Train, valid and test bytes and the open-world flag of one loader case:
+    a byte-order mark, each line ending, blank lines, no final newline,
+    duplicate lines, open-world names, an unknown relation, an unknown
+    closed-world entity, or an empty file."""
+    train = ["a\tr\tb", "b\ts\t\u00e9", "a\tr\tb", "\u00e9\tr\ta", "", "a\ts\tb"]
+    valid = ["a\tr\t\u00e9", "b\ts\ta", "b\ts\ta"]
+    test = ["\u00e9\ts\tb", "a\tr\tb"]
+    end, open_world, bom = "\n", False, ""
+    if name == "bom":
+        bom = "\ufeff"
+    elif name in ("crlf", "cr"):
+        end = {"crlf": "\r\n", "cr": "\r"}[name]
+    elif name == "blank_lines_no_final_newline":
+        train, test = ["", ""] + train + ["", ""], ["", "", *test, "", ""]
+    elif name == "open_world":
+        valid, test, open_world = valid + ["n1\tr\ta", "b\ts\tn2", "n1\ts\tn1"], \
+            ["n2\tr\tn3", *test, "n3\ts\tb"], True
+    elif name == "unknown_relation":
+        test = test + ["a\tq\tb"]
+    elif name == "unknown_entity":
+        valid = valid + ["a\tr\tn1"]
+    elif name == "empty":
+        valid = []
+
+    def text(lines):
+        body = end.join(lines)
+        return (bom + body + (end if lines and name != "blank_lines_no_final_newline" else "")
+                ).encode()
+
+    return [text(lines) for lines in (train, valid, test)], open_world
+
+
+def load_outcome(route, paths, open_world, caplog):
+    """What a load of ``paths`` gives: the vocabularies' names and each
+    split's dtype and rows, or the error, and the warnings it logs."""
+    caplog.clear()
+    with caplog.at_level(logging.WARNING):
+        try:
+            g = load_by(route, *paths, open_world=open_world)
+        except (ParseError, VocabularyError) as exc:
+            result = (type(exc), str(exc))
+        else:
+            result = (g.entities.names, g.relations.names, g.open_entities.names,
+                      [(g.split(n).dtype, g.split(n).tolist()) for n in graphmod.SPLITS])
+    return result, [rec.getMessage() for rec in caplog.records]
+
+
+class TestSplitStore:
+    """The store beside a split file serves a later load of the same bytes
+    with the parse's vocabularies, triples, warnings and errors; anything
+    else is parsed again."""
+
+    VARIANTS = ["plain", "bom", "crlf", "cr", "blank_lines_no_final_newline", "open_world",
+                "unknown_relation", "unknown_entity", "empty"]
+
+    @staticmethod
+    def write(root, texts):
+        root.mkdir(exist_ok=True)
+        paths = [root / f"{name}.txt" for name in graphmod.SPLITS]
+        for path, data in zip(paths, texts):
+            path.write_bytes(data)
+        return paths
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_warm_load_equals_cold_parse(self, tmp_path, caplog, variant):
+        texts, open_world = split_variant(variant)
+        paths = self.write(tmp_path, texts)
+        cold = load_outcome("text", paths, open_world, caplog)
+        warm = load_outcome("store", paths, open_world, caplog)
+        assert warm == cold
+        assert f"{paths[0]}: dropped 1 duplicate triples in train split" in cold[1]
+        if variant == "unknown_relation":
+            assert cold[0] == (VocabularyError, f"{paths[2]}:3: unknown relation 'q'")
+        elif variant == "unknown_entity":
+            assert cold[0] == (VocabularyError,
+                               f"{paths[1]}:4: unknown entity 'n1' in closed-world mode")
+        else:
+            assert cold[0][:2] == (["a", "b", "\u00e9"], ["r", "s"])
+            assert cold[0][3][0] == (np.int64, [[0, 0, 1], [1, 1, 2], [2, 0, 0], [0, 1, 1]])
+        read = paths[:2] if variant == "unknown_entity" else paths  # valid raises
+        assert sorted(os.listdir(tmp_path)) == sorted(
+            [p.name for p in paths] + [f"{p.name}.store" for p in read])
+
+    def test_store_holds_the_file_own_parse(self, tmp_path):
+        """Names in first-occurrence order (heads and tails interleaved), the
+        distinct triples in those ids, the duplicate count; no train vocabulary."""
+        paths = self.write(tmp_path, [b"b\tr\tc\nc\ts\tb\n", b"x\ts\tc\nc\tr\ty\nx\ts\tc\n", b""])
+        g = load_graph(*map(str, paths), open_world=True)
+        data = Path(f"{paths[1]}.store").read_bytes()
+        header = graphmod._TRIPLES.header
+        assert data[:16] == b"owlink-triples1\n"
+        assert header.unpack(data[:header.size])[2:] == (3, 2, 2, 1, 10)
+        assert np.frombuffer(data[header.size:header.size + 48], "<i8").tolist() == \
+            [0, 0, 1, 1, 1, 2]
+        assert data[header.size + 48:] == b"x\nc\ny\ns\nr\n"
+        assert g.valid.tolist() == [[2, 1, 1], [1, 0, 3]] and g.open_entities.names == ["x", "y"]
+
+    def test_store_of_other_text_is_parsed_over(self, tmp_path, caplog):
+        paths = self.write(tmp_path, [b"a\tr\tb\n", b"", b""])
+        load_by("text", *paths)
+        paths[0].write_bytes(b"b\tr\ta\nc\tr\ta\n")
+        got = load_outcome("text", paths, False, caplog)
+        assert got[0][:2] == (["b", "a", "c"], ["r"])
+        assert len(got[1]) == 1
+        assert f"{paths[0]}.store: made from other text" in got[1][0]
+        assert load_outcome("store", paths, False, caplog) == (got[0], [])
+
+    def test_same_size_rewrite_is_parsed_again(self, tmp_path):
+        paths = self.write(tmp_path, [b"a\tr\tb\n", b"", b""])
+        load_by("text", *paths)
+        stat = paths[0].stat()
+        paths[0].write_bytes(b"b\tr\ta\n")
+        os.utime(paths[0], ns=(stat.st_atime_ns, stat.st_mtime_ns))  # same size and mtime
+        assert paths[0].stat().st_size == stat.st_size
+        assert load_by("text", *paths).entities.names == ["b", "a"]
+        assert load_by("store", *paths).entities.names == ["b", "a"]
+
+    @pytest.mark.parametrize("damage", ["empty", "header_only", "cut_last_byte", "extra_byte",
+                                        "magic", "names_not_utf8", "repeated_name", "name_count",
+                                        "id_out_of_range", "negative_id", "count_grown"])
+    def test_damaged_store_is_rebuilt_with_a_warning(self, tmp_path, caplog, damage):
+        paths = self.write(tmp_path, [b"a\tr\tb\na\ts\tc\nb\tr\tc\na\tr\tb\n", b"", b""])
+        want = load_outcome("text", paths, False, caplog)
+        store = Path(f"{paths[0]}.store")
+        data = bytearray(store.read_bytes())
+        header = graphmod._TRIPLES.header.size
+        assert data[-10:] == b"a\nb\nc\nr\ns\n"
+        if damage == "empty":
+            data = b""
+        elif damage == "header_only":
+            data = data[:header]
+        elif damage == "cut_last_byte":
+            data = data[:-1]
+        elif damage == "extra_byte":
+            data += b"\n"
+        elif damage == "magic":
+            data[0] ^= 1
+        elif damage == "names_not_utf8":
+            data[-2] = 0xFF
+        elif damage == "repeated_name":
+            data[-6] = ord("a")  # entities a, b, a
+        elif damage == "name_count":
+            data[-3] = ord("x")  # relations "rxs": one name fewer
+        elif damage == "id_out_of_range":
+            data[header] = 3
+        elif damage == "negative_id":
+            data[header + 7] = 0xFF
+        elif damage == "count_grown":
+            data[header - 24] += 1  # the triple count
+        store.write_bytes(bytes(data))
+        got = load_outcome("text", paths, False, caplog)
+        assert got[0] == want[0]
+        assert len(got[1]) == 2 and got[1][1] == want[1][0]
+        assert got[1][0].startswith(f"{store}: ")
+        assert load_outcome("store", paths, False, caplog) == want  # rebuilt
+
+    @pytest.mark.parametrize("fails", [f for f in STORE_WRITE_FAILURES if f != "tempfile"])
+    def test_write_failure_still_returns_the_parse(self, tmp_path, monkeypatch, caplog, fails):
+        """A directory whose stores cannot be written still loads, and keeps
+        only the text (no store, no temporary file)."""
+        texts, open_world = split_variant("open_world")
+        want = load_outcome("text", self.write(tmp_path / "ok", texts), open_world, caplog)
+        paths = self.write(tmp_path / "full", texts)
+        fail_store_writes(monkeypatch, fails)
+        for _ in range(2):
+            got = load_outcome("text", paths, open_world, caplog)
+            assert got[0] == want[0]
+        assert sorted(os.listdir(tmp_path / "full")) == ["test.txt", "train.txt", "valid.txt"]
 
 
 class TestFilterIndex:

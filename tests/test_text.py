@@ -1,5 +1,3 @@
-import errno
-import io
 import logging
 import os
 from collections import Counter
@@ -15,7 +13,6 @@ from owlink.graph import EntityText
 from owlink.mapping import MapHyperparams, train_map
 from owlink.text import (
     LOAD_CHUNK_LINES,
-    STORE_SUFFIX,
     NoTextError,
     WordEmbeddingFormatError,
     WordEmbeddingStore,
@@ -28,7 +25,9 @@ from owlink.text import (
     text_embedding,
     tokenize,
 )
-from helpers import graph_from_triples, random_model, store_from_vectors
+from owlink.stores import SUFFIX
+from helpers import (STORE_WRITE_FAILURES, fail_store_writes, graph_from_triples, random_model,
+                     store_from_vectors)
 
 
 def make_store(tokens, dim=3, seed=0, phrase_template="{name}"):
@@ -56,7 +55,7 @@ def load_by(route, path, *args, **kwargs):
 
 
 def store_file(path):
-    return Path(f"{path}{STORE_SUFFIX}")
+    return Path(f"{path}{SUFFIX}")
 
 
 class TestLoader:
@@ -841,7 +840,7 @@ class TestVectorStore:
         # 8 bytes per value of every line, duplicates too, and the keys
         lines = store_lines()
         keys = "".join(line.partition(" ")[0] + "\n" for line in lines).encode()
-        assert store_file(path).stat().st_size == (text._STORE_HEADER.size + 8 * 5 * len(lines)
+        assert store_file(path).stat().st_size == (text._VECTORS.header.size + 8 * 5 * len(lines)
                                                    + len(keys))
 
     def test_same_size_rewrite_is_parsed_again(self, tmp_path):
@@ -882,7 +881,7 @@ class TestVectorStore:
         path.write_text("cat 2 4\ndog 8 3\ncat 2.5 4\n")
         want = load_by("text", path)
         data = bytearray(store_file(path).read_bytes())
-        header = text._STORE_HEADER.size
+        header = text._VECTORS.header.size
         if damage == "empty":
             data = b""
         elif damage == "header_only":
@@ -911,35 +910,14 @@ class TestVectorStore:
         assert again.rows == want.rows and bits(again.matrix) == bits(want.matrix)
         assert not caplog.text
 
-    @pytest.mark.parametrize("fails", ["os.replace", "open", "tempfile", "disk_full"])
+    @pytest.mark.parametrize("fails", STORE_WRITE_FAILURES)
     def test_write_failure_still_returns_the_parse(self, tmp_path, monkeypatch, fails):
         """A store that cannot be written leaves no store and no temporary
         file (simulated: the tests may run as root, whom chmod cannot stop)."""
         path = tmp_path / "vec.txt"
         path.write_text("cat 1 2\ndog 3 4\n" * 300)
-        writer_file = {"open": NoSpace, "disk_full": FillsUp}.get(fails, io.FileIO)
-        monkeypatch.setattr(text, "open", lambda file, mode="r", *args, **kwargs: (
-            writer_file(file, mode) if "x" in mode else open(file, mode, *args, **kwargs)),
-            raising=False)
-        if fails == "os.replace":
-            monkeypatch.setattr(text.os, "replace", NoSpace)
-        elif fails == "tempfile":
-            monkeypatch.setattr(text.tempfile, "TemporaryFile", NoSpace)
+        fail_store_writes(monkeypatch, fails)
         store = load_by("text", path)
         assert store.rows == {"cat": 0, "dog": 1}
         np.testing.assert_array_equal(store.matrix, [[1, 2], [3, 4], [0, 0]])
         assert sorted(os.listdir(tmp_path)) == ["vec.txt"]
-
-
-class NoSpace:
-    def __init__(self, *args, **kwargs):
-        raise OSError(errno.ENOSPC, "No space left on device")
-
-
-class FillsUp(io.FileIO):
-    """A file whose disk fills up once its first bytes are written."""
-
-    def write(self, data):
-        if self.tell():
-            NoSpace()
-        return super().write(data)
