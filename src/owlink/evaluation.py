@@ -24,7 +24,7 @@ from .config import check_setting
 from .graph import SPLITS, KnowledgeGraph, as_triples, build_filter_index, distinct
 from .mapping import MapModel, mapped_embedding
 from .models import NORM_BLOCK_ROWS, KgcModel, better_or_tied
-from .text import EntityRows, keep_rows
+from .text import EntityRows
 
 SKIP_NO_METADATA = "no-metadata"
 SKIP_TARGET_FILTERING = "target-filtering"
@@ -165,7 +165,7 @@ def _evaluate_core(
     any scoring, each row gets the first skip reason that holds (module
     docstring) and each ranked row a query id: its own, or with ``rng`` one
     draw per ranked row, in row order, from the train entities in its role.
-    Open queries are averaged in one :func:`text.keep_rows` call and mapped
+    Open queries are averaged in one ``EntityRows.kept`` call and mapped
     once each. Ranked rows go in blocks through ``models.better_or_tied`` (one
     GEMM per block, the kernel where its rounding bound cannot decide)."""
     config = config if config is not None else EvalConfig()
@@ -203,7 +203,7 @@ def _evaluate_core(
         if map_model is None or entity_rows is None:
             raise ValueError("open-world query entity encountered but no map_model/entity_rows")
         texts = entity_rows.select(np.isin(entity_rows.entities, open_ids))
-        means = np.asarray(keep_rows(texts.store.matrix, texts.rows, texts.offsets[::3]))
+        means = np.asarray(texts.kept())
         mapped = {q: mapped_embedding(kgc_model, map_model, mean)
                   for q, mean in zip(texts.entities.tolist(), means)}
 

@@ -17,12 +17,13 @@ into its names in first-occurrence order and its distinct triples in those
 local ids; the train file's names are the vocabularies, and a valid or test
 file's are looked up in them once each. The first parse of a file's bytes
 also writes that parse to ``<file>.store`` beside it, and a later load of
-the same bytes reads it from there (:mod:`owlink.stores`). A vocabulary
-miss that must raise reads the text line by line, so every error names its
-``file:line``. The ids held per integer key are one :class:`IdSets`
-(sorted CSR): the train entities of each relation (``known_tails`` /
-``known_heads``) and the filter index's true tails and heads, keyed by
-packed pairs.
+the same bytes reads it from there (:mod:`owlink.stores`, which owns the
+byte layout). One line reader, ``_tsv_lines``, raises every ``file:line``
+ParseError of a split or metadata file; a bad chunk or a vocabulary miss
+that must raise reads the text through it again. The ids held per integer
+key are one :class:`IdSets` (sorted CSR): the train entities of each
+relation (``known_tails`` / ``known_heads``) and the filter index's true
+tails and heads, keyed by packed pairs.
 """
 
 from __future__ import annotations
@@ -31,9 +32,8 @@ import functools
 import itertools
 import logging
 import re
-import sys
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, NoReturn
+from typing import Iterable, Iterator, NamedTuple, NoReturn
 
 import numpy as np
 
@@ -253,8 +253,8 @@ class _Parse(NamedTuple):
 
 # The store of a split file: a header (magic, the sha256 of its text, then
 # the counts of entities, relations, triples, duplicates and name bytes),
-# the triples as little-endian int64 rows, then each entity name and each
-# relation name followed by "\n" (no name holds one).
+# the triples as int64 rows, then the entity names and the relation names
+# as one names block (no name holds "\n"; layout in :mod:`owlink.stores`).
 _TRIPLES = stores.Format("triple", b"owlink-triples1\n", 5,
                          lambda entities, relations, triples, duplicates, name_bytes:
                          24 * triples + name_bytes)
@@ -268,38 +268,29 @@ def _parse_text(path: str, writer: stores.Writer, _lines: int) -> _Parse:
     with open(path, encoding="utf-8-sig") as fh:
         for raw in iter(lambda: list(itertools.islice(fh, LOAD_CHUNK_LINES)), []):
             rows = _chunk_triples("".join(raw).split("\n"), entities, relations)
-            if rows is None:  # every chunk before this one is full
-                _raise_first_bad_line(path, raw, len(chunks) * LOAD_CHUNK_LINES + 1, entities,
-                                      relations, extend_vocab=True, open_world=False)
+            if rows is None:
+                _raise_first_bad_line(path)
             chunks.append(rows)
     triples = np.concatenate(chunks) if chunks else as_triples(None)
     first = _first_occurrences(triples)
     duplicates = len(triples) - len(first)
     if duplicates:
         triples = triples[first]
-    names = "".join(name + "\n" for name in entities.names + relations.names).encode()
-    writer.write(np.ascontiguousarray(triples, "<i8"))
-    writer.write(names)
-    writer.publish(len(entities), len(relations), len(triples), duplicates, len(names))
+    writer.write(triples)
+    name_bytes = writer.write_names(itertools.chain(entities.names, relations.names))
+    writer.publish(len(entities), len(relations), len(triples), duplicates, name_bytes)
     return _Parse(entities, relations, triples, duplicates)
 
 
 def _read_store(fh, num_entities: int, num_relations: int, num_triples: int, duplicates: int,
-                name_bytes: int) -> _Parse:
+                _name_bytes: int) -> _Parse:
     """The parse from the split store open as ``fh``; its names must be
     distinct and its ids in range."""
-    triples, names = np.empty((num_triples, 3), dtype=np.int64), bytearray(name_bytes)
+    triples = np.empty((num_triples, 3), dtype=np.int64)
     stores.read_into(fh, triples)
-    stores.read_into(fh, names)
-    if sys.byteorder == "big":
-        triples.byteswap(inplace=True)
-    try:
-        names = names.decode("utf-8").split("\n")
-    except UnicodeDecodeError:
-        raise stores.BadStore("malformed names") from None
-    if len(names) != num_entities + num_relations + 1 or names.pop():
-        raise stores.BadStore("malformed names")
-    entities, relations = Vocab(names[:num_entities]), Vocab(names[num_entities:])
+    names = stores.read_names(fh, num_entities + num_relations)
+    entities = Vocab(itertools.islice(names, num_entities))
+    relations = Vocab(names)
     if len(entities) != num_entities or len(relations) != num_relations:
         raise stores.BadStore("repeated names")
     if len(triples) and (triples.min() < 0 or triples[:, 1].max() >= num_relations
@@ -336,21 +327,29 @@ def _chunk_triples(lines: list[str], entities: Vocab, relations: Vocab) -> np.nd
     return rows
 
 
-def _raise_first_bad_line(path: str, lines: Iterable[str], first_lineno: int, entities: Vocab,
-                          relations: Vocab, extend_vocab: bool, open_world: bool) -> NoReturn:
-    """Raise the error of the first of ``lines``, lines of ``path`` from line
-    ``first_lineno`` on, to fail the line rule: three fields, then (unless
-    the vocabulary is being built) a known relation, then a known head and
-    tail (unless ``open_world``)."""
-    for lineno, raw in enumerate(lines, first_lineno):
-        line = raw.rstrip("\r\n")
-        if not line:
-            continue
-        fields = line.split("\t")
-        if len(fields) != 3:
-            raise ParseError(f"{path}:{lineno}: expected 3 tab-separated fields, got {len(fields)}")
-        h, r, t = fields
-        if extend_vocab:
+def _tsv_lines(path: str) -> Iterator[tuple[int, list[str]]]:
+    """The line number and the three tab-separated fields of each non-blank
+    line of the TSV file ``path``. ParseError names the first line without
+    exactly three fields."""
+    with open(path, encoding="utf-8-sig") as fh:
+        for lineno, raw in enumerate(fh, 1):
+            line = raw.rstrip("\r\n")
+            if not line:
+                continue
+            fields = line.split("\t")
+            if len(fields) != 3:
+                raise ParseError(
+                    f"{path}:{lineno}: expected 3 tab-separated fields, got {len(fields)}")
+            yield lineno, fields
+
+
+def _raise_first_bad_line(path: str, entities: Vocab | None = None,
+                          relations: Vocab | None = None, open_world: bool = False) -> NoReturn:
+    """Read the split file ``path`` through :func:`_tsv_lines` to raise its
+    first line's error: three fields, then (given the vocabularies) a known
+    relation, then a known head and tail (unless ``open_world``)."""
+    for lineno, (h, r, t) in _tsv_lines(path):
+        if relations is None:
             continue
         if r not in relations:
             raise VocabularyError(f"{path}:{lineno}: unknown relation {r!r}")
@@ -369,26 +368,17 @@ def _read_split(path: str, split: str, entities: Vocab, relations: Vocab,
     try:
         parse = _load_split(path)
     except ParseError:  # an earlier line may break the vocabulary rule
-        _raise_first_bad_text_line(path, entities, relations, open_world)
+        _raise_first_bad_line(path, entities, relations, open_world)
     names = parse.entities.names
     rel_ids, ent_ids = relations.ids(parse.relations.names), entities.ids(names)
     unknown = np.flatnonzero(ent_ids < 0)
     if (rel_ids < 0).any() or (len(unknown) and not open_world):
-        _raise_first_bad_text_line(path, entities, relations, open_world)
+        _raise_first_bad_line(path, entities, relations, open_world)
     if len(unknown):
         ent_ids[unknown] = len(entities) + open_entities.extend([names[i] for i in unknown.tolist()])
     _warn_duplicates(path, split, parse)
     local = parse.triples
     return np.column_stack([ent_ids[local[:, 0]], rel_ids[local[:, 1]], ent_ids[local[:, 2]]])
-
-
-def _raise_first_bad_text_line(path: str, entities: Vocab, relations: Vocab,
-                               open_world: bool) -> NoReturn:
-    """Read the valid or test file ``path`` line by line to raise the error
-    of its first line that fails the line rule against the vocabularies."""
-    with open(path, encoding="utf-8-sig") as fh:
-        _raise_first_bad_line(path, fh, 1, entities, relations, extend_vocab=False,
-                              open_world=open_world)
 
 
 def _first_occurrences(triples: np.ndarray) -> np.ndarray:
@@ -519,20 +509,10 @@ def load_entity_text(path: str) -> dict[str, EntityText]:
     metadata) and :class:`ParseError` on a malformed line.
     """
     records: dict[str, EntityText] = {}
-    with open(path, encoding="utf-8-sig") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.rstrip("\r\n")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) != 3:
-                raise ParseError(
-                    f"{path}:{lineno}: expected 3 tab-separated fields, got {len(fields)}"
-                )
-            ext_id, name, desc = fields
-            if ext_id in records:
-                raise MetadataError(f"{path}:{lineno}: duplicate metadata for entity {ext_id!r}")
-            records[ext_id] = EntityText(ext_id, unescape_field(name), unescape_field(desc))
+    for lineno, (ext_id, name, desc) in _tsv_lines(path):
+        if ext_id in records:
+            raise MetadataError(f"{path}:{lineno}: duplicate metadata for entity {ext_id!r}")
+        records[ext_id] = EntityText(ext_id, unescape_field(name), unescape_field(desc))
     return records
 
 

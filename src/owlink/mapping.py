@@ -29,7 +29,7 @@ from .config import ConfigError, check_setting
 from .graph import EntityText, KnowledgeGraph
 from .models import KgcModel, _flag, _positive_int, check_loop, read_checkpoint, write_checkpoint
 from .optim import Adam, EpochPolicy
-from .text import EntityRows, WordEmbeddingStore, keep_rows, text_embedding
+from .text import EntityRows, WordEmbeddingStore, text_embedding
 
 KINDS = ("linear", "affine", "mlp")
 LOSS_MODES = ("squared", "euclidean")
@@ -285,9 +285,9 @@ def train_map(
     """Train the text-to-graph transformation on training entities with text.
 
     Without word dropout the text embeddings of all training entities are
-    averaged once, as one array of :func:`text.keep_rows`. With it
+    averaged once, as one array of :meth:`text.EntityRows.kept`. With it
     (``hyperparams.dropout``), each epoch draws which rows to keep with
-    :func:`text.keep_rows`, and each batch averages its own entities' kept
+    :meth:`text.EntityRows.kept`, and each batch averages its own entities' kept
     rows, bit for bit the rows of that epoch's whole (m, d') mean array.
     ``hyperparams`` is checked when built. Raises :class:`ConfigError` when
     no training entity has usable text.
@@ -297,9 +297,7 @@ def train_map(
     if not len(pairs.entities):
         raise ConfigError("no training entity has usable textual metadata")
 
-    matrix, rows, offsets = pairs.store.matrix, pairs.rows, pairs.offsets[::3]
-    inputs = (partial(keep_rows, matrix, rows, offsets, hp.dropout) if hp.dropout > 0
-              else np.asarray(keep_rows(matrix, rows, offsets)))
+    inputs = partial(pairs.kept, hp.dropout) if hp.dropout > 0 else np.asarray(pairs.kept())
     return fit_map(inputs, u_real, u_imag, kind, hp, seed, validator, log_path)
 
 

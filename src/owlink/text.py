@@ -16,11 +16,11 @@ keys' vectors alone, and :meth:`TextKeys.rows` resolves the ids;
 :class:`KeptRows` indexed by entities: :func:`keep_rows` draws the dropout,
 and indexing or ``np.asarray`` averages the entities asked for.
 
-The vector store (:mod:`owlink.stores`): the first load that parses a
-vectors file also writes every row it parsed, as float64 (about 8 bytes per
-vector value on disk), and the rows' keys to ``<vectors>.store`` beside it.
-A later load of the same bytes reads only its keys' rows from the store,
-bit for bit what the parse gives.
+The vector store (:mod:`owlink.stores`, which owns its layout): the first
+load that parses a vectors file also writes every row it parsed, as float64
+(about 8 bytes per vector value on disk), and the rows' keys as a names
+block to ``<vectors>.store`` beside it. A later load of the same bytes
+reads only its keys' rows from the store, bit for bit what the parse gives.
 """
 
 from __future__ import annotations
@@ -30,9 +30,8 @@ import itertools
 import math
 import re
 import string
-import sys
 from dataclasses import dataclass, replace
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -52,7 +51,7 @@ MEAN_BLOCK_ROWS = 256
 
 # The vector store written beside a vectors file: a header (magic, the sha256
 # of the text it was parsed from, dim, row count, key bytes), every parsed
-# row in file order as little-endian float64, then each row's key and "\n".
+# row in file order as float64, then the rows' keys as one names block.
 _VECTORS = stores.Format("vector", b"owlink-vectors1\n", 3,
                          lambda dim, count, key_bytes: 8 * dim * count + key_bytes)
 
@@ -140,6 +139,10 @@ class EntityRows:
     def has_text(self) -> np.ndarray:
         """Per entity of ``entities``, whether it has any row (usable text)."""
         return np.diff(self.offsets[::3]) > 0
+
+    def kept(self, dropout_rate: float = 0.0, rng: np.random.Generator | None = None) -> KeptRows:
+        """Each entity's rows after word dropout (:func:`keep_rows`)."""
+        return keep_rows(self.store.matrix, self.rows, self.offsets[::3], dropout_rate, rng)
 
     def mean(self, entity: int) -> np.ndarray:
         """The mean of ``entity``'s rows (:func:`keep_rows`); NoTextError when it has none."""
@@ -256,24 +259,6 @@ def _parse_chunk(path: str, chunk: list[tuple[int, str]], dim: int
     return keys, values
 
 
-def _store_keys(fh, count: int) -> Iterator[str]:
-    """The ``count`` keys that end a store, read 1 MiB at a time from the
-    file position of the first, so that only a piece of them is held."""
-    seen, rest = 0, b""
-    for piece in iter(lambda: fh.read(1 << 20), b""):
-        piece = rest + piece
-        cut = piece.rfind(b"\n") + 1
-        try:
-            keys = piece[:cut].decode("utf-8").split("\n")[:-1]
-        except UnicodeDecodeError:
-            raise stores.BadStore("malformed keys") from None
-        seen += len(keys)
-        yield from keys
-        rest = piece[cut:]
-    if rest or seen != count:
-        raise stores.BadStore("malformed keys")
-
-
 def _read_store(wanted: set[str] | None, fh, dim: int, count: int, key_bytes: int
                 ) -> tuple[np.ndarray, dict[str, int]]:
     """The matrix and rows the parse gives, from the vector store open as
@@ -283,19 +268,16 @@ def _read_store(wanted: set[str] | None, fh, dim: int, count: int, key_bytes: in
     if not (dim and count):
         raise stores.BadStore("truncated or malformed")
     fh.seek(_VECTORS.header.size + 8 * dim * count)
-    last = {key: i for i, key in enumerate(_store_keys(fh, count))
+    last = {key: i for i, key in enumerate(stores.read_names(fh, count, "keys"))
             if wanted is None or key in wanted}
     source = np.fromiter(last.values(), np.int64, len(last))
     matrix = np.empty((len(source) + 1, dim))
     # one read per run of consecutive source rows
-    row_bytes, into = 8 * dim, memoryview(matrix).cast("B")
     edges = np.flatnonzero(np.diff(source, prepend=-2, append=-2) != 1)
-    offsets = _VECTORS.header.size + row_bytes * source[edges[:-1]]
+    offsets = _VECTORS.header.size + 8 * dim * source[edges[:-1]]
     for start, end, offset in zip(edges[:-1].tolist(), edges[1:].tolist(), offsets.tolist()):
         fh.seek(offset)
-        stores.read_into(fh, into[row_bytes * start:row_bytes * end])
-    if sys.byteorder == "big":
-        matrix.byteswap(inplace=True)
+        stores.read_into(fh, matrix[start:end])
     matrix[-1] = 0.0
     if not np.isfinite(matrix).all():
         raise stores.BadStore("non-finite vector value")
@@ -332,10 +314,9 @@ def _parse_text(path: str, wanted: set[str] | None, writer: stores.Writer, lines
         numbered = itertools.chain([(lineno, raw)], numbered)
         for chunk in iter(lambda: list(itertools.islice(numbered, LOAD_CHUNK_LINES)), []):
             chunk_keys, values = _parse_chunk(path, chunk, dim)
-            keys = "".join(key + "\n" for key in chunk_keys).encode()
-            writer.write(np.ascontiguousarray(values, "<f8"))
-            writer.write(keys, tail=True)
-            count, key_bytes = count + len(chunk_keys), key_bytes + len(keys)
+            writer.write(values)
+            key_bytes += writer.write_names(chunk_keys, tail=True)
+            count += len(chunk_keys)
             for key, vector in zip(chunk_keys, values):
                 if wanted is None or key in wanted:
                     matrix[rows.setdefault(key, len(rows))] = vector

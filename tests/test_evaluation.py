@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from owlink import evaluation, models
+from owlink import evaluation, models, text
 from owlink.evaluation import (
     SKIP_NO_METADATA,
     SKIP_OPEN_TARGET,
@@ -280,11 +280,11 @@ class TestOpenWorldEvaluate:
         triples = [Triple(new1, 0, 1), Triple(0, 0, 1), Triple(new1, 1, 0), Triple(new2, 1, 2),
                    Triple(new1, 0, 2), Triple(new2, 0, 1)]
         calls = {"keep_rows": 0, "mapped_embedding": 0}
-        for name in calls:
-            def counted(*args, _name=name, _call=getattr(evaluation, name)):
+        for module, name in ((text, "keep_rows"), (evaluation, "mapped_embedding")):
+            def counted(*args, _name=name, _call=getattr(module, name)):
                 calls[_name] += 1
                 return _call(*args)
-            monkeypatch.setattr(evaluation, name, counted)
+            monkeypatch.setattr(module, name, counted)
         config = EvalConfig(filter_splits=("train", "test"))
         report = evaluate(model, g, config, map_model=mm,
                           entity_rows=entity_rows(metadata, store), triples=triples)

@@ -521,15 +521,27 @@ class TestEntityText:
 
     def test_duplicate_entity_errors(self, tmp_path):
         path = tmp_path / "meta.tsv"
-        path.write_text("E1\tA\tx\nE1\tB\ty\n")
-        with pytest.raises(MetadataError, match="duplicate"):
-            load_entity_text(str(path))
+        # a duplicate on an earlier line than a malformed one is the error
+        for text in ("E1\tA\tx\nE1\tB\ty\n", "E1\tA\tx\nE1\tB\ty\nE2\tC\n"):
+            path.write_text(text)
+            with pytest.raises(MetadataError) as exc:
+                load_entity_text(str(path))
+            assert str(exc.value) == f"{path}:2: duplicate metadata for entity 'E1'"
 
     def test_malformed_line(self, tmp_path):
+        """A malformed line before a duplicate is the error, and a split file
+        with the same lines gives the same message."""
         path = tmp_path / "meta.tsv"
-        path.write_text("E1\tonly-name\n")
-        with pytest.raises(ParseError):
-            load_entity_text(str(path))
+        for text, lineno, fields in [("E1\tonly-name\n", 1, 2),
+                                     ("E1\tA\tx\n\nE2\tB\n\tx\nE1\tB\ty\n", 3, 2),
+                                     ("E1\tA\tx\nE2\tB\tx\ty\nE1\tB\ty\n", 2, 4),
+                                     ("E1\tA\tx\nE2\nE1\tB\ty\n", 2, 1)]:
+            path.write_text(text)
+            for load in (load_entity_text, load_graph):
+                with pytest.raises(ParseError) as exc:
+                    load(str(path))
+                assert str(exc.value) == \
+                    f"{path}:{lineno}: expected 3 tab-separated fields, got {fields}"
 
     def test_escaping_round_trip(self, tmp_path):
         original = {"E1": EntityText("E1", "a\tb", "line1\nline2\\end")}
