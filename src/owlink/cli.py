@@ -258,8 +258,7 @@ def _sweep_point(entity_rows: text.EntityRows, graph, corrupted: dict) -> text.E
     external id): the entities it keeps, with the descriptions it keeps."""
     kept = [corrupted.get(name) for name in graph.entity_names[entity_rows.entities].tolist()]
     return entity_rows.select(np.array([m is not None for m in kept], dtype=bool),
-                              np.array([(True, True, bool(m and m.description)) for m in kept],
-                                       dtype=bool).reshape(-1, 3))
+                              np.array([bool(m and m.description) for m in kept], dtype=bool))
 
 
 def cmd_robustness(s: Settings) -> None:
@@ -326,13 +325,11 @@ def cmd_neighbors(s: Settings) -> None:
     else:
         map_path = _input_file(s, "map-checkpoint")
         meta = graphmod.EntityText("query", free_text, description or "")
-        rows = _entity_rows(s, {0: meta})
+        store = _entity_rows(s, {0: meta}).store
         map_model = mapping.load_map(map_path)
-        mapping.check_fit(map_model, kgc, rows.store.dim, map_path, s.get("kgc-checkpoint"),
+        mapping.check_fit(map_model, kgc, store.dim, map_path, s.get("kgc-checkpoint"),
                           s.get("embeddings"))
-        if not len(rows[0]):
-            raise CliError(f"entity {meta.entity!r} has no usable text")
-        query = mapping.mapped_embedding(kgc, map_model, rows.mean(0))
+        query = mapping.mapped_entity_embedding(kgc, map_model, meta, store)
 
     lines = []
     for rank, (eid, dist) in enumerate(evaluation.nearest_neighbors(kgc, query, k), 1):

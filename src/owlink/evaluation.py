@@ -23,7 +23,7 @@ import numpy as np
 from .config import check_setting
 from .graph import SPLITS, KnowledgeGraph, as_triples, build_filter_index, distinct
 from .mapping import MapModel, mapped_embedding
-from .models import NORM_BLOCK_ROWS, KgcModel, better_or_tied
+from .models import NORM_BLOCK_ROWS, KgcModel, _query_pair, better_or_tied
 from .text import EntityRows
 
 SKIP_NO_METADATA = "no-metadata"
@@ -42,9 +42,6 @@ class EvalConfig:
     hits_k: tuple[int, ...] = (1, 3, 10)
 
     def __post_init__(self) -> None:
-        self.validate()
-
-    def validate(self) -> None:
         check_setting("direction", repr(self.direction), self.direction in DIRECTIONS,
                       "'tail' or 'head'")
         splits = self.filter_splits
@@ -179,10 +176,15 @@ def _evaluate_core(
     in_role = targets < num_e  # open targets are skipped before target filtering
     if config.target_filtering:  # one candidate mask per relation that occurs
         relations, slot = np.unique(triples[:, 1], return_inverse=True)
-        known = graph.known_tails if tail_direction else graph.known_heads
+        # relation id -> mask row (-1: not ranked), then one scatter of train;
+        # a search per train row took 39 ms against 9 ms at 272k rows
+        row_of = np.full(1 + max(int(graph.train[:, 1].max(initial=-1)),
+                                 int(relations.max(initial=-1))), -1)
+        row_of[relations] = np.arange(len(relations))
+        train_rows = row_of[graph.train[:, 1]]
+        hit = train_rows >= 0
         masks = np.zeros((len(relations), num_e), dtype=bool)
-        for i, r in enumerate(relations.tolist()):
-            masks[i, known[r]] = True
+        masks[train_rows[hit], graph.train[hit, t_col]] = True
         in_role[in_role] = masks[slot[in_role], targets[in_role]]
     no_text = np.zeros(len(triples), dtype=bool)
     if entity_rows is not None:
@@ -295,10 +297,11 @@ def nearest_neighbors(
     kgc_model: KgcModel, query_embedding, k: int
 ) -> list[tuple[int, float]]:
     """k nearest known entities by Euclidean distance on the real part,
-    ascending, ties broken by entity id. Distances go ``NORM_BLOCK_ROWS``
-    rows at a time, so no table-sized temporary is made."""
-    query = np.asarray(query_embedding[0] if isinstance(query_embedding, tuple)
-                       else query_embedding)
+    ascending, ties broken by entity id. The query is checked like a scored
+    one (``models._query_pair``): a (real, imag) pair for ComplEx, one
+    array otherwise, each of the model's dimension. Distances go
+    ``NORM_BLOCK_ROWS`` rows at a time, so no table-sized temporary is made."""
+    query = _query_pair(kgc_model, query_embedding)[0]
     table = kgc_model.embeddings.entity_real
     check_setting("k", k, 1 <= k <= len(table),
                   f"between 1 and the number of entities {len(table)}")

@@ -20,10 +20,9 @@ also writes that parse to ``<file>.store`` beside it, and a later load of
 the same bytes reads it from there (:mod:`owlink.stores`, which owns the
 byte layout). One line reader, ``_tsv_lines``, raises every ``file:line``
 ParseError of a split or metadata file; a bad chunk or a vocabulary miss
-that must raise reads the text through it again. The ids held per integer
-key are one :class:`IdSets` (sorted CSR): the train entities of each
-relation (``known_tails`` / ``known_heads``) and the filter index's true
-tails and heads, keyed by packed pairs.
+that must raise reads the text through it again. The filter index holds
+its true tails and its true heads, keyed by packed pairs, as one
+:class:`IdSets` (sorted CSR) each.
 """
 
 from __future__ import annotations
@@ -144,7 +143,8 @@ class EntityText:
 class IdSets:
     """Sorted distinct ids per integer key, in CSR form: the sorted distinct
     ``keys[i]`` holds ``ids[offsets[i]:offsets[i + 1]]``, and a key not in
-    ``keys`` holds none. A key may hold no ids."""
+    ``keys`` holds none. A key may hold no ids. A :class:`FilterIndex` holds
+    one for each direction."""
 
     __slots__ = ("keys", "offsets", "ids")
 
@@ -190,16 +190,6 @@ class KnowledgeGraph:
         self.train = as_triples(train)
         self.valid = as_triples(valid)
         self.test = as_triples(test)
-
-    @functools.cached_property
-    def known_tails(self) -> IdSets:
-        """The tails each relation has in train."""
-        return IdSets(np.arange(self.num_relations), self.train[:, 1], self.train[:, 2])
-
-    @functools.cached_property
-    def known_heads(self) -> IdSets:
-        """The heads each relation has in train."""
-        return IdSets(np.arange(self.num_relations), self.train[:, 1], self.train[:, 0])
 
     @property
     def num_entities(self) -> int:

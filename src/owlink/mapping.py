@@ -48,9 +48,6 @@ class MapHyperparams:
     valid_every: int = 10
 
     def __post_init__(self) -> None:
-        self.validate()
-
-    def validate(self) -> None:
         check_loop(self)
         check_setting("dropout", self.dropout, 0.0 <= self.dropout < 1.0, "in [0, 1)")
         check_setting("hidden_dim", self.hidden_dim,
@@ -235,6 +232,9 @@ def fit_map(
         raise ConfigError("empty map training set")
     if len(targets_real) != m:
         raise ValueError("inputs and targets disagree on the number of pairs")
+    if targets_imag is not None and targets_imag.shape != targets_real.shape:
+        raise ValueError(f"imaginary targets have shape {targets_imag.shape}, "
+                         f"not the real targets' {targets_real.shape}")
     out_dim = targets_real.shape[1]
 
     model = init_map(kind, in_dim, out_dim, rng, hp.hidden_dim,

@@ -49,9 +49,6 @@ class KgcHyperparams:
     valid_every: int = 1
 
     def __post_init__(self) -> None:
-        self.validate()
-
-    def validate(self) -> None:
         check_setting("dim", self.dim, self.dim > 0, "positive")
         check_loop(self)
         check_setting("margin", self.margin, self.margin > 0, "positive")

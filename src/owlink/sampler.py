@@ -42,9 +42,6 @@ class SamplerConfig:
     open_valid_fraction: float = 0.1     # of each test pool
 
     def __post_init__(self) -> None:
-        self.validate()
-
-    def validate(self) -> None:
         hf, hc = self.head_fraction, self.head_count
         if (hf is None) == (hc is None):
             raise ConfigError("exactly one of head_fraction / head_count must be set")

@@ -144,15 +144,18 @@ class EntityRows:
         """Each entity's rows after word dropout (:func:`keep_rows`)."""
         return keep_rows(self.store.matrix, self.rows, self.offsets[::3], dropout_rate, rng)
 
-    def mean(self, entity: int) -> np.ndarray:
-        """The mean of ``entity``'s rows (:func:`keep_rows`); NoTextError when it has none."""
-        rows = self[entity]
-        return np.asarray(keep_rows(self.store.matrix, rows, np.array([0, len(rows)])))[0]
+    def select(self, entities: np.ndarray, descriptions: np.ndarray | None = None
+               ) -> "EntityRows":
+        """The entities of the boolean mask ``entities``; with ``descriptions``
+        (one flag per entity), only the flagged ones keep their description."""
+        segments = np.ones((len(entities), 3), dtype=bool)
+        segments[:, 2] = True if descriptions is None else descriptions
+        return self._select(entities, segments)
 
-    def select(self, entities: np.ndarray, segments: np.ndarray | None = None) -> "EntityRows":
+    def _select(self, entities: np.ndarray, segments: np.ndarray) -> "EntityRows":
         """The entities of the boolean mask ``entities``, with only the segments
-        set in their rows of the (len, 3) mask ``segments`` (all when None)."""
-        keep = entities[:, None] & (np.ones(3, dtype=bool) if segments is None else segments)
+        set in their rows of the (len, 3) mask ``segments``."""
+        keep = entities[:, None] & segments
         sizes = np.diff(self.offsets)
         return EntityRows(self.store, self.entities[entities],
                           np.concatenate([[0], np.cumsum((sizes.reshape(-1, 3) * keep)[entities])]),
@@ -173,8 +176,8 @@ class TextKeys:
         key_rows = np.fromiter(map(store.rows.get, self.keys, itertools.repeat(unknown)), np.int64)
         rows = replace(self.ids, store=store, rows=np.append(key_rows, unknown)[self.ids.rows])
         hit = rows.rows[rows.offsets[:-1:3]] != unknown
-        return rows.select(np.ones(len(hit), dtype=bool),
-                           np.column_stack([hit, ~hit, np.ones_like(hit)]))
+        return rows._select(np.ones(len(hit), dtype=bool),
+                            np.column_stack([hit, ~hit, np.ones_like(hit)]))
 
 
 def collect_keys(metadata: Mapping[int, EntityText], phrase_template: str = "{name}"

@@ -107,9 +107,8 @@ def graph_from_triples(tmp_path, train, valid=None, test=None, open_world=False)
 
 def reference_load_graph(train_path, valid_path=None, test_path=None, open_world=False):
     """Independent line-by-line loader, the oracle of ``load_graph``: one
-    ``Triple`` and one set lookup per line, known sets as per-relation sets.
-    Returns the vocabularies (name -> id dicts), each split's triples, each
-    split's duplicate count and the train tails and heads of each relation."""
+    ``Triple`` and one set lookup per line. Returns the vocabularies (name ->
+    id dicts), each split's triples and each split's duplicate count."""
     entities, relations, open_entities = {}, {}, {}
 
     def entity(name, path, lineno):
@@ -151,13 +150,8 @@ def reference_load_graph(train_path, valid_path=None, test_path=None, open_world
     splits, duplicates = {}, {}
     for name, path in (("train", train_path), ("valid", valid_path), ("test", test_path)):
         splits[name], duplicates[name] = read(path, name == "train") if path else ([], 0)
-    known_tails, known_heads = {}, {}
-    for h, r, t in splits["train"]:
-        known_tails.setdefault(r, set()).add(t)
-        known_heads.setdefault(r, set()).add(h)
     return SimpleNamespace(entities=entities, relations=relations, open_entities=open_entities,
-                           splits=splits, duplicates=duplicates,
-                           known_tails=known_tails, known_heads=known_heads)
+                           splits=splits, duplicates=duplicates)
 
 
 def random_model(family, num_entities, num_relations, dim, rng, scale=1.0):
@@ -314,7 +308,6 @@ def reference_sample_open_world(graph, config):
     """The sampler as a loop over ``Triple`` rows with Python sets and dicts,
     the oracle of ``sample_open_world``: the same rng draws in the same
     order, so both give the same split or raise the same error."""
-    config.validate()
     rng = np.random.default_rng(config.seed)
 
     train = list(map(Triple, *graph.train.T.tolist()))

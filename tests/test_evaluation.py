@@ -66,15 +66,15 @@ class TestRankTarget:
 class TestConfig:
     def test_bad_direction(self):
         with pytest.raises(ValueError):
-            EvalConfig(direction="sideways").validate()
+            EvalConfig(direction="sideways")
 
     def test_bad_hits(self):
         with pytest.raises(ValueError):
-            EvalConfig(hits_k=(3, 1)).validate()
+            EvalConfig(hits_k=(3, 1))
         with pytest.raises(ValueError):
-            EvalConfig(hits_k=()).validate()
+            EvalConfig(hits_k=())
         with pytest.raises(ValueError, match="strictly ascending"):
-            EvalConfig(hits_k=(1, 1, 3)).validate()
+            EvalConfig(hits_k=(1, 1, 3))
 
 
 class TestClosedWorldEvaluate:
@@ -116,6 +116,21 @@ class TestClosedWorldEvaluate:
                              np.random.default_rng(1))
         report = evaluate(model, g, EvalConfig(target_filtering=True))
         assert report.hits[1] == 1.0 and report.mrr_filtered == 1.0
+
+    @pytest.mark.parametrize("direction", ["tail", "head"])
+    def test_target_filtering_edge_cases(self, direction):
+        # "unused" is in the relation vocabulary, but no train triple has it
+        g = KnowledgeGraph(Vocab(["a", "b", "c"]), Vocab(["r", "s", "unused"]),
+                           [(0, 0, 1), (0, 0, 2), (1, 1, 2), (2, 0, 0)])
+        model = random_model("distmult", 3, 3, 4, np.random.default_rng(3))
+        config = EvalConfig(direction=direction, target_filtering=True)
+        triples = [(0, 0, 1), (0, 2, 1), (1, 1, 2), (2, 2, 0), (1, 0, 2)]
+        report = evaluate(model, g, config, triples=triples)
+        assert [r.reason for r in report.results[[1, 3]]] == [SKIP_TARGET_FILTERING] * 2
+        assert_reports_equal(report, brute_force_report(model, g, config, triples))
+        empty = evaluate(model, g, config, triples=[])
+        assert len(empty.results) == 0 and empty.evaluated_count == empty.skipped_count == 0
+        assert_reports_equal(empty, brute_force_report(model, g, config, []))
 
     def test_filter_splits_respected(self, tmp_path):
         g, model = self.build(tmp_path)
@@ -447,6 +462,19 @@ class TestNearestNeighbors:
         query = (model.embeddings.entity_real[1], model.embeddings.entity_imag[1])
         out = nearest_neighbors(model, query, 1)
         assert out[0][0] == 1
+
+    @pytest.mark.parametrize("family, query, message", [
+        ("distmult", np.zeros(1), r"embedding has shape \(1,\), expected \(4,\)"),
+        ("complex", (np.zeros(1), np.zeros(4)), r"embedding has shape \(1,\), expected \(4,\)"),
+        ("transe", np.zeros(5), r"embedding has shape \(5,\), expected \(4,\)"),
+        ("complex", (np.zeros(4), np.zeros(5)),
+         r"imag embedding has shape \(5,\), expected \(4,\)"),
+        ("distmult", (np.zeros(4), np.zeros(4)), "distmult model takes a real embedding, got a pair"),
+    ])
+    def test_query_checked_like_a_scored_one(self, family, query, message):
+        model = random_model(family, 6, 1, 4, np.random.default_rng(17))
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            nearest_neighbors(model, query, 3)
 
     def test_k_too_large(self):
         model = random_model("distmult", 3, 1, 2, np.random.default_rng(13))

@@ -86,12 +86,6 @@ class TestLoadGraph:
         open_ids = {3, 4}
         assert all(h not in open_ids and t not in open_ids for h, _, t in g.train)
 
-    def test_known_tails_matches_brute_force(self, tmp_path):
-        g = graph_from_triples(tmp_path, TRAIN)
-        for r in range(g.num_relations):
-            expected = {t for (_, rr, t) in g.train if rr == r}
-            assert g.known_tails[r].tolist() == sorted(expected)
-
     def test_round_trip(self, tmp_path):
         g = graph_from_triples(tmp_path, TRAIN)
         save_triples(str(tmp_path / "out.txt"), g, g.train)
@@ -216,9 +210,6 @@ class TestLoaderMatchesLineLoop:
                         (case, name)
                 dropped = {rec.args[2]: rec.args[1] for rec in caplog.records}
                 assert dropped == {k: v for k, v in ref.duplicates.items() if v}, case
-                for r in range(g.num_relations):
-                    assert g.known_tails[r].tolist() == sorted(ref.known_tails.get(r, ())), case
-                    assert g.known_heads[r].tolist() == sorted(ref.known_heads.get(r, ())), case
 
     BAD = {
         "malformed": lambda rng: rng.choice(["e0\tr0", "e0\tr0\te1\te0", "e0", "\t\t\t"]),

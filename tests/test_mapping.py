@@ -1,5 +1,6 @@
 import copy
 import hashlib
+import re
 import tracemalloc
 import zlib
 
@@ -267,27 +268,35 @@ class TestFit:
                     validator=lambda m: validated.append(m) or 0.0)
         assert len(validated) == 1  # epoch 1 finished; epoch 2 raised before validation
 
+    @pytest.mark.parametrize("imag_shape", [(20, 1), (25, 3)])
+    def test_mis_shaped_imaginary_targets_rejected(self, imag_shape):
+        rng = np.random.default_rng(1)
+        V, real = rng.normal(size=(20, 4)), rng.normal(size=(20, 3))
+        message = f"imaginary targets have shape {imag_shape}, not the real targets' (20, 3)"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            fit_map(V, real, rng.normal(size=imag_shape), "linear", MapHyperparams(epochs=1))
+
     def test_empty_training_set_rejected(self):
         with pytest.raises(ConfigError, match="empty"):
             fit_map(np.zeros((0, 2)), np.zeros((0, 2)), None, "linear")
 
     def test_bad_hyperparams(self):
         with pytest.raises(ConfigError):
-            MapHyperparams(dropout=1.5).validate()
+            MapHyperparams(dropout=1.5)
         with pytest.raises(ConfigError):
-            MapHyperparams(loss="huber").validate()
+            MapHyperparams(loss="huber")
 
     def test_negative_valid_every_rejected(self):
         with pytest.raises(ConfigError, match="valid_every"):
-            MapHyperparams(valid_every=-1).validate()
-        MapHyperparams(valid_every=0).validate()  # 0 means never
+            MapHyperparams(valid_every=-1)
+        MapHyperparams(valid_every=0)  # 0 means never
 
     def test_hidden_dim_below_one_rejected(self):
         for width in (0, -2):
             with pytest.raises(ConfigError, match="hidden_dim must be >= 1"):
-                MapHyperparams(hidden_dim=width).validate()
-        MapHyperparams(hidden_dim=None).validate()  # None: the output dim
-        MapHyperparams(hidden_dim=1).validate()
+                MapHyperparams(hidden_dim=width)
+        MapHyperparams(hidden_dim=None)  # None: the output dim
+        MapHyperparams(hidden_dim=1)
 
 
 class TestTrainMapIntegration:

@@ -37,19 +37,19 @@ def chain_graph(tmp_path, n=30, relations=("r", "s")):
 class TestConfig:
     def test_exactly_one_selector(self):
         with pytest.raises(ConfigError):
-            SamplerConfig(seed=0).validate()
+            SamplerConfig(seed=0)
         with pytest.raises(ConfigError):
-            SamplerConfig(seed=0, head_fraction=0.1, head_count=2).validate()
-        SamplerConfig(seed=0, head_fraction=0.1).validate()
-        SamplerConfig(seed=0, head_count=2).validate()
+            SamplerConfig(seed=0, head_fraction=0.1, head_count=2)
+        SamplerConfig(seed=0, head_fraction=0.1)
+        SamplerConfig(seed=0, head_count=2)
 
     def test_ranges(self):
         with pytest.raises(ConfigError):
-            SamplerConfig(head_fraction=1.0).validate()
+            SamplerConfig(head_fraction=1.0)
         with pytest.raises(ConfigError):
-            SamplerConfig(head_count=-1).validate()
+            SamplerConfig(head_count=-1)
         with pytest.raises(ConfigError):
-            SamplerConfig(head_count=1, open_valid_fraction=1.0).validate()
+            SamplerConfig(head_count=1, open_valid_fraction=1.0)
 
 
 class TestHandVerified:
