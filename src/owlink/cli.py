@@ -148,7 +148,7 @@ def _load_graph(s: Settings, open_world: bool) -> graphmod.KnowledgeGraph:
                                _input_file(s, "test", False), open_world=open_world)
 
 
-def _entity_rows(s: Settings, metadata: dict) -> text.EntityRows:
+def _entity_rows(s: Settings, metadata: typing.Mapping) -> text.EntityRows:
     """The text of ``metadata`` (entity id -> text) as rows of a store that
     holds only the vectors this text can look up."""
     template = s.get("phrase-template")
@@ -163,7 +163,7 @@ def _load_text_assets(s: Settings, graph, open_only: bool = False):
     raw_meta = graphmod.load_entity_text(_input_file(s, "metadata"))
     metadata = graphmod.resolve_metadata(raw_meta, graph)
     if open_only:
-        metadata = {e: m for e, m in metadata.items() if graph.is_open(e)}
+        metadata = metadata.select(np.array(metadata.ids, dtype=np.int64) >= graph.num_entities)
     return raw_meta, _entity_rows(s, metadata)
 
 

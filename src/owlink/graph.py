@@ -18,11 +18,21 @@ local ids; the train file's names are the vocabularies, and a valid or test
 file's are looked up in them once each. The first parse of a file's bytes
 also writes that parse to ``<file>.store`` beside it, and a later load of
 the same bytes reads it from there (:mod:`owlink.stores`, which owns the
-byte layout). One line reader, ``_tsv_lines``, raises every ``file:line``
-ParseError of a split or metadata file; a bad chunk or a vocabulary miss
-that must raise reads the text through it again. The filter index holds
-its true tails and its true heads, keyed by packed pairs, as one
-:class:`IdSets` (sorted CSR) each.
+byte layout). :func:`save_triples` writes that store itself, beside each
+split file it writes, from the rows it wrote, so the file is never parsed.
+
+A metadata file is parsed into one :class:`MetadataTable`: its records in
+file order and their name and description tokens as a CSR over the
+distinct tokens. It goes to ``<metadata>.store`` the same way, so each
+metadata file is tokenized once; :func:`load_entity_text` and
+:func:`resolve_metadata` give :class:`Metadata` views of it, by external
+id and by entity id.
+
+One line reader, ``_tsv_lines``, raises every ``file:line`` ParseError of a
+split or metadata file; a bad chunk or a vocabulary miss that must raise
+reads the text through it again. The filter index holds its true tails and
+its true heads, keyed by packed pairs, as one :class:`IdSets` (sorted CSR)
+each.
 """
 
 from __future__ import annotations
@@ -31,6 +41,7 @@ import functools
 import itertools
 import logging
 import re
+from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, NoReturn
 
@@ -97,6 +108,13 @@ class Vocab:
         self._index: dict[str, int] = {}
         self._names: list[str] = []
         self.extend(names)
+
+    @classmethod
+    def _of_store(cls, names: list[str]) -> "Vocab":
+        """The vocabulary of a store's distinct ``names``, in their order."""
+        vocab = cls()
+        vocab._index, vocab._names = _store_index(names), names
+        return vocab
 
     def extend(self, names: Iterable[str]) -> np.ndarray:
         """Intern every name not yet present, in first-occurrence order; return
@@ -250,6 +268,22 @@ _TRIPLES = stores.Format("triple", b"owlink-triples1\n", 5,
                          24 * triples + name_bytes)
 
 
+def _publish(writer: stores.Writer, parse: _Parse) -> None:
+    """Write ``parse`` as a split store's body to ``writer`` and publish it."""
+    writer.write(parse.triples)
+    name_bytes = writer.write_names(itertools.chain(parse.entities.names,
+                                                    parse.relations.names))
+    writer.publish(len(parse.entities), len(parse.relations), len(parse.triples),
+                   parse.duplicates, name_bytes)
+
+
+def _deduplicated(entities: Vocab, relations: Vocab, triples: np.ndarray) -> _Parse:
+    """The :class:`_Parse` of a file whose lines are ``triples`` in local ids."""
+    first = _first_occurrences(triples)
+    duplicates = len(triples) - len(first)
+    return _Parse(entities, relations, triples[first] if duplicates else triples, duplicates)
+
+
 def _parse_text(path: str, writer: stores.Writer, _lines: int) -> _Parse:
     """The parse of the split file ``path``, read ``LOAD_CHUNK_LINES`` lines at
     a time; it also goes to ``writer``. ParseError names the first line
@@ -261,15 +295,19 @@ def _parse_text(path: str, writer: stores.Writer, _lines: int) -> _Parse:
             if rows is None:
                 _raise_first_bad_line(path)
             chunks.append(rows)
-    triples = np.concatenate(chunks) if chunks else as_triples(None)
-    first = _first_occurrences(triples)
-    duplicates = len(triples) - len(first)
-    if duplicates:
-        triples = triples[first]
-    writer.write(triples)
-    name_bytes = writer.write_names(itertools.chain(entities.names, relations.names))
-    writer.publish(len(entities), len(relations), len(triples), duplicates, name_bytes)
-    return _Parse(entities, relations, triples, duplicates)
+    parse = _deduplicated(entities, relations,
+                          np.concatenate(chunks) if chunks else as_triples(None))
+    _publish(writer, parse)
+    return parse
+
+
+def _store_index(names: list[str]) -> dict[str, int]:
+    """Each of a store's ``names`` -> its position, from one dict build;
+    BadStore unless the names are distinct."""
+    index = dict(zip(names, range(len(names))))
+    if len(index) != len(names):
+        raise stores.BadStore("repeated names")
+    return index
 
 
 def _read_store(fh, num_entities: int, num_relations: int, num_triples: int, duplicates: int,
@@ -278,11 +316,9 @@ def _read_store(fh, num_entities: int, num_relations: int, num_triples: int, dup
     distinct and its ids in range."""
     triples = np.empty((num_triples, 3), dtype=np.int64)
     stores.read_into(fh, triples)
-    names = stores.read_names(fh, num_entities + num_relations)
-    entities = Vocab(itertools.islice(names, num_entities))
-    relations = Vocab(names)
-    if len(entities) != num_entities or len(relations) != num_relations:
-        raise stores.BadStore("repeated names")
+    names = list(stores.read_names(fh, num_entities + num_relations))
+    entities = Vocab._of_store(names[:num_entities])
+    relations = Vocab._of_store(names[num_entities:])
     if len(triples) and (triples.min() < 0 or triples[:, 1].max() >= num_relations
                          or max(triples[:, 0].max(), triples[:, 2].max()) >= num_entities):
         raise stores.BadStore("ids out of range")
@@ -371,6 +407,28 @@ def _read_split(path: str, split: str, entities: Vocab, relations: Vocab,
     return np.column_stack([ent_ids[local[:, 0]], rel_ids[local[:, 1]], ent_ids[local[:, 2]]])
 
 
+def _by_value(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A stable argsort of the 1-d integer array ``values``, and the mask of
+    its positions that start a new value (each value's first occurrence)."""
+    order = np.argsort(values, kind="stable")
+    new = np.ones(len(values), dtype=bool)
+    np.not_equal(values[order[1:]], values[order[:-1]], out=new[1:])
+    return order, new
+
+
+def _first_seen(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted index of each distinct entry's first occurrence in the 1-d
+    integer array ``values``, and each entry's id among the distinct entries
+    in first-occurrence order (the ids a :class:`Vocab` would give)."""
+    order, new = _by_value(values)
+    firsts = order[new]
+    ids = np.empty(len(firsts), dtype=np.int64)
+    ids[np.argsort(firsts)] = np.arange(len(firsts))
+    entry_ids = np.empty(len(values), dtype=np.int64)
+    entry_ids[order] = ids[np.cumsum(new) - 1]
+    return np.sort(firsts), entry_ids
+
+
 def _first_occurrences(triples: np.ndarray) -> np.ndarray:
     """Sorted row indices of the first occurrence of each distinct triple."""
     if not len(triples):
@@ -378,9 +436,8 @@ def _first_occurrences(triples: np.ndarray) -> np.ndarray:
     entity_base = int(max(triples[:, 0].max(), triples[:, 2].max())) + 1
     rel_base = int(triples[:, 1].max()) + 1
     packed = (triples[:, 0] * rel_base + triples[:, 1]) * entity_base + triples[:, 2]
-    _, first = np.unique(packed, return_index=True)
-    first.sort()
-    return first
+    order, new = _by_value(packed)
+    return np.sort(order[new])
 
 
 def load_graph(
@@ -411,13 +468,48 @@ def load_graph(
     return KnowledgeGraph(entities, relations, train.triples, valid, test, open_entities)
 
 
+def _written_parse(names: np.ndarray, relation_names: np.ndarray, triples: np.ndarray
+                   ) -> _Parse | None:
+    """The parse of ``triples`` written as a split file, or None when its
+    names would not read back as themselves: a name holding a tab or a line
+    break, two written names that are equal, or a first head that starts
+    with U+FEFF, which the ``utf-8-sig`` read drops."""
+    heads_and_tails = triples[:, [0, 2]].ravel()  # interleaved in line order
+    entity_firsts, entity_ids = _first_seen(heads_and_tails)
+    relation_firsts, relation_ids = _first_seen(triples[:, 1])
+    entities = names[heads_and_tails[entity_firsts]].tolist()
+    relations = relation_names[triples[relation_firsts, 1]].tolist()
+    written = "".join(entities) + "".join(relations)
+    if any(c in written for c in "\t\n\r") or entities and entities[0].startswith("\ufeff"):
+        return None
+    try:
+        vocabs = Vocab._of_store(entities), Vocab._of_store(relations)
+    except stores.BadStore:
+        return None
+    local = np.column_stack([entity_ids[0::2], relation_ids, entity_ids[1::2]])
+    return _deduplicated(*vocabs, local)
+
+
 def save_triples(path: str, graph: KnowledgeGraph, triples: np.ndarray) -> None:
-    """Write ``(n, 3)`` triples back to TSV using external string ids."""
+    """Write ``(n, 3)`` triples back to TSV using external string ids,
+    ``LOAD_CHUNK_LINES`` lines at a time, and beside the file the store that
+    its first load would write (:mod:`owlink.stores`), under the sha256 of
+    the bytes written; no store when a name would not read back as itself."""
+    triples = as_triples(triples)
     names = graph.entity_names
     relation_names = np.array(graph.relations.names, dtype=object)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(map("{}\t{}\t{}\n".format, names[triples[:, 0]].tolist(),
-                          relation_names[triples[:, 1]].tolist(), names[triples[:, 2]].tolist()))
+    chunks = (triples[start:start + LOAD_CHUNK_LINES]
+              for start in range(0, len(triples), LOAD_CHUNK_LINES))
+    digest = stores.write_hashed(path, ("".join(map(
+        "{}\t{}\t{}\n".format, names[rows[:, 0]].tolist(), relation_names[rows[:, 1]].tolist(),
+        names[rows[:, 2]].tolist())).encode() for rows in chunks))
+    parse = _written_parse(names, relation_names, triples)
+    if parse is not None:
+        writer = stores.Writer(f"{path}{stores.SUFFIX}", _TRIPLES, digest)
+        try:
+            _publish(writer, parse)
+        finally:
+            writer.discard()
 
 
 @dataclass
@@ -492,34 +584,152 @@ def unescape_field(text: str) -> str:
     return _ESCAPED.sub(lambda m: _UNESCAPE[m.group(1)], text)
 
 
-def load_entity_text(path: str) -> dict[str, EntityText]:
-    """Load entity metadata TSV keyed by external entity id.
+def _unescape_column(fields: list[str]) -> list[str]:
+    """Each field unescaped; one search when no field holds a backslash."""
+    return list(map(unescape_field, fields)) if "\\" in "".join(fields) else fields
+
+
+@dataclass(frozen=True, eq=False)
+class MetadataTable:
+    """Entity text records in file order (``entity``, ``name`` and
+    ``description`` columns, unescaped), the distinct ``tokens`` of their
+    names and descriptions in first-occurrence order, and each record's
+    token ids (int32) as a CSR of two segments: record i's name is
+    ``token_ids[offsets[2 * i]:offsets[2 * i + 1]]``, its description
+    ``token_ids[offsets[2 * i + 1]:offsets[2 * i + 2]]``."""
+
+    entity: list[str]
+    name: list[str]
+    description: list[str]
+    tokens: list[str]
+    offsets: np.ndarray
+    token_ids: np.ndarray
+
+    @classmethod
+    def of(cls, entity: list[str], name: list[str], description: list[str]) -> "MetadataTable":
+        """The table of these columns, tokenized by ``text.token_csr``."""
+        from .text import token_csr  # text builds on this module, and owns tokenizing
+
+        texts = itertools.chain.from_iterable(zip(name, description))
+        return cls(entity, name, description, *token_csr(texts))
+
+
+class Metadata(Mapping):
+    """Entity text by key, as a ``Mapping`` to :class:`EntityText`: key
+    ``ids[i]`` holds record ``records[i]`` of ``table``. The keys are
+    external ids (:func:`load_entity_text`, file order) or entity ids
+    (:func:`resolve_metadata`, ascending)."""
+
+    def __init__(self, table: MetadataTable, ids: list, records: np.ndarray,
+                 index: dict | None = None) -> None:
+        self.table, self.ids, self.records = table, ids, records
+        self._index = index  # key -> record, built on first lookup
+
+    @classmethod
+    def of(cls, metadata: Mapping) -> "Metadata":
+        """``metadata`` when it is a Metadata, else its records tokenized."""
+        if isinstance(metadata, cls):
+            return metadata
+        records = list(metadata.values())
+        table = MetadataTable.of([r.entity for r in records], [r.name for r in records],
+                                 [r.description for r in records])
+        return cls(table, list(metadata), np.arange(len(records)))
+
+    def select(self, mask: np.ndarray) -> "Metadata":
+        """The keys of the boolean ``mask``, with their records."""
+        return Metadata(self.table, list(itertools.compress(self.ids, mask.tolist())),
+                        self.records[mask])
+
+    def __getitem__(self, key) -> EntityText:
+        if self._index is None:
+            self._index = dict(zip(self.ids, self.records.tolist()))
+        record, table = self._index[key], self.table
+        return EntityText(table.entity[record], table.name[record], table.description[record])
+
+    def __iter__(self) -> Iterator:
+        return iter(self.ids)
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+
+# The store of a metadata file: a header (magic, the sha256 of its text, then
+# the counts of records, distinct tokens, token ids and name bytes), the
+# token CSR's offsets as int64 and its token ids as int32 (half the bytes of
+# the largest block, which robustness holds for the whole sweep), then one
+# names block: the records' ids, their names and their descriptions as
+# escaped in the file (so no field holds "\n"), then the tokens.
+_METADATA = stores.Format("metadata", b"owlink-metatsv1\n", 4,
+                          lambda records, tokens, token_ids, name_bytes:
+                          8 * (2 * records + 1) + 4 * token_ids + name_bytes)
+
+
+def _parse_metadata(path: str, writer: stores.Writer, _lines: int) -> Metadata:
+    """The records of the metadata file ``path``, tokenized; they also go to
+    ``writer``. Raises the first line's ParseError or MetadataError."""
+    index: dict[str, int] = {}
+    fields = []
+    for lineno, line in _tsv_lines(path):
+        if index.setdefault(line[0], len(fields)) != len(fields):
+            raise MetadataError(f"{path}:{lineno}: duplicate metadata for entity {line[0]!r}")
+        fields.append(line)
+    columns = [list(column) for column in zip(*fields)] or [[], [], []]
+    table = MetadataTable.of(columns[0], *map(_unescape_column, columns[1:]))
+    writer.write(table.offsets)
+    writer.write(table.token_ids)
+    name_bytes = writer.write_names(itertools.chain(*columns, table.tokens))
+    writer.publish(len(fields), len(table.tokens), len(table.token_ids), name_bytes)
+    return Metadata(table, table.entity, np.arange(len(fields)), index)
+
+
+def _read_metadata(fh, records: int, tokens: int, token_ids: int, _name_bytes: int) -> Metadata:
+    """The records from the metadata store open as ``fh``; their ids must be
+    distinct, and the CSR ascending and in range."""
+    offsets = np.empty(2 * records + 1, dtype=np.int64)
+    ids = np.empty(token_ids, dtype=np.int32)
+    stores.read_into(fh, offsets)
+    stores.read_into(fh, ids)
+    if offsets[0] != 0 or offsets[-1] != token_ids or (np.diff(offsets) < 0).any() or \
+            len(ids) and (ids.min() < 0 or ids.max() >= tokens):
+        raise stores.BadStore("token ids out of range")
+    names = list(stores.read_names(fh, 3 * records + tokens))
+    entity = names[:records]
+    index = _store_index(entity)
+    table = MetadataTable(entity, _unescape_column(names[records:2 * records]),
+                          _unescape_column(names[2 * records:3 * records]),
+                          names[3 * records:], offsets, ids)
+    return Metadata(table, entity, np.arange(records), index)
+
+
+def load_entity_text(path: str) -> Metadata:
+    """Load entity metadata TSV keyed by external entity id, in file order.
 
     Raises :class:`MetadataError` on a duplicate entity line (ambiguous
-    metadata) and :class:`ParseError` on a malformed line.
+    metadata) and :class:`ParseError` on a malformed line. The first parse
+    of a file's bytes also writes its :class:`MetadataTable` to the store
+    ``path + stores.SUFFIX``, and a later load of the same bytes reads it
+    from there (see :mod:`owlink.stores`).
     """
-    records: dict[str, EntityText] = {}
-    for lineno, (ext_id, name, desc) in _tsv_lines(path):
-        if ext_id in records:
-            raise MetadataError(f"{path}:{lineno}: duplicate metadata for entity {ext_id!r}")
-        records[ext_id] = EntityText(ext_id, unescape_field(name), unescape_field(desc))
-    return records
+    return stores.load(path, _METADATA, _read_metadata, functools.partial(_parse_metadata, path))
 
 
-def save_entity_text(path: str, metadata: dict[str, EntityText]) -> None:
+def save_entity_text(path: str, metadata: Mapping[str, EntityText]) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for ext_id, rec in metadata.items():
             fh.write(f"{ext_id}\t{escape_field(rec.name)}\t{escape_field(rec.description)}\n")
 
 
-def resolve_metadata(
-    metadata: dict[str, EntityText], graph: KnowledgeGraph
-) -> dict[int, EntityText]:
-    """Re-key metadata by interned entity id; entries for entities not in the
-    graph are dropped."""
-    resolved: dict[int, EntityText] = {}
-    for ext_id, rec in metadata.items():
-        eid = graph.entity_id(ext_id)
-        if eid is not None:
-            resolved[eid] = rec
-    return resolved
+def resolve_metadata(metadata: Mapping[str, EntityText], graph: KnowledgeGraph) -> Metadata:
+    """Re-key metadata by interned entity id, in id order; entries for
+    entities not in the graph are dropped. Each external id is looked up
+    once in the closed vocabulary, and the misses once in the open one."""
+    metadata = Metadata.of(metadata)
+    names = metadata.ids
+    ids = graph.entities.ids(names)
+    missed = np.flatnonzero(ids < 0)
+    if len(missed):
+        open_ids = graph.open_entities.ids([names[i] for i in missed.tolist()])
+        ids[missed] = np.where(open_ids < 0, -1, graph.num_entities + open_ids)
+    found = np.flatnonzero(ids >= 0)
+    found = found[np.argsort(ids[found], kind="stable")]
+    return Metadata(metadata.table, ids[found].tolist(), metadata.records[found])

@@ -19,6 +19,7 @@ Outputs are deterministic: same graph + config gives byte-identical files.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -220,7 +221,7 @@ def check_fraction(value) -> float:
 
 
 def corrupt_metadata(
-    metadata: dict[str, EntityText],
+    metadata: Mapping[str, EntityText],
     mode: str,
     fraction: float,
     seed: int = 0,

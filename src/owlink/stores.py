@@ -1,7 +1,9 @@
 """Checked binary stores of parsed text inputs, written beside the text.
 
-The first load that parses a text input (a vectors file, a graph split)
-also writes its parse to ``<file>.store`` beside it. A store opens with a
+The first load that parses a text input (a vectors file, a graph split, a
+metadata file) also writes its parse to ``<file>.store`` beside it; a
+writer of a split file (``graph.save_triples``) writes the store that load
+would write, under the sha256 of the bytes it wrote. A store opens with a
 header: a 16-byte magic naming its kind, the sha256 of the text it was
 parsed from, then the kind's own counts (little-endian unsigned 64-bit),
 which fix the size of the body after the header. The body's layout is this
@@ -111,20 +113,35 @@ def _name_pieces(fh, count: int, what: str) -> Iterator[list[str]]:
         raise BadStore(f"malformed {what}")
 
 
+def _sha256():
+    import hashlib  # here: loading OpenSSL costs about 3.5 MiB of RSS, which a
+    # command that reads no stored input need not pay
+
+    return hashlib.sha256()
+
+
 def _scan(path: str, count_lines: bool) -> tuple[bytes, int]:
     """The sha256 of the file's bytes and, with ``count_lines``, at least its
     number of lines (text mode ends a line at "\\n", "\\r" or "\\r\\n"; the
     bytes up to "\\r" include all three), in one pass."""
-    import hashlib  # here: loading OpenSSL costs about 3.5 MiB of RSS, which a
-    # command that reads no stored input need not pay
-
-    digest, bound = hashlib.sha256(), 0
+    digest, bound = _sha256(), 0
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(SCAN_BYTES), b""):
             digest.update(chunk)
             if count_lines:
                 bound += int(np.count_nonzero(np.frombuffer(chunk, np.uint8) <= ord("\r")))
     return digest.digest(), bound
+
+
+def write_hashed(path: str, pieces: Iterable[bytes]) -> bytes:
+    """Write ``pieces`` as the file ``path`` (replacing it); the sha256 of its
+    bytes, which a store of its parse is kept under."""
+    digest = _sha256()
+    with open(path, "wb") as fh:
+        for piece in pieces:
+            digest.update(piece)
+            fh.write(piece)
+    return digest.digest()
 
 
 class Writer:

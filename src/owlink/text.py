@@ -10,7 +10,9 @@ leaves a random subset of the rows out of the sum; dropped tokens still
 count in the denominator.
 
 A command's entity text is one :class:`EntityRows` (CSR of store rows):
-``collect_keys`` gives each key an id, ``load_word_embeddings`` keeps those
+``collect_keys`` gives each key an id by gathers from the metadata's token
+CSR (``graph.MetadataTable``, which :func:`token_csr` builds once per
+metadata file or in-memory text), ``load_word_embeddings`` keeps those
 keys' vectors alone, and :meth:`TextKeys.rows` resolves the ids;
 ``entity_tokens`` is the one-entity case. The one mean rule is a
 :class:`KeptRows` indexed by entities: :func:`keep_rows` draws the dropout,
@@ -37,7 +39,7 @@ import numpy as np
 
 from . import stores
 from .config import check_setting
-from .graph import EntityText
+from .graph import EntityText, Metadata, distinct
 
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 
@@ -180,28 +182,53 @@ class TextKeys:
                             np.column_stack([hit, ~hit, np.ones_like(hit)]))
 
 
+def token_csr(texts: Iterable[str]) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """The distinct tokens of ``texts`` in first-occurrence order, and each
+    text's token ids as a CSR (int64 offsets from 0, int32 ids); each
+    distinct text is tokenized once."""
+    index: dict[str, int] = {}
+    seen: dict[str, list[int]] = {}
+    flat, ends = [], [0]
+    for text in texts:
+        if text not in seen:
+            seen[text] = [index.setdefault(t, len(index)) for t in tokenize(text)]
+        flat += seen[text]
+        ends.append(len(flat))
+    return list(index), np.array(ends, dtype=np.int64), np.array(flat, dtype=np.int32)
+
+
 def collect_keys(metadata: Mapping[int, EntityText], phrase_template: str = "{name}"
                  ) -> TextKeys:
     """Each store key the text of ``metadata`` (entity id -> text) can look
-    up (phrase keys and tokens), and that text as key ids; each distinct
-    string is tokenized once."""
+    up, and that text as key ids: the tokens its records use, in the token
+    table's order, then one phrase key per named record. The tokens come by
+    gathers from the token CSR of a ``graph.Metadata``; other text is
+    tokenized into one first."""
     check_phrase_template(phrase_template)
-    ids: dict[str, int] = {}
-    tokens: dict[str, list[int]] = {}
-    entities = sorted(metadata)
-    flat, ends = [], [0]
-    for meta in map(metadata.__getitem__, entities):
-        flat.append(ids.setdefault(_phrase_key(phrase_template, meta.name), len(ids))
-                    if meta.name else -1)
-        ends.append(len(flat))
-        for text in (meta.name, meta.description):
-            if text not in tokens:
-                tokens[text] = [ids.setdefault(t, len(ids)) for t in tokenize(text)]
-            flat += tokens[text]
-            ends.append(len(flat))
-    return TextKeys(list(ids), EntityRows(None, np.array(entities, dtype=np.int64),
-                                          np.array(ends, dtype=np.int64),
-                                          np.array(flat, dtype=np.int64)))
+    metadata = Metadata.of(metadata)
+    table = metadata.table
+    entities = np.array(metadata.ids, dtype=np.int64)
+    order = np.argsort(entities, kind="stable")
+    entities, records = entities[order], metadata.records[order]
+    starts, middles, ends = (table.offsets[2 * records + i] for i in range(3))
+    sizes = np.column_stack([np.ones_like(starts), middles - starts, ends - middles])
+    offsets = np.concatenate([[0], np.cumsum(sizes)])
+    # each record's name and description tokens land after its phrase slot
+    phrase_slots, token_slots = offsets[:-1:3], offsets[1::3]
+    tokens = np.ones(offsets[-1], dtype=bool)
+    tokens[phrase_slots] = False
+    token_ids = table.token_ids[np.flatnonzero(tokens)
+                                + np.repeat(starts - token_slots, ends - starts)]
+    used = distinct(token_ids)
+    key_of = np.empty(len(table.tokens), dtype=np.int64)
+    key_of[used] = np.arange(len(used))
+    ids = dict(zip(map(table.tokens.__getitem__, used.tolist()), itertools.count()))
+    rows = np.empty(offsets[-1], dtype=np.int64)
+    rows[tokens] = key_of[token_ids]
+    rows[phrase_slots] = [ids.setdefault(_phrase_key(phrase_template, name), len(ids))
+                          if name else -1 for name in map(table.name.__getitem__,
+                                                          records.tolist())]
+    return TextKeys(list(ids), EntityRows(None, entities, offsets, rows))
 
 
 def entity_rows(metadata: Mapping[int, EntityText], store: WordEmbeddingStore) -> EntityRows:

@@ -374,6 +374,25 @@ class TestSampleOwe:
         manifest = (out / "manifest.txt").read_text()
         assert "count_train_triples=" in manifest
 
+    def test_train_kgc_on_the_split_reads_the_written_stores(self, assets, capsys):
+        """sample-owe writes each split's store with the file, so a train-kgc
+        on its split parses no triple file, and trains as on a cold parse."""
+        out = assets / "owe"
+        assert run(["sample-owe", "--train", assets / "train.txt", "--head-fraction", "0.25",
+                    "--seed", "2", "--out", out]) == 0
+        splits = ("train.txt", "valid.txt", "test_tail.txt", "test_head.txt", "valid_tail.txt",
+                  "valid_head.txt")
+        assert {p.name for p in out.glob("*.store")} == {f"{name}.store" for name in splits}
+        argv = ["--train", out / "train.txt", "--valid", out / "valid.txt"]
+        with mock.patch.object(graphmod, "_chunk_triples", wraps=graphmod._chunk_triples) as chunk:
+            assert train_kgc(assets, assets / "warm", argv) == 0, capsys.readouterr().err
+        assert not chunk.called
+        for name in ("train.txt", "valid.txt"):
+            (out / f"{name}.store").unlink()
+        assert train_kgc(assets, assets / "cold", argv) == 0, capsys.readouterr().err
+        for name in ("kgc.ckpt", "train_log.tsv"):
+            assert (assets / "warm" / name).read_bytes() == (assets / "cold" / name).read_bytes()
+
     def test_determinism(self, assets):
         a, b = assets / "owe_a", assets / "owe_b"
         for out in (a, b):
@@ -1090,10 +1109,10 @@ def test_golden_bytes_from_inputs_with_a_byte_order_mark(assets, capsys):
 
 def test_golden_outputs_from_a_warm_vector_store(assets, capsys):
     """The golden text commands write the same bytes when they parse
-    vectors.txt and the graph files (no stores yet) and when they read the
-    stores the first parses wrote beside them; the stores are the only files
-    they add outside --out. train-kgc writes train.txt's store first, and
-    the cold route starts without it."""
+    vectors.txt, metadata.tsv and the graph files (no stores yet) and when
+    they read the stores the first parses wrote beside them; the stores are
+    the only files they add outside --out. train-kgc writes train.txt's
+    store first, and the cold route starts without it."""
     commands = golden_commands(assets)
     assert run(commands["train-kgc"]) == 0, capsys.readouterr().err
     names = ("train-map", "eval", "robustness")
@@ -1104,16 +1123,20 @@ def test_golden_outputs_from_a_warm_vector_store(assets, capsys):
     for route in ("text", "store"):
         if route == "text":
             (assets / "train.txt.store").unlink()
+            (assets / "metadata.tsv.store").unlink(missing_ok=True)
         with mock.patch.object(text, "_parse_chunk", wraps=text._parse_chunk) as parse, \
-                mock.patch.object(graphmod, "_chunk_triples", wraps=graphmod._chunk_triples) as chunk:
+                mock.patch.object(graphmod, "_chunk_triples", wraps=graphmod._chunk_triples) as chunk, \
+                mock.patch.object(text, "tokenize", wraps=text.tokenize) as tokenize:
             for name in names:
                 assert run(commands[name]) == 0, capsys.readouterr().err
         assert parse.called == (route == "text"), route
         assert chunk.called == (route == "text"), route
+        assert tokenize.called == (route == "text"), route
         written.append({str(p.relative_to(assets)): p.read_bytes()
                         for out in outs for p in sorted(out.rglob("*"))})
         assert set(os.listdir(assets)) - before == {"vectors.txt.store", "valid.txt.store",
-                                                    "test.txt.store", *(o.name for o in outs)}
+                                                    "test.txt.store", "metadata.tsv.store",
+                                                    *(o.name for o in outs)}
         for out in outs:
             shutil.rmtree(out)
     assert written[0] == written[1]

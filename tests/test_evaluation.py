@@ -132,6 +132,27 @@ class TestClosedWorldEvaluate:
         assert len(empty.results) == 0 and empty.evaluated_count == empty.skipped_count == 0
         assert_reports_equal(empty, brute_force_report(model, g, config, []))
 
+    @pytest.mark.parametrize("triples, target_filtering, bad", [
+        ([(0, 0, 1), (0, -1, 1)], False, 1),  # ranked with the last relation before
+        ([(0, -1, 1), (0, 0, 1)], True, 0),  # took another relation's mask before
+        ([(0, 5, 1)], False, 0),  # numpy's IndexError before
+        ([(0, 0, 1), (1, 1, 2), (-1, 0, 2)], False, 2),
+        ([(0, 0, 3)], False, 0),
+    ])
+    def test_ids_outside_the_graph_raise_before_scoring(self, monkeypatch, triples,
+                                                        target_filtering, bad):
+        g = KnowledgeGraph(Vocab(["a", "b", "c"]), Vocab(["r", "s"]),
+                           [(0, 0, 1), (0, 0, 2), (1, 1, 2)])
+        model = random_model("distmult", 3, 2, 4, np.random.default_rng(3))
+        scored = []
+        monkeypatch.setattr(evaluation, "better_or_tied", lambda *args: scored.append(args))
+        config = EvalConfig(target_filtering=target_filtering)
+        with pytest.raises(ValueError) as info:
+            evaluate(model, g, config, triples=triples)
+        assert str(info.value) == (f"ranked triple {bad} {triples[bad]} is out of range: "
+                                   "relation ids are in [0, 2) and entity ids in [0, 3)")
+        assert scored == []
+
     def test_filter_splits_respected(self, tmp_path):
         g, model = self.build(tmp_path)
         full = evaluate(model, g, EvalConfig(filter_splits=("train", "valid", "test")))

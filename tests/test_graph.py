@@ -26,8 +26,10 @@ from owlink.graph import (
     save_triples,
     unescape_field,
 )
+from owlink.text import collect_keys
 from helpers import (STORE_WRITE_FAILURES, fail_store_writes, graph_from_triples,
                      reference_load_graph, write_triples)
+from test_text import make_store
 
 
 TRAIN = [("a", "r", "b"), ("a", "r", "c"), ("b", "s", "c")]
@@ -425,6 +427,254 @@ class TestSplitStore:
             got = load_outcome("text", paths, open_world, caplog)
             assert got[0] == want[0]
         assert sorted(os.listdir(tmp_path / "full")) == ["test.txt", "train.txt", "valid.txt"]
+
+
+class TestWrittenSplitStore:
+    """``save_triples`` writes beside its file the store a cold load of that
+    file writes, byte for byte, or none when a name would not read back."""
+
+    CASES = {  # entity names and rows
+        "non_ascii": (["\u00e9t\u00e9", "b", "\u5317\u4eac"], [[0, 0, 2], [1, 1, 0], [2, 0, 1]]),
+        "empty": (["a", "b"], []),
+        "duplicate_rows": (["a", "b", "c"], [[1, 1, 2], [0, 0, 1], [1, 1, 2], [2, 0, 0],
+                                             [0, 0, 1], [1, 1, 2]]),
+        "byte_order_mark": (["\ufeffa", "b"], [[0, 0, 1], [1, 0, 0]]),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_store_equals_the_cold_load_store(self, tmp_path, case):
+        names, rows = self.CASES[case]
+        g = KnowledgeGraph(Vocab(names), Vocab(["r", "\u00fc"]), [(0, 0, 1)])
+        path = tmp_path / "written.txt"
+        save_triples(str(path), g, np.array(rows, dtype=np.int64).reshape(-1, 3))
+        cold = tmp_path / "cold" / "written.txt"
+        cold.parent.mkdir()
+        cold.write_bytes(path.read_bytes())
+        want = load_graph(str(cold))
+        if case == "byte_order_mark":  # the utf-8-sig read drops the first name's U+FEFF
+            assert sorted(os.listdir(tmp_path)) == ["cold", "written.txt"]
+            assert want.entities.names == ["a", "b", "\ufeffa"]
+            return
+        assert Path(f"{path}.store").read_bytes() == Path(f"{cold}.store").read_bytes()
+        got = load_by("store", path)
+        assert (got.entities, got.relations) == (want.entities, want.relations)
+        assert got.train.tolist() == want.train.tolist()
+        assert sorted(os.listdir(tmp_path)) == ["cold", "written.txt", "written.txt.store"]
+
+    def test_equal_names_are_left_to_the_load(self, tmp_path):
+        """A graph whose open vocabulary repeats a closed name writes two
+        rows a load reads as one entity: the load writes the store."""
+        g = KnowledgeGraph(Vocab(["a", "b"]), Vocab(["r"]), [(0, 0, 1)],
+                           open_entities=Vocab(["a"]))
+        path = tmp_path / "written.txt"
+        save_triples(str(path), g, [(0, 0, 1), (2, 0, 1)])
+        assert path.read_text() == "a\tr\tb\na\tr\tb\n"
+        assert not Path(f"{path}.store").exists()
+        assert load_by("text", path).train.tolist() == [[0, 0, 1]]
+
+    @pytest.mark.parametrize("name, line, fields", [("b\tc", 1, 4), ("b\nc", 2, 1),
+                                                    ("b\rc", 2, 1)])
+    def test_names_that_split_a_line_are_left_to_the_load(self, tmp_path, name, line, fields):
+        """A name holding a tab or a line break does not read back as
+        itself, so no store is written and the load raises the text's error."""
+        g = KnowledgeGraph(Vocab(["a", name]), Vocab(["r"]), [(0, 0, 1)])
+        path = tmp_path / "written.txt"
+        save_triples(str(path), g, g.train)
+        assert not Path(f"{path}.store").exists()
+        with pytest.raises(ParseError) as got:
+            load_graph(str(path))
+        assert str(got.value) == f"{path}:{line}: expected 3 tab-separated fields, got {fields}"
+
+    @pytest.mark.parametrize("fails", [f for f in STORE_WRITE_FAILURES if f != "tempfile"])
+    def test_write_failure_still_writes_the_text(self, tmp_path, monkeypatch, fails):
+        g = graph_from_triples(tmp_path, TRAIN)
+        (tmp_path / "train.txt.store").unlink()
+        fail_store_writes(monkeypatch, fails)
+        path = tmp_path / "written.txt"
+        save_triples(str(path), g, g.train)
+        assert path.read_bytes() == (tmp_path / "train.txt").read_bytes()
+        assert sorted(os.listdir(tmp_path)) == ["train.txt", "written.txt"]
+
+
+def load_metadata_by(route, path):
+    """``load_entity_text``, asserting that it parsed the text (``route``
+    "text") or read the metadata store beside it ("store")."""
+    with mock.patch.object(graphmod, "_tsv_lines", wraps=graphmod._tsv_lines) as lines:
+        try:
+            return load_entity_text(str(path))
+        finally:
+            assert lines.called == (route == "text"), route
+
+
+METADATA_RECORDS = ["E1\tBram Stoker\tIrish novelist, born 1847", "E2\tParma\t",
+                    "E3\t\tno name, only a description", "E4\t\t",
+                    "E5\ta\\tb\tline1\\nline2\\\\end w1",
+                    "\u00c96\t\u00c9t\u00e9 \u5317\u4eac\tw1 w2 w1", "E7\tParma\tIrish w2"]
+
+
+def metadata_variant(name):
+    """``METADATA_RECORDS`` as a file's bytes: plain, after a byte-order mark,
+    with each line ending, or between blank lines."""
+    lines, end = METADATA_RECORDS, {"crlf": "\r\n", "cr": "\r"}.get(name, "\n")
+    if name == "blank_lines":
+        lines = ["", *lines[:3], "", "", *lines[3:], ""]
+    return ("\ufeff" * (name == "bom") + end.join(lines) + end).encode()
+
+
+def metadata_outcome(route, path, graph, store):
+    """What a load of the metadata file ``path`` gives: its records, and the
+    TextKeys and their rows on ``store`` of the ``graph`` entities' text."""
+    meta = load_metadata_by(route, path)
+    keys = collect_keys(resolve_metadata(meta, graph), store.phrase_template)
+    rows = keys.rows(store)
+    return (list(meta.items()), keys.keys,
+            [getattr(ids, f).tolist() for ids in (keys.ids, rows)
+             for f in ("entities", "offsets", "rows")])
+
+
+class TestMetadataStore:
+    """The store beside a metadata file serves a later load of the same bytes
+    with the parse's records, tokens and text keys; anything else is parsed
+    again, and every error comes from the text."""
+
+    @staticmethod
+    def graph_and_store(tmp_path):
+        g = graph_from_triples(tmp_path, [("E1", "r", "E2"), ("\u00c96", "r", "E3"),
+                                          ("E4", "r", "E5")], test=[("E7", "r", "E1")],
+                               open_world=True)
+        return g, make_store(["irish", "w1", "w2", "line1", "\u00e9t\u00e9", "parma", "P/Parma",
+                              "P/Bram_Stoker"], phrase_template="P/{name}")
+
+    @pytest.mark.parametrize("variant", ["plain", "bom", "crlf", "cr", "blank_lines"])
+    def test_warm_load_equals_cold_parse(self, tmp_path, variant):
+        path = tmp_path / "meta.tsv"
+        path.write_bytes(metadata_variant(variant))
+        g, store = self.graph_and_store(tmp_path)
+        cold = metadata_outcome("text", path, g, store)
+        assert metadata_outcome("store", path, g, store) == cold
+        assert cold[0] == [(f[0], EntityText(f[0], unescape_field(f[1]), unescape_field(f[2])))
+                           for f in (r.split("\t") for r in METADATA_RECORDS)]
+        assert cold[0][4][1] == EntityText("E5", "a\tb", "line1\nline2\\end w1")
+        # the in-memory route: same rows, whatever order its keys take
+        plain = {g.entity_id(k): m for k, m in cold[0] if g.entity_id(k) is not None}
+        keys = collect_keys(plain, store.phrase_template)
+        assert sorted(keys.keys) == sorted(cold[1])
+        rows = keys.rows(store)
+        assert [getattr(rows, f).tolist() for f in ("entities", "offsets", "rows")] == cold[2][3:]
+        assert sorted(os.listdir(tmp_path)) == ["meta.tsv", "meta.tsv.store", "test.txt",
+                                                "test.txt.store", "train.txt", "train.txt.store"]
+
+    def test_store_holds_the_records_and_the_token_csr(self, tmp_path):
+        path = tmp_path / "meta.tsv"
+        path.write_text("b\tX y\ty\\tz\na\t\tY\n")
+        meta = load_entity_text(str(path))
+        data = Path(f"{path}.store").read_bytes()
+        header = graphmod._METADATA.header
+        assert data[:16] == b"owlink-metatsv1\n"
+        assert header.unpack(data[:header.size])[2:] == (2, 3, 5, 22)
+        offsets = np.frombuffer(data[header.size:header.size + 40], "<i8").tolist()
+        token_ids = np.frombuffer(data[header.size + 40:header.size + 60], "<i4").tolist()
+        assert (offsets, token_ids) == ([0, 2, 4, 4, 5], [0, 1, 1, 2, 1])
+        assert data[header.size + 60:] == b"b\na\nX y\n\ny\\tz\nY\nx\ny\nz\n"
+        assert dict(meta) == {"b": EntityText("b", "X y", "y\tz"), "a": EntityText("a", "", "Y")}
+        assert meta.table.tokens == ["x", "y", "z"]
+
+    @pytest.mark.parametrize("bad, error", [
+        ("E1\tA\tx\nE2\tB\n", "{path}:2: expected 3 tab-separated fields, got 2"),
+        ("E1\tA\tx\nE1\tB\ty\n", "{path}:2: duplicate metadata for entity 'E1'"),
+    ])
+    def test_bad_text_with_an_earlier_store_raises_its_error(self, tmp_path, caplog, bad,
+                                                             error):
+        path = tmp_path / "meta.tsv"
+        path.write_text("E1\tA\tx\nE2\tB\ty\n")
+        load_metadata_by("text", path)
+        path.write_text(bad)
+        with caplog.at_level(logging.WARNING, logger="owlink.stores"):
+            with pytest.raises((ParseError, MetadataError)) as got:
+                load_entity_text(str(path))
+        assert str(got.value) == error.format(path=path)
+        assert caplog.messages == [f"{path}.store: made from other text; parsing {path} and "
+                                   "writing it again"]
+
+    def test_store_of_other_text_is_parsed_over(self, tmp_path, caplog):
+        path = tmp_path / "meta.tsv"
+        path.write_text("E1\tA\tx\n")
+        load_metadata_by("text", path)
+        path.write_text("E2\tB\ty z\nE1\tA\tx\n")
+        with caplog.at_level(logging.WARNING):
+            meta = load_metadata_by("text", path)
+        assert list(meta) == ["E2", "E1"] and meta.table.tokens == ["b", "y", "z", "a", "x"]
+        assert len(caplog.messages) == 1 and "made from other text" in caplog.messages[0]
+        caplog.clear()
+        assert dict(load_metadata_by("store", path)) == dict(meta)
+        assert not caplog.messages
+
+    def test_same_size_rewrite_is_parsed_again(self, tmp_path):
+        path = tmp_path / "meta.tsv"
+        path.write_text("E1\tA\tx\n")
+        load_metadata_by("text", path)
+        stat = path.stat()
+        path.write_text("E2\tB\ty\n")
+        os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))  # same size and mtime
+        assert path.stat().st_size == stat.st_size
+        assert dict(load_metadata_by("text", path)) == {"E2": EntityText("E2", "B", "y")}
+        assert dict(load_metadata_by("store", path)) == {"E2": EntityText("E2", "B", "y")}
+
+    @pytest.mark.parametrize("damage", ["empty", "header_only", "cut_last_byte", "extra_byte",
+                                        "magic", "names_not_utf8", "repeated_id", "name_count",
+                                        "token_id_out_of_range", "negative_token_id",
+                                        "offsets_descending", "count_grown"])
+    def test_damaged_store_is_rebuilt_with_a_warning(self, tmp_path, caplog, damage):
+        path = tmp_path / "meta.tsv"
+        path.write_text("a\tA\tx y\nb\tB\ty\n")
+        want = dict(load_metadata_by("text", path))
+        store = Path(f"{path}.store")
+        data = bytearray(store.read_bytes())
+        header = graphmod._METADATA.header.size
+        assert data[header:header + 40] == np.array([0, 1, 3, 4, 5], "<i8").tobytes()
+        tokens = header + 40  # the token ids: a x y b y
+        assert data[-22:] == b"a\nb\nA\nB\nx y\ny\na\nx\ny\nb\n"
+        if damage == "empty":
+            data = b""
+        elif damage == "header_only":
+            data = data[:header]
+        elif damage == "cut_last_byte":
+            data = data[:-1]
+        elif damage == "extra_byte":
+            data += b"\n"
+        elif damage == "magic":
+            data[0] ^= 1
+        elif damage == "names_not_utf8":
+            data[-2] = 0xFF
+        elif damage == "repeated_id":
+            data[-20] = ord("a")  # ids a, a
+        elif damage == "name_count":
+            data[-3] = ord("x")  # tokens "yxb": one name fewer
+        elif damage == "token_id_out_of_range":
+            data[tokens] = 4
+        elif damage == "negative_token_id":
+            data[tokens + 3] = 0xFF
+        elif damage == "offsets_descending":
+            data[header + 8] = 4  # 0, 4, 3, ...
+        elif damage == "count_grown":
+            data[header - 24] += 1  # the token count
+        store.write_bytes(bytes(data))
+        with caplog.at_level(logging.WARNING):
+            assert dict(load_metadata_by("text", path)) == want
+        assert len(caplog.messages) == 1 and caplog.messages[0].startswith(f"{store}: ")
+        caplog.clear()
+        assert dict(load_metadata_by("store", path)) == want  # rebuilt
+        assert not caplog.messages
+
+    @pytest.mark.parametrize("fails", [f for f in STORE_WRITE_FAILURES if f != "tempfile"])
+    def test_write_failure_still_returns_the_parse(self, tmp_path, monkeypatch, fails):
+        path = tmp_path / "meta.tsv"
+        path.write_text("".join(f"e{i}\tA\tx y\n" for i in range(2000)) + "c\tC\t\n")
+        fail_store_writes(monkeypatch, fails)
+        for _ in range(2):
+            meta = load_metadata_by("text", path)
+            assert len(meta) == 2001 and meta["c"] == EntityText("c", "C", "")
+        assert sorted(os.listdir(tmp_path)) == ["meta.tsv"]
 
 
 class TestFilterIndex:

@@ -1,6 +1,7 @@
 import logging
 import os
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
@@ -15,6 +16,7 @@ from owlink.text import (
     LOAD_CHUNK_LINES,
     NoTextError,
     WordEmbeddingFormatError,
+    TextKeys,
     WordEmbeddingStore,
     aggregate,
     collect_keys,
@@ -723,6 +725,27 @@ class TestCollectKeys:
             if len(rows_full):
                 mean = np.asarray(rows.select(rows.entities == entity).kept())[0]
                 assert bits(mean) == bits(text_embedding(meta, full))
+
+    def test_no_row_depends_on_key_order(self, tmp_path):
+        """The vector loader takes the keys as a set and lays its rows out in
+        the file's order, so any numbering of the keys gives the same rows."""
+        vectors, metadata = seeded_text(5)
+        path = tmp_path / "vec.txt"
+        path.write_text("".join(line + "\n" for line in vector_lines(vectors)))
+        keys = collect_keys(metadata)
+        loads = [load_word_embeddings(str(path), keys=order)
+                 for order in (keys.keys, keys.keys[::-1], sorted(keys.keys))]
+        for store in loads[1:]:
+            assert list(store.rows.items()) == list(loads[0].rows.items())
+            assert bits(store.matrix) == bits(loads[0].matrix)
+        assert list(loads[0].rows) == [k for k in vectors if k in set(keys.keys)]
+        perm = np.random.default_rng(0).permutation(len(keys.keys))
+        renumbered = TextKeys([keys.keys[i] for i in np.argsort(perm)],
+                              replace(keys.ids, rows=np.where(keys.ids.rows < 0, -1,
+                                                              perm[keys.ids.rows])))
+        want, got = keys.rows(loads[0]), renumbered.rows(loads[0])
+        for field in ("entities", "offsets", "rows"):
+            assert getattr(got, field).tolist() == getattr(want, field).tolist()
 
     def test_each_string_is_tokenized_once(self, monkeypatch):
         vectors, metadata = seeded_text(2)
