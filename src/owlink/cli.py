@@ -271,6 +271,7 @@ def cmd_robustness(s: Settings) -> None:
     graph = _load_graph(s, open_world=True)
     kgc = _load_kgc(s, graph)
     raw_meta, entity_rows = _load_text_assets(s, graph)
+    raw_meta = dict(raw_meta)  # corrupt_metadata reads only the records: free the token table
     out = _out_dir(s)
 
     header = ["mode", "fraction", "mrr_filtered", "mrr_raw"]

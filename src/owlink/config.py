@@ -111,9 +111,11 @@ class Option:
 
 def load_config_file(path: str, convert=lambda key, text: text) -> dict[str, object]:
     """Read ``key=value`` lines; ``convert(key, text)`` gives each value, and a
-    ``ValueError`` it raises is reported with ``path:line`` and the key. A
-    line whose value converts to None is left out, as if it were absent."""
+    ``ValueError`` it raises is reported with ``path:line`` and the key, as
+    is a key given twice. A line whose value converts to None is left out,
+    as if it were absent."""
     values: dict[str, object] = {}
+    first_line: dict[str, int] = {}
     with open(path, encoding="utf-8-sig") as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.strip()
@@ -122,6 +124,9 @@ def load_config_file(path: str, convert=lambda key, text: text) -> dict[str, obj
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
             key, text = (part.strip() for part in line.split("=", 1))
+            first = first_line.setdefault(key, lineno)
+            if first != lineno:
+                raise ValueError(f"{path}:{lineno}: {key}: given twice (first on line {first})")
             try:
                 value = convert(key, text)
             except ValueError as exc:

@@ -18,8 +18,8 @@ local ids; the train file's names are the vocabularies, and a valid or test
 file's are looked up in them once each. The first parse of a file's bytes
 also writes that parse to ``<file>.store`` beside it, and a later load of
 the same bytes reads it from there (:mod:`owlink.stores`, which owns the
-byte layout). :func:`save_triples` writes that store itself, beside each
-split file it writes, from the rows it wrote, so the file is never parsed.
+byte layout). :func:`save_triples` loads each split file it writes once,
+so the store beside it is the one a cold load writes, by construction.
 
 A metadata file is parsed into one :class:`MetadataTable`: its records in
 file order and their name and description tokens as a CSR over the
@@ -37,9 +37,11 @@ each.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
 import logging
+import os
 import re
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -268,22 +270,6 @@ _TRIPLES = stores.Format("triple", b"owlink-triples1\n", 5,
                          24 * triples + name_bytes)
 
 
-def _publish(writer: stores.Writer, parse: _Parse) -> None:
-    """Write ``parse`` as a split store's body to ``writer`` and publish it."""
-    writer.write(parse.triples)
-    name_bytes = writer.write_names(itertools.chain(parse.entities.names,
-                                                    parse.relations.names))
-    writer.publish(len(parse.entities), len(parse.relations), len(parse.triples),
-                   parse.duplicates, name_bytes)
-
-
-def _deduplicated(entities: Vocab, relations: Vocab, triples: np.ndarray) -> _Parse:
-    """The :class:`_Parse` of a file whose lines are ``triples`` in local ids."""
-    first = _first_occurrences(triples)
-    duplicates = len(triples) - len(first)
-    return _Parse(entities, relations, triples[first] if duplicates else triples, duplicates)
-
-
 def _parse_text(path: str, writer: stores.Writer, _lines: int) -> _Parse:
     """The parse of the split file ``path``, read ``LOAD_CHUNK_LINES`` lines at
     a time; it also goes to ``writer``. ParseError names the first line
@@ -295,10 +281,15 @@ def _parse_text(path: str, writer: stores.Writer, _lines: int) -> _Parse:
             if rows is None:
                 _raise_first_bad_line(path)
             chunks.append(rows)
-    parse = _deduplicated(entities, relations,
-                          np.concatenate(chunks) if chunks else as_triples(None))
-    _publish(writer, parse)
-    return parse
+    triples = np.concatenate(chunks) if chunks else as_triples(None)
+    first = _first_occurrences(triples)
+    duplicates = len(triples) - len(first)
+    if duplicates:
+        triples = triples[first]
+    writer.write(triples)
+    name_bytes = writer.write_names(itertools.chain(entities.names, relations.names))
+    writer.publish(len(entities), len(relations), len(triples), duplicates, name_bytes)
+    return _Parse(entities, relations, triples, duplicates)
 
 
 def _store_index(names: list[str]) -> dict[str, int]:
@@ -407,28 +398,6 @@ def _read_split(path: str, split: str, entities: Vocab, relations: Vocab,
     return np.column_stack([ent_ids[local[:, 0]], rel_ids[local[:, 1]], ent_ids[local[:, 2]]])
 
 
-def _by_value(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """A stable argsort of the 1-d integer array ``values``, and the mask of
-    its positions that start a new value (each value's first occurrence)."""
-    order = np.argsort(values, kind="stable")
-    new = np.ones(len(values), dtype=bool)
-    np.not_equal(values[order[1:]], values[order[:-1]], out=new[1:])
-    return order, new
-
-
-def _first_seen(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The sorted index of each distinct entry's first occurrence in the 1-d
-    integer array ``values``, and each entry's id among the distinct entries
-    in first-occurrence order (the ids a :class:`Vocab` would give)."""
-    order, new = _by_value(values)
-    firsts = order[new]
-    ids = np.empty(len(firsts), dtype=np.int64)
-    ids[np.argsort(firsts)] = np.arange(len(firsts))
-    entry_ids = np.empty(len(values), dtype=np.int64)
-    entry_ids[order] = ids[np.cumsum(new) - 1]
-    return np.sort(firsts), entry_ids
-
-
 def _first_occurrences(triples: np.ndarray) -> np.ndarray:
     """Sorted row indices of the first occurrence of each distinct triple."""
     if not len(triples):
@@ -436,7 +405,9 @@ def _first_occurrences(triples: np.ndarray) -> np.ndarray:
     entity_base = int(max(triples[:, 0].max(), triples[:, 2].max())) + 1
     rel_base = int(triples[:, 1].max()) + 1
     packed = (triples[:, 0] * rel_base + triples[:, 1]) * entity_base + triples[:, 2]
-    order, new = _by_value(packed)
+    order = np.argsort(packed, kind="stable")
+    new = np.ones(len(packed), dtype=bool)
+    np.not_equal(packed[order[1:]], packed[order[:-1]], out=new[1:])
     return np.sort(order[new])
 
 
@@ -468,48 +439,25 @@ def load_graph(
     return KnowledgeGraph(entities, relations, train.triples, valid, test, open_entities)
 
 
-def _written_parse(names: np.ndarray, relation_names: np.ndarray, triples: np.ndarray
-                   ) -> _Parse | None:
-    """The parse of ``triples`` written as a split file, or None when its
-    names would not read back as themselves: a name holding a tab or a line
-    break, two written names that are equal, or a first head that starts
-    with U+FEFF, which the ``utf-8-sig`` read drops."""
-    heads_and_tails = triples[:, [0, 2]].ravel()  # interleaved in line order
-    entity_firsts, entity_ids = _first_seen(heads_and_tails)
-    relation_firsts, relation_ids = _first_seen(triples[:, 1])
-    entities = names[heads_and_tails[entity_firsts]].tolist()
-    relations = relation_names[triples[relation_firsts, 1]].tolist()
-    written = "".join(entities) + "".join(relations)
-    if any(c in written for c in "\t\n\r") or entities and entities[0].startswith("\ufeff"):
-        return None
-    try:
-        vocabs = Vocab._of_store(entities), Vocab._of_store(relations)
-    except stores.BadStore:
-        return None
-    local = np.column_stack([entity_ids[0::2], relation_ids, entity_ids[1::2]])
-    return _deduplicated(*vocabs, local)
-
-
 def save_triples(path: str, graph: KnowledgeGraph, triples: np.ndarray) -> None:
     """Write ``(n, 3)`` triples back to TSV using external string ids,
-    ``LOAD_CHUNK_LINES`` lines at a time, and beside the file the store that
-    its first load would write (:mod:`owlink.stores`), under the sha256 of
-    the bytes written; no store when a name would not read back as itself."""
+    ``LOAD_CHUNK_LINES`` lines at a time, then load the file once, so that
+    its store is the one a cold load writes. A file that does not parse (a
+    name holding a tab or a line break splits its line) gets no store, and
+    its ParseError is left to the next load."""
     triples = as_triples(triples)
     names = graph.entity_names
     relation_names = np.array(graph.relations.names, dtype=object)
-    chunks = (triples[start:start + LOAD_CHUNK_LINES]
-              for start in range(0, len(triples), LOAD_CHUNK_LINES))
-    digest = stores.write_hashed(path, ("".join(map(
-        "{}\t{}\t{}\n".format, names[rows[:, 0]].tolist(), relation_names[rows[:, 1]].tolist(),
-        names[rows[:, 2]].tolist())).encode() for rows in chunks))
-    parse = _written_parse(names, relation_names, triples)
-    if parse is not None:
-        writer = stores.Writer(f"{path}{stores.SUFFIX}", _TRIPLES, digest)
-        try:
-            _publish(writer, parse)
-        finally:
-            writer.discard()
+    with open(path, "wb") as fh:
+        for start in range(0, len(triples), LOAD_CHUNK_LINES):
+            rows = triples[start:start + LOAD_CHUNK_LINES]
+            fh.write("".join(map("{}\t{}\t{}\n".format, names[rows[:, 0]].tolist(),
+                                 relation_names[rows[:, 1]].tolist(),
+                                 names[rows[:, 2]].tolist())).encode())
+    with contextlib.suppress(OSError):  # a store made from other text
+        os.unlink(f"{path}{stores.SUFFIX}")
+    with contextlib.suppress(ParseError):
+        _load_split(path)
 
 
 @dataclass
@@ -714,6 +662,17 @@ def load_entity_text(path: str) -> Metadata:
 
 
 def save_entity_text(path: str, metadata: Mapping[str, EntityText]) -> None:
+    """Write ``metadata`` as a metadata file, names and descriptions escaped.
+    ValueError, naming the entity, when a record would not read back: an id
+    holding a tab or a line break, or a name or description holding "\\r",
+    which the format has no escape for. A refused write creates no file."""
+    for ext_id, rec in metadata.items():
+        for what, field, bad in (("id", ext_id, "\t\n\r"), ("name", rec.name, "\r"),
+                                 ("description", rec.description, "\r")):
+            for char in bad:
+                if char in field:
+                    raise ValueError(f"{path}: entity {ext_id!r}: its {what} holds {char!r}, "
+                                     "which a metadata file cannot hold")
     with open(path, "w", encoding="utf-8") as fh:
         for ext_id, rec in metadata.items():
             fh.write(f"{ext_id}\t{escape_field(rec.name)}\t{escape_field(rec.description)}\n")

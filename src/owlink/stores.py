@@ -1,13 +1,14 @@
 """Checked binary stores of parsed text inputs, written beside the text.
 
 The first load that parses a text input (a vectors file, a graph split, a
-metadata file) also writes its parse to ``<file>.store`` beside it; a
-writer of a split file (``graph.save_triples``) writes the store that load
-would write, under the sha256 of the bytes it wrote. A store opens with a
-header: a 16-byte magic naming its kind, the sha256 of the text it was
-parsed from, then the kind's own counts (little-endian unsigned 64-bit),
-which fix the size of the body after the header. The body's layout is this
-module's too: arrays little-endian, then a block of names, each ended by "\\n".
+metadata file) also writes its parse to ``<file>.store`` beside it. That
+parse, inside :func:`load`, is the only code that writes a store; a writer
+of a split file (``graph.save_triples``) loads the file it wrote. A store
+opens with a header: a 16-byte magic naming its kind, the sha256 of the
+text it was parsed from, then the kind's own counts (little-endian unsigned
+64-bit), which fix the size of the body after the header. The body's layout
+is this module's too: arrays little-endian, then a block of names, each
+ended by "\\n".
 
 A later load hashes the text and reads the store when the magic and the
 sha256 match and the file has the size its counts give; the kind's reader
@@ -131,17 +132,6 @@ def _scan(path: str, count_lines: bool) -> tuple[bytes, int]:
             if count_lines:
                 bound += int(np.count_nonzero(np.frombuffer(chunk, np.uint8) <= ord("\r")))
     return digest.digest(), bound
-
-
-def write_hashed(path: str, pieces: Iterable[bytes]) -> bytes:
-    """Write ``pieces`` as the file ``path`` (replacing it); the sha256 of its
-    bytes, which a store of its parse is kept under."""
-    digest = _sha256()
-    with open(path, "wb") as fh:
-        for piece in pieces:
-            digest.update(piece)
-            fh.write(piece)
-    return digest.digest()
 
 
 class Writer:

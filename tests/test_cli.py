@@ -785,6 +785,15 @@ class TestConfigHelpers:
         p.write_text("\ufeffalpha = 1\nbeta=two words\n", encoding="utf-8")
         assert load_config_file(str(p)) == {"alpha": "1", "beta": "two words"}
 
+    @pytest.mark.parametrize("text, line, first", [("dim=4\ndim=8\n", 2, 1),
+                                                   ("dim=4\n# c\nalpha=1\n dim = 4\n", 4, 1)])
+    def test_key_given_twice(self, tmp_path, text, line, first):
+        p = tmp_path / "c.cfg"
+        p.write_text(text)
+        with pytest.raises(ValueError) as exc:
+            load_config_file(str(p))
+        assert str(exc.value) == f"{p}:{line}: dim: given twice (first on line {first})"
+
     def test_malformed_line(self, tmp_path):
         p = tmp_path / "c.cfg"
         p.write_text("no equals sign\n")

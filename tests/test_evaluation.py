@@ -200,6 +200,11 @@ class TestClosedWorldValidator:
             first = 1.0 / ranks[0][0] + 1.0 / ranks[1][0]
             assert closed_world_validator(g, max_triples=1)(model) == first / 2
 
+    def test_no_valid_triples_scores_zero(self):
+        g = KnowledgeGraph(Vocab(["a", "b"]), Vocab(["r"]), [Triple(0, 0, 1)])
+        model = random_model("distmult", 2, 1, 3, np.random.default_rng(7))
+        assert closed_world_validator(g)(model) == 0.0
+
     def test_max_triples_below_one_rejected(self):
         g = KnowledgeGraph(Vocab(), Vocab(), [], valid=[Triple(0, 0, 0)] * 3)
         for cap in (0, -2):
@@ -437,6 +442,12 @@ class TestBaseline:
         a = random_head_baseline(model, g, EvalConfig(filter_splits=("train",)), seed=1)
         b = random_head_baseline(model, g, EvalConfig(filter_splits=("train",)), seed=1)
         assert [r.raw_rank for r in a.results] == [r.raw_rank for r in b.results]
+
+    def test_empty_training_split_rejected(self):
+        g = KnowledgeGraph(Vocab(["a", "b"]), Vocab(["r"]), [], test=[Triple(0, 0, 1)])
+        model = random_model("distmult", 2, 1, 3, np.random.default_rng(10))
+        with pytest.raises(ValueError, match="^empty training split$"):
+            random_head_baseline(model, g, EvalConfig(filter_splits=("train",)), seed=0)
 
     def test_head_direction_uses_tail_pool(self, tmp_path):
         # single training tail: every replacement must be that embedding

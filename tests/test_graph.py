@@ -430,8 +430,9 @@ class TestSplitStore:
 
 
 class TestWrittenSplitStore:
-    """``save_triples`` writes beside its file the store a cold load of that
-    file writes, byte for byte, or none when a name would not read back."""
+    """``save_triples`` loads the file it wrote, so the store beside it is
+    the one a cold load of that file writes, byte for byte; none when the
+    file does not parse."""
 
     CASES = {  # entity names and rows
         "non_ascii": (["\u00e9t\u00e9", "b", "\u5317\u4eac"], [[0, 0, 2], [1, 1, 0], [2, 0, 1]]),
@@ -452,9 +453,7 @@ class TestWrittenSplitStore:
         cold.write_bytes(path.read_bytes())
         want = load_graph(str(cold))
         if case == "byte_order_mark":  # the utf-8-sig read drops the first name's U+FEFF
-            assert sorted(os.listdir(tmp_path)) == ["cold", "written.txt"]
             assert want.entities.names == ["a", "b", "\ufeffa"]
-            return
         assert Path(f"{path}.store").read_bytes() == Path(f"{cold}.store").read_bytes()
         got = load_by("store", path)
         assert (got.entities, got.relations) == (want.entities, want.relations)
@@ -469,8 +468,25 @@ class TestWrittenSplitStore:
         path = tmp_path / "written.txt"
         save_triples(str(path), g, [(0, 0, 1), (2, 0, 1)])
         assert path.read_text() == "a\tr\tb\na\tr\tb\n"
-        assert not Path(f"{path}.store").exists()
-        assert load_by("text", path).train.tolist() == [[0, 0, 1]]
+        cold = tmp_path / "cold" / "written.txt"
+        cold.parent.mkdir()
+        cold.write_bytes(path.read_bytes())
+        assert load_by("text", cold).train.tolist() == [[0, 0, 1]]
+        assert Path(f"{path}.store").read_bytes() == Path(f"{cold}.store").read_bytes()
+        assert load_by("store", path).train.tolist() == [[0, 0, 1]]
+
+    def test_a_store_made_from_other_text_is_replaced(self, tmp_path, caplog):
+        """A store left beside the path is removed before the load, so the
+        load writes the new file's store and warns of no stale one."""
+        g = graph_from_triples(tmp_path, TRAIN)
+        path = tmp_path / "written.txt"
+        save_triples(str(path), g, g.train[:1])
+        stale = Path(f"{path}.store").read_bytes()
+        with caplog.at_level(logging.WARNING, logger="owlink.stores"):
+            save_triples(str(path), g, g.train)
+        assert not caplog.records
+        assert Path(f"{path}.store").read_bytes() != stale
+        assert load_by("store", path).train.tolist() == g.train.tolist()
 
     @pytest.mark.parametrize("name, line, fields", [("b\tc", 1, 4), ("b\nc", 2, 1),
                                                     ("b\rc", 2, 1)])
@@ -785,12 +801,27 @@ class TestEntityText:
                     f"{path}:{lineno}: expected 3 tab-separated fields, got {fields}"
 
     def test_escaping_round_trip(self, tmp_path):
-        original = {"E1": EntityText("E1", "a\tb", "line1\nline2\\end")}
+        """Tabs, line feeds and backslashes read back in names and descriptions."""
+        texts = ["a\tb", "line1\nline2\\end", "\\t not a tab", "\t\n\\", ""]
+        original = {f"E{i}": EntityText(f"E{i}", name, description)
+                    for i, (name, description) in enumerate(zip(texts, reversed(texts)))}
         path = tmp_path / "meta.tsv"
         save_entity_text(str(path), original)
-        loaded = load_entity_text(str(path))
-        assert loaded["E1"].name == "a\tb"
-        assert loaded["E1"].description == "line1\nline2\\end"
+        assert dict(load_entity_text(str(path))) == original
+
+    @pytest.mark.parametrize("ext_id, name, description, what, char", [
+        ("e\t1", "A", "x", "id", "\t"), ("e\n1", "A", "x", "id", "\n"),
+        ("e\r1", "A", "x", "id", "\r"), ("e1", "A\rB", "x", "name", "\r"),
+        ("e1", "A", "x\ry", "description", "\r")])
+    def test_save_refuses_records_that_would_not_read_back(self, tmp_path, ext_id, name,
+                                                           description, what, char):
+        path = tmp_path / "m.tsv"
+        metadata = {"e0": EntityText("e0", "ok", ""), ext_id: EntityText(ext_id, name, description)}
+        with pytest.raises(ValueError) as exc:
+            save_entity_text(str(path), metadata)
+        assert str(exc.value) == (f"{path}: entity {ext_id!r}: its {what} holds {char!r}, "
+                                  "which a metadata file cannot hold")
+        assert not path.exists()
 
     def test_escape_unescape_inverse(self):
         for s in ("", "plain", "a\tb\nc", "\\t literal", "\\\\"):

@@ -276,6 +276,12 @@ class TestFit:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             fit_map(V, real, rng.normal(size=imag_shape), "linear", MapHyperparams(epochs=1))
 
+    def test_inputs_and_targets_of_different_lengths_rejected(self):
+        rng = np.random.default_rng(1)
+        with pytest.raises(ValueError, match="^inputs and targets disagree on the number of pairs$"):
+            fit_map(rng.normal(size=(20, 4)), rng.normal(size=(19, 3)), None, "linear",
+                    MapHyperparams(epochs=1))
+
     def test_empty_training_set_rejected(self):
         with pytest.raises(ConfigError, match="empty"):
             fit_map(np.zeros((0, 2)), np.zeros((0, 2)), None, "linear")

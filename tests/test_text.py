@@ -896,7 +896,7 @@ class TestVectorStore:
 
     @pytest.mark.parametrize("damage", ["empty", "header_only", "cut_last_byte", "extra_byte",
                                         "magic", "keys_not_utf8", "key_count", "nan_row",
-                                        "dim_grown", "dim_shrunk"])
+                                        "dim_grown", "dim_shrunk", "dim_zero", "count_zero"])
     def test_damaged_store_is_rebuilt_with_a_warning(self, tmp_path, caplog, damage):
         path = tmp_path / "vec.txt"
         # these values' bytes are ASCII without "\n", so with a shrunk dim the
@@ -923,6 +923,11 @@ class TestVectorStore:
             data[header + 16:header + 24] = np.float64(np.nan).tobytes()
         elif damage.startswith("dim"):
             data[header - 24] += 1 if damage == "dim_grown" else -1
+        elif damage.endswith("zero"):  # no vector bytes, so the size check passes
+            dim, count = np.frombuffer(data, "<u8", 2, header - 24).tolist()
+            del data[header:header + 8 * dim * count]
+            at = header - (24 if damage == "dim_zero" else 16)
+            data[at:at + 8] = bytes(8)
         store_file(path).write_bytes(bytes(data))
         with caplog.at_level(logging.WARNING, logger="owlink.text"):
             got = load_by("text", path)
