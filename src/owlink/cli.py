@@ -158,13 +158,14 @@ def _entity_rows(s: Settings, metadata: typing.Mapping) -> text.EntityRows:
 
 
 def _load_text_assets(s: Settings, graph, open_only: bool = False):
-    """Raw metadata, and the text of every resolved entity (of the open ones
-    only with ``open_only``) as store rows."""
+    """The metadata file's external ids in file order, then the record of
+    each resolved entity (open ones only with ``open_only``) and their text
+    as store rows, in entity order."""
     raw_meta = graphmod.load_entity_text(_input_file(s, "metadata"))
     metadata = graphmod.resolve_metadata(raw_meta, graph)
     if open_only:
         metadata = metadata.select(np.array(metadata.ids, dtype=np.int64) >= graph.num_entities)
-    return raw_meta, _entity_rows(s, metadata)
+    return raw_meta.ids, metadata.records, _entity_rows(s, metadata)
 
 
 def _load_kgc(s: Settings, graph: graphmod.KnowledgeGraph) -> models.KgcModel:
@@ -212,7 +213,7 @@ def cmd_train_map(s: Settings) -> None:
     kind = s.get("kind")
     graph = _load_graph(s, open_world=True)
     kgc = _load_kgc(s, graph)
-    _, entity_rows = _load_text_assets(s, graph)
+    *_, entity_rows = _load_text_assets(s, graph)
     if not len(mapping.build_training_pairs(kgc, graph, entity_rows)[0].entities):
         raise CliError("no training entity has usable textual metadata")
 
@@ -240,7 +241,7 @@ def cmd_eval(s: Settings) -> None:
     map_path = _input_file(s, "map-checkpoint", required=False)
     if map_path is not None:
         map_model = mapping.load_map(map_path)
-        _, entity_rows = _load_text_assets(s, graph, open_only=True)
+        *_, entity_rows = _load_text_assets(s, graph, open_only=True)
         mapping.check_fit(map_model, kgc, entity_rows.store.dim, map_path,
                           s.get("kgc-checkpoint"), s.get("embeddings"))
     # --out comes after evaluate, which rejects an open query without a map
@@ -253,16 +254,9 @@ def cmd_eval(s: Settings) -> None:
     write_manifest(out, "eval", s.resolved)
 
 
-def _sweep_point(entity_rows: text.EntityRows, graph, corrupted: dict) -> text.EntityRows:
-    """The rows of ``corrupted`` (``sampler.corrupt_metadata``'s output, by
-    external id): the entities it keeps, with the descriptions it keeps."""
-    kept = [corrupted.get(name) for name in graph.entity_names[entity_rows.entities].tolist()]
-    return entity_rows.select(np.array([m is not None for m in kept], dtype=bool),
-                              np.array([bool(m and m.description) for m in kept], dtype=bool))
-
-
 def cmd_robustness(s: Settings) -> None:
-    """Metadata-dropping robustness sweep."""
+    """Metadata-dropping robustness sweep: each point selects the entity rows
+    that ``sampler.corrupt_metadata``'s record masks keep."""
     _require(s, "test")
     config = _eval_config(s)
     hp = _build(s, mapping.MapHyperparams, valid_every=0)
@@ -270,8 +264,7 @@ def cmd_robustness(s: Settings) -> None:
     kind = s.get("kind")
     graph = _load_graph(s, open_world=True)
     kgc = _load_kgc(s, graph)
-    raw_meta, entity_rows = _load_text_assets(s, graph)
-    raw_meta = dict(raw_meta)  # corrupt_metadata reads only the records: free the token table
+    ids, records, entity_rows = _load_text_assets(s, graph)
     out = _out_dir(s)
 
     header = ["mode", "fraction", "mrr_filtered", "mrr_raw"]
@@ -287,9 +280,9 @@ def cmd_robustness(s: Settings) -> None:
     for mode in s.get("modes"):
         for fraction in s.get("fractions"):
             stage = f"robust:{mode}:{fraction}"
-            corrupted = sampler.corrupt_metadata(raw_meta, mode, fraction,
-                                                 seed=stage_seed(seed, stage))
-            point = _sweep_point(entity_rows, graph, corrupted)
+            kept, described = sampler.corrupt_metadata(ids, mode, fraction,
+                                                       seed=stage_seed(seed, stage))
+            point = entity_rows.select(kept[records], described[records])
             map_model = None
             if len(mapping.build_training_pairs(kgc, graph, point)[0].entities):
                 map_model = mapping.train_map(kgc, graph, point, kind, hp,
@@ -371,11 +364,13 @@ def cmd_sample_owe(s: Settings) -> None:
 
 
 def cmd_drop_metadata(s: Settings) -> None:
-    """Corrupt a metadata file."""
+    """Corrupt a metadata file: the records the masks keep, in file order."""
     metadata = graphmod.load_entity_text(_input_file(s, "metadata"))
-    corrupted = sampler.corrupt_metadata(
+    kept, described = sampler.corrupt_metadata(
         metadata, mode=s.get("mode"), fraction=s.get("fraction"), seed=s.get("seed")
     )
+    corrupted = {key: graphmod.EntityText(key, rec.name, rec.description if keep_text else "")
+                 for (key, rec), keep, keep_text in zip(metadata.items(), kept, described) if keep}
     out = _out_dir(s)
     graphmod.save_entity_text(str(out / "metadata.tsv"), corrupted)
     write_manifest(out, "drop-metadata", s.resolved)

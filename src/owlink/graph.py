@@ -223,9 +223,6 @@ class KnowledgeGraph:
     def num_open_entities(self) -> int:
         return len(self.open_entities)
 
-    def is_open(self, entity_id: int) -> bool:
-        return entity_id >= len(self.entities)
-
     @functools.cached_property
     def entity_names(self) -> np.ndarray:
         """The external id of every entity as an object array indexed by
@@ -664,7 +661,8 @@ def load_entity_text(path: str) -> Metadata:
 def save_entity_text(path: str, metadata: Mapping[str, EntityText]) -> None:
     """Write ``metadata`` as a metadata file, names and descriptions escaped.
     ValueError, naming the entity, when a record would not read back: an id
-    holding a tab or a line break, or a name or description holding "\\r",
+    holding a tab or a line break (or, first, starting with U+FEFF, which the
+    read drops as a byte order mark), or a name or description holding "\\r",
     which the format has no escape for. A refused write creates no file."""
     for ext_id, rec in metadata.items():
         for what, field, bad in (("id", ext_id, "\t\n\r"), ("name", rec.name, "\r"),
@@ -673,6 +671,10 @@ def save_entity_text(path: str, metadata: Mapping[str, EntityText]) -> None:
                 if char in field:
                     raise ValueError(f"{path}: entity {ext_id!r}: its {what} holds {char!r}, "
                                      "which a metadata file cannot hold")
+    first = next(iter(metadata), "")
+    if first.startswith("\ufeff"):
+        raise ValueError(f"{path}: entity {first!r}: its id starts with '\\ufeff', "
+                         "which the first line of a metadata file cannot hold")
     with open(path, "w", encoding="utf-8") as fh:
         for ext_id, rec in metadata.items():
             fh.write(f"{ext_id}\t{escape_field(rec.name)}\t{escape_field(rec.description)}\n")

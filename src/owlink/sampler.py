@@ -14,18 +14,21 @@ The triple fields of :class:`OwSplit` are ``(n, 3)`` int64 arrays, the
 format of the graph's splits: the sampler works on ``graph.train`` with
 masks. :func:`validate_split` accepts any ``(head, rel, tail)`` rows.
 
+A metadata corruption (:func:`corrupt_metadata`) is two boolean masks over
+the records' external ids: the records kept and the descriptions kept.
+
 Outputs are deterministic: same graph + config gives byte-identical files.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Iterable
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .config import ConfigError, check_setting
-from .graph import EntityText, KnowledgeGraph, _first_occurrences, as_triples, distinct
+from .graph import KnowledgeGraph, _first_occurrences, as_triples, distinct
 
 MODES = ("descriptions", "all")
 
@@ -220,23 +223,21 @@ def check_fraction(value) -> float:
     return fraction
 
 
-def corrupt_metadata(
-    metadata: Mapping[str, EntityText],
-    mode: str,
-    fraction: float,
-    seed: int = 0,
-) -> dict[str, EntityText]:
-    """Blank descriptions or drop whole records for a sampled entity subset.
-
-    ``mode="descriptions"`` blanks the description (name kept);
-    ``mode="all"`` removes the record entirely. Deterministic under seed.
-    """
+def corrupt_metadata(keys: Iterable[str], mode: str, fraction: float, seed: int = 0
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """Blank descriptions or drop whole records for a sampled subset, as two
+    boolean arrays over ``keys`` (external ids in record order; a mapping
+    passes its keys): ``(kept, described)``. Both modes clear ``described``
+    at ``round(fraction * n)`` ids drawn in sorted id order; ``mode="all"``
+    also clears ``kept`` there. Deterministic under seed."""
     check_setting("mode", repr(mode), mode in MODES, f"one of {MODES}")
     check_fraction(fraction)
     check_setting("seed", seed, seed >= 0, ">= 0")
     rng = np.random.default_rng(seed)
-    keys = sorted(metadata)
-    n_hit = int(round(fraction * len(keys)))
-    hit = {keys[i] for i in rng.choice(len(keys), size=n_hit, replace=False)}
-    return {key: EntityText(rec.entity, rec.name, "" if key in hit else rec.description)
-            for key, rec in metadata.items() if key not in hit or mode == "descriptions"}
+    keys = list(keys)
+    order = np.array(sorted(range(len(keys)), key=keys.__getitem__), dtype=np.int64)
+    hit = order[rng.choice(len(keys), size=int(round(fraction * len(keys))), replace=False)]
+    described = np.ones(len(keys), dtype=bool)
+    described[hit] = False
+    kept = described.copy() if mode == "all" else np.ones(len(keys), dtype=bool)
+    return kept, described

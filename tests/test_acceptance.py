@@ -452,15 +452,15 @@ def _trained_eval(fb, kind, seed=1):
 def _robustness_mrrs(fb):
     """Criterion 10's filtered MRRs in percent: full metadata, every
     description blanked, and half of the records dropped."""
-    from owlink.cli import _sweep_point
     from owlink.sampler import corrupt_metadata
 
     graph, kgc, raw_meta, rows, hp = fb
     config = EvalConfig()
+    records = resolve_metadata(raw_meta, graph).records  # in rows.entities order
 
     def run(mode, fraction, seed):
-        corrupted = corrupt_metadata(raw_meta, mode, fraction, seed=seed)
-        point = _sweep_point(rows, graph, corrupted)
+        kept, described = corrupt_metadata(raw_meta, mode, fraction, seed=seed)
+        point = rows.select(kept[records], described[records])
         mm = train_map(kgc, graph, point, "affine", hp, seed=seed)
         return 100 * evaluate(kgc, graph, config, mm, point).mrr_filtered
 

@@ -12,7 +12,7 @@ import pytest
 
 import owlink.graph as graphmod
 import owlink.text as text
-from owlink.cli import DECLARED, OPTIONS, _sweep_point, main
+from owlink.cli import DECLARED, OPTIONS, _load_text_assets, main
 from owlink.config import Option, Settings, load_config_file, stage_seed, write_manifest
 from owlink.evaluation import nearest_neighbors
 from owlink.graph import EntityText, load_graph, resolve_metadata
@@ -20,7 +20,7 @@ from owlink.mapping import load_map, mapped_entity_embedding
 from owlink.models import load_checkpoint
 from owlink.sampler import corrupt_metadata
 from owlink.text import entity_rows
-from helpers import graph_from_triples, store_from_vectors, write_triples
+from helpers import graph_from_triples, write_triples
 from test_text import seeded_text
 
 
@@ -301,6 +301,30 @@ class TestPipeline:
         ])
         assert code == 0
         assert "w1 w2" in calls and max(calls.values()) == 1
+
+    def test_robustness_builds_no_entity_text(self, assets, monkeypatch):
+        """Sweep points are record masks over the command's entity rows: no
+        metadata record becomes an EntityText."""
+        kgc_out = assets / "kgc"
+        assert train_kgc(assets, kgc_out) == 0
+        built = []
+
+        class CountedEntityText(graphmod.EntityText):
+            def __init__(self, *args, **kwargs):
+                built.append(args)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(graphmod, "EntityText", CountedEntityText)
+        code = run([
+            "robustness", "--train", assets / "train.txt", "--test", assets / "test.txt",
+            "--kgc-checkpoint", kgc_out / "kgc.ckpt", "--metadata", assets / "metadata.tsv",
+            "--embeddings", assets / "vectors.txt", "--epochs", "2",
+            "--fractions", "0,0.5", "--modes", "descriptions,all", "--out", assets / "r",
+        ])
+        assert code == 0
+        assert built == []
+        graphmod.load_entity_text(str(assets / "metadata.tsv"))["e0"]  # the patch counts
+        assert len(built) == 1
 
     def test_robustness_default_sweep_point_without_training_text(self, assets, capsys):
         """The default sweep ends at mode all, fraction 1.0, which leaves no
@@ -729,27 +753,44 @@ class TestKgcFit:
 
 
 class TestSweepPoint:
-    """A robustness sweep point masks the command's one row CSR; it holds
-    what a CSR rebuilt from corrupt_metadata's output holds."""
+    """A robustness sweep point masks the command's one row CSR with
+    corrupt_metadata's record masks; it holds what a CSR rebuilt from the
+    records the masks keep, with descriptions blanked, holds."""
 
     @pytest.mark.parametrize("mode", ["descriptions", "all"])
     @pytest.mark.parametrize("fraction", [0.0, 0.5, 1.0])
     def test_masks_match_a_rebuilt_csr(self, tmp_path, mode, fraction):
         vectors, metadata = seeded_text(6)
         raw = {m.entity: m for m in metadata.values()}
+        raw["blank"] = EntityText("blank", "w6 w7", "")
         raw["ghost"] = EntityText("ghost", "w1", "w2")  # not in the graph
-        closed = len(raw) - 6
-        train = [(f"e{i}", "r", f"e{(i + 1) % closed}") for i in range(closed)]
-        test = [(f"e{i}", "r", "e0") for i in range(closed, len(raw) - 1)]  # open heads
+        names = list(raw)[:-1]
+        closed = len(names) - 6
+        train = [(names[i], "r", names[(i + 1) % closed]) for i in range(closed)]
+        test = [(name, "r", names[0]) for name in names[closed:]]  # open heads
         graph = graph_from_triples(tmp_path, train, test=test, open_world=True)
-        store = store_from_vectors(vectors, 5)
-        rows = entity_rows(resolve_metadata(raw, graph), store)
-        corrupted = corrupt_metadata(raw, mode, fraction, seed=3)
-        point = _sweep_point(rows, graph, corrupted)
-        rebuilt = entity_rows(resolve_metadata(corrupted, graph), store)
+        # file order is not entity order
+        graphmod.save_entity_text(str(tmp_path / "metadata.tsv"), dict(reversed(raw.items())))
+        with open(tmp_path / "vectors.txt", "w", encoding="utf-8") as fh:
+            fh.writelines(f"{key} {' '.join(map(repr, vec.tolist()))}\n"
+                          for key, vec in vectors.items())
+        defaults = {name: o.default for name, o in OPTIONS["robustness"].items()}
+        settings = Settings({"metadata": tmp_path / "metadata.tsv",
+                             "embeddings": tmp_path / "vectors.txt"}, {}, defaults)
+
+        ids, records, rows = _load_text_assets(settings, graph)
+        resolved = graph.entity_names[rows.entities].tolist()
+        assert [ids[r] for r in records.tolist()] == resolved
+        assert sorted(resolved) == sorted(names) and "ghost" in ids
+        kept, described = corrupt_metadata(ids, mode, fraction, seed=3)
+        point = rows.select(kept[records], described[records])
+        corrupted = {key: EntityText(key, raw[key].name, raw[key].description if keep_text else "")
+                     for key, keep, keep_text in zip(ids, kept.tolist(), described.tolist())
+                     if keep}
+        rebuilt = entity_rows(resolve_metadata(corrupted, graph), rows.store)
         for field in ("entities", "offsets", "rows"):
             assert getattr(point, field).tolist() == getattr(rebuilt, field).tolist(), field
-        assert point.store is store
+        assert point.store is rows.store
         if fraction == 1.0:
             assert len(point.entities) == (len(rows.entities) if mode == "descriptions" else 0)
             assert (point.offsets[2::3] == point.offsets[3::3]).all()  # no description rows

@@ -81,7 +81,6 @@ class TestLoadGraph:
         assert g.num_entities == 3
         assert g.num_open_entities == 2
         assert g.test[0, 0] == 3 and g.test[1, 0] == 4
-        assert g.is_open(3) and not g.is_open(0)
         assert g.entity_name(3) == "new1"
         assert g.entity_id("new2") == 4
         # no open entity appears in any train triple
@@ -822,6 +821,24 @@ class TestEntityText:
         assert str(exc.value) == (f"{path}: entity {ext_id!r}: its {what} holds {char!r}, "
                                   "which a metadata file cannot hold")
         assert not path.exists()
+
+    def test_save_refuses_a_first_id_with_a_byte_order_mark(self, tmp_path):
+        """The read drops a U+FEFF that starts the file, so the first id would
+        not read back."""
+        path = tmp_path / "m.tsv"
+        metadata = {"\ufeffe1": EntityText("\ufeffe1", "A", "x"), "e2": EntityText("e2", "B", "")}
+        with pytest.raises(ValueError) as exc:
+            save_entity_text(str(path), metadata)
+        assert str(exc.value) == (f"{path}: entity '\\ufeffe1': its id starts with '\\ufeff', "
+                                  "which the first line of a metadata file cannot hold")
+        assert not path.exists()
+
+    def test_a_later_id_with_a_byte_order_mark_reads_back(self, tmp_path):
+        path = tmp_path / "m.tsv"
+        metadata = {"e1": EntityText("e1", "A", "x"), "\ufeffe2": EntityText("\ufeffe2", "B", "")}
+        save_entity_text(str(path), metadata)
+        assert list(load_entity_text(str(path))) == ["e1", "\ufeffe2"]
+        assert dict(load_entity_text(str(path))) == metadata
 
     def test_escape_unescape_inverse(self):
         for s in ("", "plain", "a\tb\nc", "\\t literal", "\\\\"):

@@ -313,6 +313,9 @@ class TestDeterminism:
 
 
 class TestCorruptMetadata:
+    """A corruption is two boolean masks over the records' ids, ``(kept,
+    described)``; a mapping passes its keys."""
+
     def build(self):
         return {
             f"E{i}": EntityText(f"E{i}", f"name{i}", f"description {i}")
@@ -320,33 +323,39 @@ class TestCorruptMetadata:
         }
 
     def test_fraction_zero_identity(self):
-        meta = self.build()
-        out = corrupt_metadata(meta, "descriptions", 0.0, seed=0)
-        assert out == meta
+        kept, described = corrupt_metadata(self.build(), "descriptions", 0.0, seed=0)
+        assert kept.dtype == described.dtype == bool
+        assert kept.tolist() == described.tolist() == [True] * 10
 
     def test_descriptions_mode_blanks_only_descriptions(self):
-        meta = self.build()
-        out = corrupt_metadata(meta, "descriptions", 1.0, seed=0)
-        assert set(out) == set(meta)
-        for key, rec in out.items():
-            assert rec.description == ""
-            assert rec.name == meta[key].name
+        kept, described = corrupt_metadata(self.build(), "descriptions", 1.0, seed=0)
+        assert kept.all() and not described.any()
 
     def test_all_mode_removes_records(self):
-        meta = self.build()
-        out = corrupt_metadata(meta, "all", 1.0, seed=0)
-        assert out == {}
+        kept, described = corrupt_metadata(self.build(), "all", 1.0, seed=0)
+        assert not kept.any() and not described.any()
 
     def test_half_fraction_counts(self):
-        meta = self.build()
-        out = corrupt_metadata(meta, "all", 0.5, seed=3)
-        assert len(out) == 5
+        for mode in ("descriptions", "all"):
+            kept, described = corrupt_metadata(list(self.build()), mode, 0.5, seed=3)
+            assert described.sum() == 5
+            assert kept.tolist() == (described.tolist() if mode == "all" else [True] * 10)
 
     def test_seed_replay(self):
         meta = self.build()
         a = corrupt_metadata(meta, "all", 0.4, seed=9)
         b = corrupt_metadata(meta, "all", 0.4, seed=9)
-        assert set(a) == set(b)
+        assert [m.tolist() for m in a] == [m.tolist() for m in b]
+
+    def test_draw_runs_over_sorted_ids(self):
+        """A dict in reverse key order draws the same ids: the draw picks
+        ``round(fraction * n)`` positions of the sorted ids."""
+        meta = self.build()
+        hit = {sorted(meta)[i] for i in np.random.default_rng(9).choice(10, 4, replace=False)}
+        for keys in (meta, dict(reversed(meta.items()))):
+            kept, described = corrupt_metadata(keys, "all", 0.4, seed=9)
+            assert {key for key, keep in zip(keys, kept) if not keep} == hit
+            assert kept.tolist() == described.tolist()
 
     def test_bad_mode_and_fraction(self):
         with pytest.raises(ValueError):
@@ -357,4 +366,4 @@ class TestCorruptMetadata:
     def test_source_not_mutated(self):
         meta = self.build()
         corrupt_metadata(meta, "descriptions", 1.0, seed=0)
-        assert meta["E0"].description == "description 0"
+        assert meta == self.build()
