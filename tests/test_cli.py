@@ -797,22 +797,42 @@ class TestSweepPoint:
 
 
 class TestDropMetadata:
+    """The written file holds the input's records in file order, ids and names
+    unchanged; only the corruption's records are dropped or blanked."""
+
+    def records(self, path):
+        return [(key, rec.name, rec.description)
+                for key, rec in graphmod.load_entity_text(str(path)).items()]
+
     def test_blanks_descriptions(self, assets):
         out = assets / "dropped"
         code = run(["drop-metadata", "--metadata", assets / "metadata.tsv",
                     "--mode", "descriptions", "--fraction", "1.0", "--out", out])
         assert code == 0
-        for line in (out / "metadata.tsv").read_text().splitlines():
-            assert line.split("\t")[2] == ""
+        before = self.records(assets / "metadata.tsv")
+        assert self.records(out / "metadata.tsv") == [(key, name, "") for key, name, _ in before]
+
+    def test_blanks_a_fraction_of_descriptions(self, assets):
+        out = assets / "dropped_half"
+        code = run(["drop-metadata", "--metadata", assets / "metadata.tsv",
+                    "--mode", "descriptions", "--fraction", "0.5", "--out", out])
+        assert code == 0
+        before = self.records(assets / "metadata.tsv")
+        after = self.records(out / "metadata.tsv")
+        assert [rec[:2] for rec in after] == [rec[:2] for rec in before]
+        assert all(new in (old, "") for (*_, old), (*_, new) in zip(before, after))
+        blanked = sum(new == "" for *_, new in after)
+        assert blanked == round(0.5 * len(before))
 
     def test_all_mode_shrinks_file(self, assets):
         out = assets / "dropped_all"
         code = run(["drop-metadata", "--metadata", assets / "metadata.tsv",
                     "--mode", "all", "--fraction", "0.5", "--out", out])
         assert code == 0
-        n_before = len((assets / "metadata.tsv").read_text().splitlines())
-        n_after = len((out / "metadata.tsv").read_text().splitlines())
-        assert n_after == n_before - round(0.5 * n_before)
+        before = self.records(assets / "metadata.tsv")
+        after = self.records(out / "metadata.tsv")
+        assert len(after) == len(before) - round(0.5 * len(before))
+        assert after == [rec for rec in before if rec in after]  # file order, records whole
 
 
 class TestConfigHelpers:
